@@ -86,12 +86,54 @@ class HHProfile:
         }
 
 
+def _integerize_columns(cols: list, p: int) -> list:
+    """Columns with zero entries dropped: reduced mod p over F_p, each
+    scaled by its denominators' lcm over Q (scaling keeps the rank)."""
+    out = []
+    for col in cols:
+        if p:
+            red = {r: v % p for r, v in col.items() if v % p}
+            out.append(red)
+            continue
+        denom = 1
+        for v in col.values():
+            if isinstance(v, Fraction):
+                denom = denom * v.denominator // math.gcd(denom, v.denominator)
+        red = {}
+        for r, v in col.items():
+            w = int(v * denom)
+            if w:
+                red[r] = w
+        out.append(red)
+    return out
+
+
+def complex_dims(layer_dims: list, deltas: list, p: int) -> list:
+    """Cohomology dims of a cochain complex given by sparse integer columns.
+
+    ``deltas[n]`` maps degree n into degree n+1, one dict {row: int} per
+    basis element of degree n; entries are integers over Q (p = 0) and
+    residues over F_p. The composite of each consecutive pair is checked
+    to vanish before any rank is trusted; then rank-nullity gives
+    dim H^n = dim C^n - rank d^n - rank d^(n-1).
+    """
+    mod = p or None
+    for n in range(len(deltas) - 1):
+        if not sparse_compose_zero(deltas[n + 1], deltas[n], mod):
+            raise AssertionError(f"coboundary square nonzero at degree {n}")
+    ranks = [sparse_rank(cols, mod) for cols in deltas]
+    return [
+        dim - ranks[n] - (ranks[n - 1] if n else 0)
+        for n, dim in enumerate(layer_dims)
+    ]
+
+
 @dataclass
 class RszComplexLayer:
     degree: int
     basis_p0: list
     basis_p1: list
-    d_matrix: Matrix
+    columns: list
 
 
 def _pair_key(x: Path, y: Path) -> tuple:
@@ -103,38 +145,38 @@ def rsz_layer(q: Quiver, field: Field, n: int) -> RszComplexLayer:
 
     D(gamma, e) = sum over arrows a leaving e of (gamma.a, a), plus
     (-1)^(n+1) times the sum over arrows a entering e of (a.gamma, a).
+    D is kept as sparse integer columns {row: int}, one per p0 pair.
     """
-    bound = RSZ_DEGREE_BOUND + 1
+    # layer n reads paths of length n + 1, and hh_rsz builds layer N + 1
+    bound = RSZ_DEGREE_BOUND + 2
     p0 = parallel_pairs(q, n, 0, bound=bound)
     p1 = parallel_pairs(q, n, 1, bound=bound)
     p1_next = parallel_pairs(q, n + 1, 1, bound=bound)
     index = {_pair_key(x, y): i for i, (x, y) in enumerate(p1_next)}
-    d = Matrix(field, len(p1_next), len(p0))
-    sign = field.one if (n + 1) % 2 == 0 else field.neg(field.one)
-    for col, (gamma, e) in enumerate(p0):
+    sign = 1 if (n + 1) % 2 == 0 else -1
+    cols = []
+    for gamma, e in p0:
+        col = {}
         v = e.base_vertex
         for a in q.arrows_from(v):
             x = Path(q, gamma.arrow_indices + (a,))
             row = index[_pair_key(x, Path(q, (a,)))]
-            d.data[row][col] = field.add(d.data[row][col], field.one)
+            col[row] = col.get(row, 0) + 1
         for a in q.arrows_into(v):
             x = Path(q, (a,) + gamma.arrow_indices)
             row = index[_pair_key(x, Path(q, (a,)))]
-            d.data[row][col] = field.add(d.data[row][col], sign)
-    return RszComplexLayer(n, p0, p1, d)
+            col[row] = col.get(row, 0) + sign
+        cols.append(col)
+    return RszComplexLayer(
+        n, p0, p1, _integerize_columns(cols, field.characteristic)
+    )
 
 
-def rsz_coboundary(layer: RszComplexLayer, next_layer: RszComplexLayer) -> Matrix:
-    """The block map (0 0; D 0) from layer n to layer n+1."""
-    field = layer.d_matrix.field
-    rows = len(next_layer.basis_p0) + len(next_layer.basis_p1)
-    cols = len(layer.basis_p0) + len(layer.basis_p1)
-    m = Matrix(field, rows, cols)
+def rsz_coboundary(layer: RszComplexLayer, next_layer: RszComplexLayer) -> list:
+    """Sparse columns of the block map (0 0; D 0) from layer n to layer n+1."""
     off = len(next_layer.basis_p0)
-    for i in range(layer.d_matrix.rows):
-        for j in range(layer.d_matrix.cols):
-            m.data[off + i][j] = layer.d_matrix.data[i][j]
-    return m
+    shifted = [{off + r: v for r, v in col.items()} for col in layer.columns]
+    return shifted + [{} for _ in layer.basis_p1]
 
 
 def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProfile:
@@ -142,18 +184,12 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProf
     if not (0 <= N <= RSZ_DEGREE_BOUND):
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
     layers = [rsz_layer(q, field, n) for n in range(N + 2)]
-    bounds = [
-        rsz_coboundary(layers[n], layers[n + 1]) for n in range(N + 1)
-    ]
-    for n in range(N):
-        if not (bounds[n + 1] * bounds[n]).is_zero():
-            raise AssertionError(f"coboundary square nonzero at degree {n}")
-    ranks = [m.rank() for m in bounds]
-    dims = []
-    for n in range(N + 1):
-        layer_dim = len(layers[n].basis_p0) + len(layers[n].basis_p1)
-        prev = ranks[n - 1] if n else 0
-        dims.append(layer_dim - ranks[n] - prev)
+    deltas = [rsz_coboundary(layers[n], layers[n + 1]) for n in range(N + 1)]
+    dims = complex_dims(
+        [len(layer.basis_p0) + len(layer.basis_p1) for layer in layers[:-1]],
+        deltas,
+        field.characteristic,
+    )
     if tag is None:
         tag = f"rsz:{q.vertex_count}v{len(q.arrows)}a"
     return HHProfile(dims, "rsz-complex", tag)
@@ -219,26 +255,6 @@ def bar_coboundary_columns(a: Algebra, n: int) -> list:
     return cols
 
 
-def _integerize_columns(cols: list, p: int) -> list:
-    out = []
-    for col in cols:
-        if p:
-            red = {r: v % p for r, v in col.items() if v % p}
-            out.append(red)
-            continue
-        denom = 1
-        for v in col.values():
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        red = {}
-        for r, v in col.items():
-            w = int(v * denom)
-            if w:
-                red[r] = w
-        out.append(red)
-    return out
-
-
 def hh_bar(a: Algebra, N: int, tag: str = None) -> HHProfile:
     """Bar-complex cohomology dims, degrees 0..N, exact sparse elimination."""
     if N < 0:
@@ -255,14 +271,7 @@ def hh_bar(a: Algebra, N: int, tag: str = None) -> HHProfile:
         _integerize_columns(bar_coboundary_columns(a, n), p)
         for n in range(N + 1)
     ]
-    for n in range(N):
-        if not sparse_compose_zero(deltas[n + 1], deltas[n], p or None):
-            raise AssertionError(f"coboundary square nonzero at degree {n}")
-    ranks = [sparse_rank(cols, p or None) for cols in deltas]
-    dims = []
-    for n in range(N + 1):
-        prev = ranks[n - 1] if n else 0
-        dims.append(d ** (n + 1) - ranks[n] - prev)
+    dims = complex_dims([d ** (n + 1) for n in range(N + 1)], deltas, p)
     if tag is None:
         tag = f"bar:dim{d}"
     return HHProfile(dims, "bar-complex", tag)
@@ -371,10 +380,21 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int, tag: str = None) -> HHPr
         {key: i for i, key in enumerate(bases[n])} for n in range(N + 2)
     ]
 
-    def delta(n: int) -> Matrix:
-        m = Matrix(f, len(bases[n + 1]), len(bases[n]))
-        sign = f.one if (n + 1) % 2 == 0 else f.neg(f.one)
-        for ci, key in enumerate(bases[n]):
+    def scatter(col: dict, block: list, val: list, chain: tuple, sign: int) -> None:
+        coords = coords_in_echelon_basis(f, block, val)
+        if coords is None:
+            raise AssertionError("image escapes its block")
+        for s, x in enumerate(coords):
+            if x:
+                row = row_index[len(chain)][(chain, s)]
+                col[row] = col.get(row, 0) + sign * x
+
+    def delta(n: int) -> list:
+        sign = 1 if (n + 1) % 2 == 0 else -1
+        cols = []
+        for key in bases[n]:
+            col = {}
+            cols.append(col)
             if n == 0:
                 r = c0[key[1]]
                 for bi, (u, v, bvec) in enumerate(jlist):
@@ -385,51 +405,25 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int, tag: str = None) -> HHPr
                             a.multiply_coords(bvec, r),
                         )
                     ]
-                    coords = coords_in_echelon_basis(f, r_blocks[u][v], val)
-                    if coords is None:
-                        raise AssertionError("image escapes its block")
-                    for t, x in enumerate(coords):
-                        if x != f.zero:
-                            row = row_index[1][((bi,), t)]
-                            m.data[row][ci] = f.add(m.data[row][ci], x)
+                    scatter(col, r_blocks[u][v], val, (bi,), 1)
                 continue
             ch, t = key
             u0, un = chain_ends(ch)
             rho = r_blocks[u0][un][t]
             for bi, (u, v, bvec) in enumerate(jlist):
                 if v == u0:
-                    ch2 = (bi,) + ch
                     val = a.multiply_coords(bvec, rho)
-                    coords = coords_in_echelon_basis(f, r_blocks[u][un], val)
-                    if coords is None:
-                        raise AssertionError("image escapes its block")
-                    for s, x in enumerate(coords):
-                        if x != f.zero:
-                            row = row_index[n + 1][(ch2, s)]
-                            m.data[row][ci] = f.add(m.data[row][ci], x)
+                    scatter(col, r_blocks[u][un], val, (bi,) + ch, 1)
                 if u == un:
-                    ch2 = ch + (bi,)
                     val = a.multiply_coords(rho, bvec)
-                    coords = coords_in_echelon_basis(f, r_blocks[u0][v], val)
-                    if coords is None:
-                        raise AssertionError("image escapes its block")
-                    for s, x in enumerate(coords):
-                        if x != f.zero:
-                            row = row_index[n + 1][(ch2, s)]
-                            m.data[row][ci] = f.add(
-                                m.data[row][ci], f.mul(sign, x)
-                            )
-        return m
+                    scatter(col, r_blocks[u0][v], val, ch + (bi,), sign)
+        return _integerize_columns(cols, f.characteristic)
 
-    bounds = [delta(n) for n in range(N + 1)]
-    for n in range(N):
-        if not (bounds[n + 1] * bounds[n]).is_zero():
-            raise AssertionError(f"coboundary square nonzero at degree {n}")
-    ranks = [m.rank() for m in bounds]
-    dims = []
-    for n in range(N + 1):
-        prev = ranks[n - 1] if n else 0
-        dims.append(len(bases[n]) - ranks[n] - prev)
+    dims = complex_dims(
+        [len(bases[n]) for n in range(N + 1)],
+        [delta(n) for n in range(N + 1)],
+        f.characteristic,
+    )
     if tag is None:
         tag = f"e-complex:dim{d}"
     return HHProfile(dims, "e-complex", tag)

@@ -1,9 +1,10 @@
-"""Dense exact linear algebra with deterministic elimination.
+"""Exact linear algebra with deterministic elimination.
 
-Pivot choice is fixed (first nonzero column, topmost row) so reduced
-echelon forms, and hence kernel bases, are byte-stable across runs.
-A sparse integer elimination is included for the large cochain matrices,
-where dense Fraction arithmetic would be needlessly slow.
+Dense ``Matrix`` serves the small structural computations (kernels,
+inverses, base changes). Pivot choice is fixed (first nonzero column,
+topmost row) so reduced echelon forms, and hence kernel bases, are
+byte-stable across runs. Every cochain complex goes through the sparse
+integer kernel below (``sparse_rank``, ``sparse_compose_zero``) instead.
 """
 
 from __future__ import annotations
@@ -268,22 +269,6 @@ class Matrix:
         return out
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> list:
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, b: list):
-    return m.solve(b)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
 def echelon_basis(field: Field, vectors: list) -> list:
     """Reduced echelon normal form of the span of the given vectors.
 
@@ -317,7 +302,7 @@ def coords_in_echelon_basis(field: Field, basis: list, v: list):
     return coords
 
 
-# sparse exact rank for large cochain matrices
+# sparse exact kernel for cochain complexes
 
 
 def sparse_rank(vectors: list, p: int | None = None) -> int:

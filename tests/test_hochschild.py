@@ -1,5 +1,8 @@
 """Cohomology dims: three routes, closed forms, and the nonvanishing run."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from twistlab.fields import GF, QQ
@@ -16,6 +19,9 @@ from twistlab.hochschild import (
     HH_ERRATA,
     HHProfile,
     READING_NOTES,
+    _integerize_columns,
+    bar_budget,
+    complex_dims,
     crown_formula,
     hh_bar,
     hh_e_complex,
@@ -25,6 +31,7 @@ from twistlab.hochschild import (
     thm_formula,
     verify_counterexample,
 )
+from twistlab.linalg import Matrix, sparse_compose_zero, sparse_rank
 
 TWO_LOOPS = Quiver(1, [(0, 0), (0, 0)])
 L3 = Quiver(3, [(0, 1), (1, 2)])
@@ -66,6 +73,7 @@ def test_rsz_two_loops():
 
 
 def test_rsz_degree_bound():
+    assert hh_rsz(standard_quiver("loop"), QQ, 32).dims == [2] + [1] * 32
     with pytest.raises(ValueError):
         hh_rsz(standard_quiver("loop"), QQ, 33)
     assert hh_rsz(standard_quiver("four_points"), QQ, 0).dims == [4]
@@ -79,11 +87,11 @@ def test_rsz_layer_shapes_and_square_zero():
         expect_p1 = 0 if n % 2 == 0 else 2
         assert len(layer.basis_p0) == expect_p0
         assert len(layer.basis_p1) == expect_p1
-        assert layer.d_matrix.cols == expect_p0
+        assert len(layer.columns) == expect_p0
     for n in range(4):
         a = rsz_coboundary(layers[n], layers[n + 1])
         b = rsz_coboundary(layers[n + 1], layers[n + 2])
-        assert (b * a).is_zero()
+        assert sparse_compose_zero(b, a)
 
 
 def test_bar_matrix2_and_k4():
@@ -190,6 +198,61 @@ def test_methods_agree_over_f5():
         idems = [alg.basis_element(v) for v in range(q.vertex_count)]
         assert hh_e_complex(alg, idems, 3).dims == rsz
         assert hh_bar(alg, 3).dims == rsz
+
+
+def test_routes_agree_on_random_quivers():
+    # GF(11): the trace-form radical needs char > dim, and dim <= 7 here
+    rng = random.Random(29)
+    for trial in range(12):
+        field = (QQ, GF(11))[trial % 2]
+        vertices = rng.randint(1, 3)
+        arrows = [
+            (rng.randrange(vertices), rng.randrange(vertices))
+            for _ in range(rng.randint(1, vertices + 1))
+        ]
+        q = Quiver(vertices, arrows)
+        rsz = hh_rsz(q, field, 3).dims
+        alg = truncated_path_algebra(q, field)
+        idems = [alg.basis_element(v) for v in range(vertices)]
+        assert hh_e_complex(alg, idems, 3).dims == rsz, (field.name, arrows)
+        n_bar = 3
+        while alg.dim ** (n_bar + 2) > bar_budget(field):
+            n_bar -= 1
+        assert hh_bar(alg, n_bar).dims == rsz[: n_bar + 1], (field.name, arrows)
+
+
+def test_complex_dims_checks_square_zero():
+    # e -> r0 + r1 and r0, r1 -> s: the composite sends e to 2s
+    inner = [{0: 1, 1: 1}]
+    outer = [{0: 1}, {0: 1}]
+    with pytest.raises(AssertionError):
+        complex_dims([1, 2, 1], [inner, outer, [{}]], 0)
+    assert complex_dims([1, 2, 1], [inner, outer, [{}]], 2) == [0, 0, 0]
+
+
+def test_integerized_fraction_columns_rank_matches_dense():
+    rng = random.Random(17)
+
+    def entry():
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 6))
+
+    for _ in range(40):
+        r, c = rng.randrange(1, 7), rng.randrange(1, 6)
+        cols = [
+            {i: entry() for i in range(r) if rng.random() < 0.6}
+            for _ in range(c)
+        ]
+        if c >= 2:
+            # a dependent column, so the rank is not always full
+            x, y = entry(), entry()
+            cols.append({
+                i: x * cols[0].get(i, 0) + y * cols[1].get(i, 0)
+                for i in range(r)
+            })
+        dense = Matrix(
+            QQ, r, len(cols), [[col.get(i, 0) for col in cols] for i in range(r)]
+        )
+        assert sparse_rank(_integerize_columns(cols, 0)) == dense.rank()
 
 
 def test_thm_formula_values_and_hypotheses():
