@@ -2,7 +2,8 @@
 
 Verbs: census, classify, hh, counterexample, reproduce-paper.  Artifacts go
 to stdout or the -o path; advisory notes go to stderr so emitted files stay
-parseable.  The TWISTLAB_BUDGET environment variable caps bar-complex sizes.
+parseable.  The TWISTLAB_BUDGET environment variable (a positive integer)
+caps d^(N+2) for the normalized bar complex of a dim-d algebra to degree N.
 """
 
 import argparse

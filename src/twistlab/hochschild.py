@@ -1,12 +1,15 @@
 """Hochschild cohomology dimensions by three independent routes.
 
 Routes: the parallel-paths cochain complex for radical-square-zero
-quiver algebras, the bar complex for arbitrary small algebras, and the
-two-term complex attached to a decomposition R = E + J with J^2 = 0.
+quiver algebras, the normalized bar complex Hom((A/k*1)^(x)n, A) for
+arbitrary small algebras (quasi-isomorphic to the full bar complex, with
+cochain dimension d (d-1)^n instead of d^(n+1)), and the two-term complex
+attached to a decomposition R = E + J with J^2 = 0.
 Closed-form evaluators cover connected non-crown quivers and crowns.
 
-Ground-truth hierarchy when values disagree: bar complex, then the two
-structural complexes, then closed-form formulas, then printed sources.
+Ground-truth hierarchy when values disagree: normalized bar complex, then
+the two structural complexes, then closed-form formulas, then printed
+sources.
 """
 
 from __future__ import annotations
@@ -147,8 +150,8 @@ def rsz_layer(q: Quiver, field: Field, n: int) -> RszComplexLayer:
     (-1)^(n+1) times the sum over arrows a entering e of (a.gamma, a).
     D is kept as sparse integer columns {row: int}, one per p0 pair.
     """
-    # layer n reads paths of length n + 1, and hh_rsz builds layer N + 1
-    bound = RSZ_DEGREE_BOUND + 2
+    # layer n reads paths of length n + 1, and hh_rsz builds layers 0..N
+    bound = RSZ_DEGREE_BOUND + 1
     p0 = parallel_pairs(q, n, 0, bound=bound)
     p1 = parallel_pairs(q, n, 1, bound=bound)
     p1_next = parallel_pairs(q, n + 1, 1, bound=bound)
@@ -172,10 +175,10 @@ def rsz_layer(q: Quiver, field: Field, n: int) -> RszComplexLayer:
     )
 
 
-def rsz_coboundary(layer: RszComplexLayer, next_layer: RszComplexLayer) -> list:
-    """Sparse columns of the block map (0 0; D 0) from layer n to layer n+1."""
-    off = len(next_layer.basis_p0)
-    shifted = [{off + r: v for r, v in col.items()} for col in layer.columns]
+def rsz_coboundary(layer: RszComplexLayer, next_p0: int) -> list:
+    """Sparse columns of the block map (0 0; D 0) from layer n to layer n+1,
+    whose k(Q_(n+1) || Q_0) block has next_p0 rows."""
+    shifted = [{next_p0 + r: v for r, v in col.items()} for col in layer.columns]
     return shifted + [{} for _ in layer.basis_p1]
 
 
@@ -183,10 +186,12 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProf
     """Cohomology dims of the radical-square-zero algebra of q, degrees 0..N."""
     if not (0 <= N <= RSZ_DEGREE_BOUND):
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
-    layers = [rsz_layer(q, field, n) for n in range(N + 2)]
-    deltas = [rsz_coboundary(layers[n], layers[n + 1]) for n in range(N + 1)]
+    layers = [rsz_layer(q, field, n) for n in range(N + 1)]
+    next_p0 = [len(layer.basis_p0) for layer in layers[1:]]
+    next_p0.append(len(parallel_pairs(q, N + 1, 0, bound=RSZ_DEGREE_BOUND + 1)))
+    deltas = [rsz_coboundary(layers[n], next_p0[n]) for n in range(N + 1)]
     dims = complex_dims(
-        [len(layer.basis_p0) + len(layer.basis_p1) for layer in layers[:-1]],
+        [len(layer.basis_p0) + len(layer.basis_p1) for layer in layers],
         deltas,
         field.characteristic,
     )
@@ -196,82 +201,137 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProf
 
 
 def bar_budget(field: Field) -> int:
+    """The cap on d^(N+2) for hh_bar: TWISTLAB_BUDGET when set, else a
+    per-characteristic default."""
     env = os.environ.get("TWISTLAB_BUDGET")
-    if env is not None:
-        return int(env)
-    if field.characteristic == 0:
-        return DEFAULT_BUDGET_CHAR0
-    return DEFAULT_BUDGET_CHARP
+    if env is None:
+        if field.characteristic == 0:
+            return DEFAULT_BUDGET_CHAR0
+        return DEFAULT_BUDGET_CHARP
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ValueError(f"TWISTLAB_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
-def _tuple_index(t: tuple, k: int, d: int) -> int:
-    idx = 0
-    for x in t:
-        idx = idx * d + x
-    return idx * d + k
+def _bar_tables(a: Algebra) -> tuple:
+    """The complement of k*1 and the integer tables c and c-bar.
+
+    j is the first basis index where the unit is nonzero; the other basis
+    vectors span a complement of k*1. c-bar drops the k*1 component of each
+    product, cbar[x][y][m] = c[x][y][m] - c[x][y][j] u[m] / u[j], which a
+    normalized cochain kills. Over Q both tables are scaled by one common
+    denominator: every coboundary entry is a signed sum of table entries,
+    so each coboundary is scaled by that constant and keeps its rank.
+    """
+    f = a.field
+    d = a.dim
+    u = a.unit
+    j = next(i for i, x in enumerate(u) if x)
+    comp = [i for i in range(d) if i != j]
+    c = a.table
+    cbar = [
+        [
+            [f.sub(c[x][y][m], f.mul(c[x][y][j], f.div(u[m], u[j]))) for m in range(d)]
+            for y in range(d)
+        ]
+        for x in range(d)
+    ]
+    if f.characteristic:
+        return comp, c, cbar
+    denom = math.lcm(
+        *(v.denominator for t in (c, cbar) for plane in t for row in plane for v in row)
+    )
+
+    def scaled(t):
+        return [[[int(v * denom) for v in row] for row in plane] for plane in t]
+
+    return comp, scaled(c), scaled(cbar)
 
 
 def bar_coboundary_columns(a: Algebra, n: int) -> list:
-    """Sparse columns of the degree-n bar coboundary, one dict per basis map."""
+    """Sparse integer columns of the degree-n normalized bar coboundary.
+
+    Column (t, k), t in comp^n, is the normalized cochain sending e_t to
+    e_k; row (s, m), s in comp^(n+1), is the e_m coordinate of its
+    coboundary at e_s. Tuples over comp are numbered in base e = d - 1,
+    and (s, m) sits at s * d + m. Entries are integers over Q and residues
+    over F_p.
+    """
     d = a.dim
-    c = a.table
+    p = a.field.characteristic
+    comp, c, cbar = _bar_tables(a)
+    e = len(comp)
+    # e_x f(t) and +-f(t) e_y land at fixed offsets from t * d and t * e * d
+    sign = -1 if (n + 1) % 2 else 1
+    first = [
+        [(i * e ** n * d + m, c[x][k][m])
+         for i, x in enumerate(comp) for m in range(d) if c[x][k][m]]
+        for k in range(d)
+    ]
+    last = [
+        [(i * d + m, sign * c[k][y][m])
+         for i, y in enumerate(comp) for m in range(d) if c[k][y][m]]
+        for k in range(d)
+    ]
+    # f(.., x y, ..) at digit q: the pair (x, y) replaces digit z of t
+    inner = []
+    for q in range(n):
+        sgn = 1 if q % 2 else -1
+        scale = e ** (n - 1 - q) * d
+        inner.append([
+            [((i * e + i2) * scale, sgn * cbar[x][y][z])
+             for i, x in enumerate(comp) for i2, y in enumerate(comp)
+             if cbar[x][y][z]]
+            for z in comp
+        ])
     cols = []
-    for tk in range(d ** n * d):
-        t_flat, k = divmod(tk, d)
-        t = []
-        for _ in range(n):
-            t_flat, r = divmod(t_flat, d)
-            t.append(r)
-        t = tuple(reversed(t))
-        col = {}
-
-        def put(row, val):
-            if not val:
-                return
-            acc = col.get(row, 0) + val
-            if acc:
-                col[row] = acc
+    for t in range(e ** n):
+        # per digit q of t: its value z, and t with that digit widened to two
+        splits = []
+        for q in range(n):
+            low = e ** (n - 1 - q)
+            head, rest = divmod(t, low * e)
+            z, tail = divmod(rest, low)
+            splits.append(((head * e * e * low + tail) * d, inner[q][z]))
+        for k in range(d):
+            col = {}
+            for off, v in first[k]:
+                r = t * d + off
+                col[r] = col.get(r, 0) + v
+            for base, terms in splits:
+                for off, v in terms:
+                    r = base + k + off
+                    col[r] = col.get(r, 0) + v
+            for off, v in last[k]:
+                r = t * e * d + off
+                col[r] = col.get(r, 0) + v
+            if p:
+                cols.append({r: v % p for r, v in col.items() if v % p})
             else:
-                col.pop(row, None)
-
-        for i0 in range(d):
-            base = (i0,) + t
-            for m in range(d):
-                put(_tuple_index(base, m, d), c[i0][k][m])
-        for l in range(1, n + 1):
-            sgn = -1 if l % 2 else 1
-            head, mid, tail = t[: l - 1], t[l - 1], t[l:]
-            for x in range(d):
-                for y in range(d):
-                    v = c[x][y][mid]
-                    if v:
-                        put(_tuple_index(head + (x, y) + tail, k, d), sgn * v)
-        sgn = -1 if (n + 1) % 2 else 1
-        for j in range(d):
-            base = t + (j,)
-            for m in range(d):
-                put(_tuple_index(base, m, d), sgn * c[k][j][m])
-        cols.append(col)
+                cols.append({r: v for r, v in col.items() if v})
     return cols
 
 
 def hh_bar(a: Algebra, N: int, tag: str = None) -> HHProfile:
-    """Bar-complex cohomology dims, degrees 0..N, exact sparse elimination."""
+    """Cohomology dims, degrees 0..N, from the normalized bar complex
+    Hom((A/k*1)^(x)n, A), by exact sparse elimination."""
     if N < 0:
         raise ValueError("N must be >= 0")
     d = a.dim
     budget = bar_budget(a.field)
     if d ** (N + 2) > budget:
         raise ValueError(
-            f"bar complex needs {d ** (N + 2)} rows at degree {N}, over the "
-            f"budget of {budget}; lower N or raise TWISTLAB_BUDGET"
+            f"the bar budget of {budget} caps d^(N+2), which is {d ** (N + 2)} "
+            f"for dim {d} at degree {N}; lower N or raise TWISTLAB_BUDGET"
         )
-    p = a.field.characteristic
-    deltas = [
-        _integerize_columns(bar_coboundary_columns(a, n), p)
-        for n in range(N + 1)
-    ]
-    dims = complex_dims([d ** (n + 1) for n in range(N + 1)], deltas, p)
+    deltas = [bar_coboundary_columns(a, n) for n in range(N + 1)]
+    dims = complex_dims(
+        [d * (d - 1) ** n for n in range(N + 1)], deltas, a.field.characteristic
+    )
     if tag is None:
         tag = f"bar:dim{d}"
     return HHProfile(dims, "bar-complex", tag)

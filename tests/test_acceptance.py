@@ -269,8 +269,8 @@ def test_criterion_07_three_routes_agree():
         # composition of consecutive coboundaries vanishes on every layer
         layers = [rsz_layer(q, QQ, n) for n in range(6)]
         for n in range(4):
-            outer = rsz_coboundary(layers[n + 1], layers[n + 2])
-            inner = rsz_coboundary(layers[n], layers[n + 1])
+            outer = rsz_coboundary(layers[n + 1], len(layers[n + 2].basis_p0))
+            inner = rsz_coboundary(layers[n], len(layers[n + 1].basis_p0))
             assert sparse_compose_zero(outer, inner), (name, n)
     print(
         "criterion  7 PASS: rsz, bar, and e-complex dims agree through "

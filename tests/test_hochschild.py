@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twistlab.fields import GF, QQ
-from twistlab.algebra import standard_algebra
+from twistlab.algebra import change_of_basis, standard_algebra
 from twistlab.quivers import (
     Quiver,
     longest_path_length,
@@ -32,6 +32,11 @@ from twistlab.hochschild import (
     verify_counterexample,
 )
 from twistlab.linalg import Matrix, sparse_compose_zero, sparse_rank
+from twistlab.twisting import (
+    TwistFamilyDescriptor,
+    family_member,
+    twisted_product,
+)
 
 TWO_LOOPS = Quiver(1, [(0, 0), (0, 0)])
 L3 = Quiver(3, [(0, 1), (1, 2)])
@@ -89,9 +94,122 @@ def test_rsz_layer_shapes_and_square_zero():
         assert len(layer.basis_p1) == expect_p1
         assert len(layer.columns) == expect_p0
     for n in range(4):
-        a = rsz_coboundary(layers[n], layers[n + 1])
-        b = rsz_coboundary(layers[n + 1], layers[n + 2])
+        a = rsz_coboundary(layers[n], len(layers[n + 1].basis_p0))
+        b = rsz_coboundary(layers[n + 1], len(layers[n + 2].basis_p0))
         assert sparse_compose_zero(b, a)
+
+
+def _tuple_index(t: tuple, k: int, d: int) -> int:
+    idx = 0
+    for x in t:
+        idx = idx * d + x
+    return idx * d + k
+
+
+def full_bar_columns(a, n: int) -> list:
+    """Reference: columns of the degree-n coboundary on the full bar complex
+    Hom(A^(x)n, A), with the algebra's own scalars, one dict per basis map."""
+    d = a.dim
+    c = a.table
+    cols = []
+    for tk in range(d ** n * d):
+        t_flat, k = divmod(tk, d)
+        t = []
+        for _ in range(n):
+            t_flat, r = divmod(t_flat, d)
+            t.append(r)
+        t = tuple(reversed(t))
+        col = {}
+
+        def put(row, val):
+            if not val:
+                return
+            acc = col.get(row, 0) + val
+            if acc:
+                col[row] = acc
+            else:
+                col.pop(row, None)
+
+        for i0 in range(d):
+            base = (i0,) + t
+            for m in range(d):
+                put(_tuple_index(base, m, d), c[i0][k][m])
+        for l in range(1, n + 1):
+            sgn = -1 if l % 2 else 1
+            head, mid, tail = t[: l - 1], t[l - 1], t[l:]
+            for x in range(d):
+                for y in range(d):
+                    v = c[x][y][mid]
+                    if v:
+                        put(_tuple_index(head + (x, y) + tail, k, d), sgn * v)
+        sgn = -1 if (n + 1) % 2 else 1
+        for j in range(d):
+            base = t + (j,)
+            for m in range(d):
+                put(_tuple_index(base, m, d), sgn * c[k][j][m])
+        cols.append(col)
+    return cols
+
+
+def full_bar_dims(a, N: int) -> list:
+    p = a.field.characteristic
+    deltas = [_integerize_columns(full_bar_columns(a, n), p) for n in range(N + 1)]
+    return complex_dims([a.dim ** (n + 1) for n in range(N + 1)], deltas, p)
+
+
+def z2_product(field, family, parameter=None):
+    z2 = standard_algebra("group_algebra_z2", field)
+    desc = TwistFamilyDescriptor(family, parameter)
+    return twisted_product(family_member(desc, z2, z2))
+
+
+def test_normalized_bar_matches_full_bar_complex():
+    # several of these have a unit that is not a basis vector (k_n, matrix2,
+    # truncated path algebras), so the complement of k*1 is not trivial;
+    # the reversed basis puts the unit last, with a zero first coordinate
+    rng = random.Random(41)
+    for field in (QQ, GF(7)):
+        reverse = Matrix(
+            field, 4, 4, [[int(i + j == 3) for j in range(4)] for i in range(4)]
+        )
+        algebras = [
+            change_of_basis(z2_product(field, "isolated_iii"), reverse),
+            z2_product(field, "flip"),
+            z2_product(field, "line_char_ne_2", 3),
+            z2_product(field, "line_char_ne_2", -2),
+            z2_product(field, "isolated_iii"),
+            standard_algebra("k_n", field, n=1),
+            standard_algebra("k_n", field, n=4),
+            standard_algebra("matrix2", field),
+            standard_algebra("a_q", field, q=2),
+            standard_algebra("a_q", field, q=3),
+        ]
+        for _ in range(4):
+            vertices = rng.randint(1, 2)
+            arrows = [
+                (rng.randrange(vertices), rng.randrange(vertices))
+                for _ in range(rng.randint(1, 3 - vertices // 2))
+            ]
+            algebras.append(truncated_path_algebra(Quiver(vertices, arrows), field))
+        for alg in algebras:
+            assert hh_bar(alg, 3).dims == full_bar_dims(alg, 3), (field.name, alg)
+
+
+def test_normalized_bar_invariant_under_rational_basis_change():
+    # Fraction structure constants and a unit off every basis vector
+    rng = random.Random(5)
+    alg = z2_product(QQ, "line_char_ne_2", 3)
+    while True:
+        p = Matrix(QQ, 4, 4, [
+            [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(4)]
+            for _ in range(4)
+        ])
+        if p.inverse() is not None:
+            break
+    moved = change_of_basis(alg, p)
+    assert all(x for x in moved.unit)
+    assert any(v.denominator > 1 for plane in moved.table for row in plane for v in row)
+    assert hh_bar(moved, 3).dims == hh_bar(alg, 3).dims == [1, 0, 0, 0]
 
 
 def test_bar_matrix2_and_k4():
@@ -125,6 +243,21 @@ def test_bar_budget_guard(monkeypatch):
         hh_bar(alg, 2)
     monkeypatch.setenv("TWISTLAB_BUDGET", "300")
     assert hh_bar(alg, 2).dims == [4, 0, 0]
+
+
+def test_bar_budget_edge_and_malformed_budget(monkeypatch):
+    alg = standard_algebra("k_n", QQ, n=4)
+    monkeypatch.setenv("TWISTLAB_BUDGET", "256")
+    assert hh_bar(alg, 2).dims == [4, 0, 0]
+    monkeypatch.setenv("TWISTLAB_BUDGET", "255")
+    with pytest.raises(ValueError, match="budget"):
+        hh_bar(alg, 2)
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("TWISTLAB_BUDGET", bad)
+        with pytest.raises(ValueError, match="TWISTLAB_BUDGET"):
+            bar_budget(QQ)
+        with pytest.raises(ValueError, match="TWISTLAB_BUDGET"):
+            hh_bar(alg, 1)
 
 
 def test_e_complex_truncated_roundtrip():
