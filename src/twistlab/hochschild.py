@@ -183,7 +183,12 @@ def rsz_coboundary(layer: RszComplexLayer, next_p0: int) -> list:
 
 
 def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProfile:
-    """Cohomology dims of the radical-square-zero algebra of q, degrees 0..N."""
+    """Cohomology dims of the radical-square-zero algebra of q, degrees 0..N.
+
+    The d^2 = 0 check that `complex_dims` runs here holds by the block
+    shape (0 0; D 0) for any D, so it certifies nothing for this route;
+    the route is cross-checked by `hh_e_complex` and the closed forms.
+    """
     if not (0 <= N <= RSZ_DEGREE_BOUND):
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
     layers = [rsz_layer(q, field, n) for n in range(N + 1)]

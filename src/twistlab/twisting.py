@@ -6,6 +6,12 @@ i*dim_A + j and the output index of e_k^A (x) e_l^B is k*dim_B + l.
 The exhaustive finite-field census is the ground truth here; the
 closed-form solution set is validated against it, and two typos in the
 published census list are carried as erratum records, not reproduced.
+
+(tw2) and (tw3) are decided in one place, `_twist_failures`, an exact scan
+of basis triples on raw scalars.  `verify_twisting` runs it over every
+triple; the census filter runs it only over triples with no unit index,
+because once (tw1) makes tau the flip on unit pairs, (tw2) and (tw3) hold
+identically on any triple containing the unit.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field
-from .algebra import Algebra, verify_axioms
+from .algebra import Algebra
 from .linalg import Matrix
 
 ENUM_BITS_BOUND = 40
@@ -65,29 +71,97 @@ class TwistingMap:
         )
 
 
-def _mult_matrix(a: Algebra) -> Matrix:
-    """mu_A as a matrix A(x)A -> A: column i*d+j is e_i*e_j."""
-    d = a.dim
-    m = Matrix(a.field, d, d * d)
-    for i in range(d):
-        for j in range(d):
-            col = a.table[i][j]
-            for k in range(d):
-                m.data[k][i * d + j] = col[k]
-    return m
+def _combination(coeffs, vecs, d: int) -> list:
+    """sum_s coeffs[s] * vecs[s] on raw scalars, unreduced over F_p."""
+    out = [0] * d
+    for c, vec in zip(coeffs, vecs):
+        if c:
+            for idx, x in enumerate(vec):
+                if x:
+                    out[idx] += c * x
+    return out
 
 
-def _first_bad_column(got: Matrix, want: Matrix):
-    for c in range(got.cols):
-        for r in range(got.rows):
-            if got.data[r][c] != want.data[r][c]:
-                return c
-    return None
+def _differ(lhs: list, rhs: list, p: int) -> bool:
+    """Exact comparison: residues mod p over F_p, Fractions over Q."""
+    if p:
+        return any((x - y) % p for x, y in zip(lhs, rhs))
+    return lhs != rhs
+
+
+def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
+    """Yield each basis triple where (tw2) or (tw3) fails, all (tw2) first.
+
+    ``cols[i*dim_A+j]`` is tau(e_i^B (x) e_j^A) in the output basis, as raw
+    scalars.  (tw2) is tried on e_i^B (x) e_j^A (x) e_k^A and (tw3) on
+    e_i^B (x) e_j^B (x) e_k^A, with B-indices from ``b_idx`` and A-indices
+    from ``a_idx``, each triple in lexicographic order; each failure is
+    yielded as ``("tw2", (i, j, k))`` or ``("tw3", (i, j, k))``.
+    """
+    p = a.field.characteristic
+    atab, btab = a.table, b.table
+    da, db = a.dim, b.dim
+    d = da * db
+    for i in b_idx:
+        for j in a_idx:
+            col1 = cols[i * da + j]
+            for k in a_idx:
+                # tau(b_i (x) a_j a_k) against (mu_A (x) B)(A (x) tau)(tau (x) A)
+                lhs = _combination(atab[j][k], cols[i * da:(i + 1) * da], d)
+                rhs = [0] * d
+                for mm in range(da):
+                    arow = atab[mm]
+                    for nn in range(db):
+                        c1 = col1[mm * db + nn]
+                        if not c1:
+                            continue
+                        col2 = cols[nn * da + k]
+                        for s in range(da):
+                            arow_s = arow[s]
+                            for tt in range(db):
+                                c2 = col2[s * db + tt]
+                                if not c2:
+                                    continue
+                                c = c1 * c2
+                                for u in range(da):
+                                    if arow_s[u]:
+                                        rhs[u * db + tt] += c * arow_s[u]
+                if _differ(lhs, rhs, p):
+                    yield "tw2", (i, j, k)
+    for i in b_idx:
+        for j in b_idx:
+            for k in a_idx:
+                # tau(b_i b_j (x) a_k) against (A (x) mu_B)(tau (x) B)(B (x) tau)
+                col1 = cols[j * da + k]
+                lhs = _combination(btab[i][j], cols[k::da], d)
+                rhs = [0] * d
+                for mm in range(da):
+                    col2 = cols[i * da + mm]
+                    for nn in range(db):
+                        c1 = col1[mm * db + nn]
+                        if not c1:
+                            continue
+                        for s in range(da):
+                            for tt in range(db):
+                                c2 = col2[s * db + tt]
+                                if not c2:
+                                    continue
+                                c = c1 * c2
+                                brow = btab[tt][nn]
+                                for u in range(db):
+                                    if brow[u]:
+                                        rhs[s * db + u] += c * brow[u]
+                if _differ(lhs, rhs, p):
+                    yield "tw3", (i, j, k)
 
 
 def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
-    """Check (tw1)-(tw3) as matrix identities on full basis tensors.
+    """Check (tw1)-(tw3) exactly on basis tensors of the matrix columns.
 
+    (tw1) is read off the columns directly.  (tw2) and (tw3) come from
+    `_twist_failures` over every basis triple, units included: unlike the
+    census filter, which skips the triples with a unit index, this check
+    cannot assume (tw1), and the unit need not be a basis vector.
     Reports the first failing basis tuple per condition: an index for the
     unitality checks, a triple for the multiplicativity checks.
     """
@@ -96,45 +170,32 @@ def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
     da, db = a.dim, b.dim
     if (m.rows, m.cols) != (da * db, db * da):
         raise ValueError(f"twisting matrix must be {da * db}x{db * da}")
-    f = a.field
-    ia = Matrix.identity(f, da)
-    ib = Matrix.identity(f, db)
-    ua = Matrix.column_vector(f, a.unit)
-    ub = Matrix.column_vector(f, b.unit)
+    p = a.field.characteristic
+    d = da * db
+    cols = list(zip(*m.data))
+    ua, ub = a.unit, b.unit
 
     failures = {}
     # tw1: tau(b (x) 1) = 1 (x) b and tau(1 (x) a) = a (x) 1
-    got = m * ib.kron(ua)
-    want = ua.kron(ib)
-    bad = _first_bad_column(got, want)
-    if bad is None:
-        got = m * ub.kron(ia)
-        want = ia.kron(ub)
-        bad = _first_bad_column(got, want)
-        tw1 = bad is None
+    bad = next((i for i in range(db) if _differ(
+        _combination(ua, cols[i * da:(i + 1) * da], d),
+        [ua[r // db] if r % db == i else 0 for r in range(d)], p)), None)
+    if bad is not None:
+        failures["tw1"] = ("b (x) unit_A", bad)
+    else:
+        bad = next((j for j in range(da) if _differ(
+            _combination(ub, cols[j::da], d),
+            [ub[r % db] if r // db == j else 0 for r in range(d)], p)), None)
         if bad is not None:
             failures["tw1"] = ("unit_B (x) a", bad)
-    else:
-        tw1 = False
-        failures["tw1"] = ("b (x) unit_A", bad)
-
-    ma = _mult_matrix(a)
-    mb = _mult_matrix(b)
-    # tw2 on B(x)A(x)A
-    lhs = m * ib.kron(ma)
-    rhs = ma.kron(ib) * ia.kron(m) * m.kron(ia)
-    bad = _first_bad_column(lhs, rhs)
-    tw2 = bad is None
-    if bad is not None:
-        failures["tw2"] = (bad // (da * da), (bad // da) % da, bad % da)
-    # tw3 on B(x)B(x)A
-    lhs = m * mb.kron(ia)
-    rhs = ia.kron(mb) * m.kron(ib) * ib.kron(m)
-    bad = _first_bad_column(lhs, rhs)
-    tw3 = bad is None
-    if bad is not None:
-        failures["tw3"] = (bad // (db * da), (bad // da) % db, bad % da)
-    return {"tw1": tw1, "tw2": tw2, "tw3": tw3, "failures": failures}
+    for cond, triple in _twist_failures(cols, a, b, range(da), range(db)):
+        failures.setdefault(cond, triple)
+    return {
+        "tw1": "tw1" not in failures,
+        "tw2": "tw2" not in failures,
+        "tw3": "tw3" not in failures,
+        "failures": failures,
+    }
 
 
 def flip(a: Algebra, b: Algebra) -> TwistingMap:
@@ -242,86 +303,9 @@ def _unit_basis_index(alg: Algebra) -> int:
     return nz[0]
 
 
-def _int_table(alg: Algebra) -> list:
-    return [[[int(x) for x in cell] for cell in row] for row in alg.table]
-
-
-def _fast_candidate_ok(acols, atab, btab, da, db, p) -> bool:
-    """(tw2)/(tw3) scan over basis triples with early exit; residue arithmetic.
-
-    ``acols[i*da+j]`` is the tau-image of e_i^B (x) e_j^A as a flat list.
-    """
-    d = da * db
-    for i in range(db):
-        for j in range(da):
-            col1 = acols[i * da + j]
-            for k in range(da):
-                lhs = [0] * d
-                crow = atab[j][k]
-                for s in range(da):
-                    cs = crow[s]
-                    if not cs:
-                        continue
-                    col = acols[i * da + s]
-                    for idx in range(d):
-                        if col[idx]:
-                            lhs[idx] += cs * col[idx]
-                rhs = [0] * d
-                for mm in range(da):
-                    for nn in range(db):
-                        c1 = col1[mm * db + nn]
-                        if not c1:
-                            continue
-                        col2 = acols[nn * da + k]
-                        arow = atab[mm]
-                        for s in range(da):
-                            arow_s = arow[s]
-                            for tt in range(db):
-                                c2 = col2[s * db + tt]
-                                if not c2:
-                                    continue
-                                c = c1 * c2
-                                for u in range(da):
-                                    if arow_s[u]:
-                                        rhs[u * db + tt] += c * arow_s[u]
-                for idx in range(d):
-                    if (lhs[idx] - rhs[idx]) % p:
-                        return False
-    for i in range(db):
-        for j in range(db):
-            for k in range(da):
-                col1 = acols[j * da + k]
-                lhs = [0] * d
-                crow = btab[i][j]
-                for s in range(db):
-                    cs = crow[s]
-                    if not cs:
-                        continue
-                    col = acols[s * da + k]
-                    for idx in range(d):
-                        if col[idx]:
-                            lhs[idx] += cs * col[idx]
-                rhs = [0] * d
-                for mm in range(da):
-                    for nn in range(db):
-                        c1 = col1[mm * db + nn]
-                        if not c1:
-                            continue
-                        col2 = acols[i * da + mm]
-                        for s in range(da):
-                            for tt in range(db):
-                                c2 = col2[s * db + tt]
-                                if not c2:
-                                    continue
-                                c = c1 * c2
-                                brow = btab[tt][nn]
-                                for u in range(db):
-                                    if brow[u]:
-                                        rhs[s * db + u] += c * brow[u]
-                for idx in range(d):
-                    if (lhs[idx] - rhs[idx]) % p:
-                        return False
-    return True
+def _fast_candidate_ok(cols, a: Algebra, b: Algebra, a_idx, b_idx) -> bool:
+    """The census filter: no (tw2)/(tw3) failure on the given index ranges."""
+    return next(_twist_failures(cols, a, b, a_idx, b_idx), None) is None
 
 
 def enumerate_twisting_maps(a: Algebra, b: Algebra) -> list:
@@ -348,33 +332,26 @@ def enumerate_twisting_maps(a: Algebra, b: Algebra) -> list:
             f"{ENUM_BITS_BOUND}-bit bound"
         )
     d = da * db
+    # (tw1) makes tau the flip on every pair with a unit
     base_cols = [None] * (db * da)
     for i in range(db):
         for j in range(da):
-            col = None
-            if i == ub and j == ua:
+            if i == ub or j == ua:
                 col = [0] * d
-                col[ua * db + ub] = 1
-            elif i == ub:
-                col = [0] * d
-                col[j * db + ub] = 1
-            elif j == ua:
-                col = [0] * d
-                col[ua * db + i] = 1
-            base_cols[i * da + j] = col
-    atab, btab = _int_table(a), _int_table(b)
+                col[j * db + i] = 1
+                base_cols[i * da + j] = col
+    # given (tw1), (tw2) and (tw3) hold on every triple with a unit index
+    a_idx = [j for j in range(da) if j != ua]
+    b_idx = [i for i in range(db) if i != ub]
     found = []
     nfree = len(free_cols)
     for assignment in itertools.product(range(p), repeat=nfree * d):
         cols = list(base_cols)
         for ci, cidx in enumerate(free_cols):
-            cols[cidx] = list(assignment[ci * d:(ci + 1) * d])
-        if not _fast_candidate_ok(cols, atab, btab, da, db, p):
+            cols[cidx] = assignment[ci * d:(ci + 1) * d]
+        if not _fast_candidate_ok(cols, a, b, a_idx, b_idx):
             continue
-        m = Matrix(f, d, db * da)
-        for cidx in range(db * da):
-            for ridx in range(d):
-                m.data[ridx][cidx] = f.scalar(cols[cidx][ridx])
+        m = Matrix(f, d, db * da, list(zip(*cols)))
         found.append(TwistingMap(a, b, m))
     return found
 

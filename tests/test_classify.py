@@ -232,6 +232,10 @@ def test_orbit_report_char0_descriptors():
 
 
 def test_orbit_report_rejects_large_prime():
+    # p = 13 is the largest field covered
+    rep = orbit_report(GF(13))
+    assert len(rep.entries) == 13 + 5
+    assert rep.class_counts == {"I": 1, "IIa": 11, "IIb": 2, "III": 4}
     with pytest.raises(ValueError):
         orbit_report(GF(17))
 

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from twistlab.fields import GF, QQ, Field, enumerate_field_elements, field_from_name
+from twistlab.fields import (
+    GF,
+    PRIME_BOUND,
+    QQ,
+    Field,
+    enumerate_field_elements,
+    field_from_name,
+)
 from twistlab.linalg import (
     Matrix,
     coords_in_echelon_basis,
@@ -26,6 +33,11 @@ def test_field_descriptors():
         Field(4)
     with pytest.raises(ValueError):
         Field(1 << 17)
+    # 65521 is the largest prime below PRIME_BOUND, 65537 the next one
+    assert PRIME_BOUND == 65536
+    assert Field(65521).characteristic == 65521
+    with pytest.raises(ValueError):
+        Field(65537)
     with pytest.raises(ValueError):
         field_from_name("R")
 

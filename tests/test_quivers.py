@@ -12,6 +12,7 @@ from twistlab.algebra import (
 )
 from twistlab.linalg import Matrix
 from twistlab.quivers import (
+    PATH_LENGTH_BOUND,
     Path,
     Quiver,
     has_oriented_cycle,
@@ -55,6 +56,11 @@ def test_paths_of_length_examples():
     assert len(paths_of_length(standard_quiver("qtilde"), 2)) == 0
     assert len(paths_of_length(standard_quiver("crown", 3), 3)) == 3
     assert len(paths_of_length(rt, 0)) == 2
+    loop = standard_quiver("loop")
+    assert PATH_LENGTH_BOUND == 32
+    assert [p.length for p in paths_of_length(loop, 32)] == [32]
+    with pytest.raises(ValueError):
+        paths_of_length(loop, 33)
 
 
 def test_crown_path_count_invariant():

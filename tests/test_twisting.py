@@ -1,6 +1,8 @@
 """Twisting maps: verification, census enumeration, closed-form families."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +17,11 @@ from twistlab.algebra import (
     verify_axioms,
     change_of_basis,
 )
+from twistlab.duplicates import x_idempotent_algebra
 from twistlab.linalg import Matrix
 from twistlab.twisting import (
     CENSUS_ERRATA,
+    LINE_FAMILIES,
     TwistFamilyDescriptor,
     TwistingMap,
     census_rows,
@@ -55,6 +59,109 @@ def pqrs_matrix(field, p, q, r, s):
     m.data[2][3] = field.scalar(r)
     m.data[3][3] = field.scalar(s)
     return m
+
+
+def _mult_matrix(a):
+    """mu_A as a matrix A(x)A -> A: column i*d+j is e_i*e_j."""
+    d = a.dim
+    m = Matrix(a.field, d, d * d)
+    for i in range(d):
+        for j in range(d):
+            col = a.table[i][j]
+            for k in range(d):
+                m.data[k][i * d + j] = col[k]
+    return m
+
+
+def _first_bad_column(got, want):
+    for c in range(got.cols):
+        for r in range(got.rows):
+            if got.data[r][c] != want.data[r][c]:
+                return c
+    return None
+
+
+def kron_twisting_report(a, b, m):
+    """Reference for verify_twisting: (tw1)-(tw3) as Kronecker-product
+    matrix identities on full basis tensors, with the same report."""
+    da, db = a.dim, b.dim
+    f = a.field
+    ia = Matrix.identity(f, da)
+    ib = Matrix.identity(f, db)
+    ua = Matrix.column_vector(f, a.unit)
+    ub = Matrix.column_vector(f, b.unit)
+
+    failures = {}
+    # tw1: tau(b (x) 1) = 1 (x) b and tau(1 (x) a) = a (x) 1
+    bad = _first_bad_column(m * ib.kron(ua), ua.kron(ib))
+    if bad is None:
+        bad = _first_bad_column(m * ub.kron(ia), ia.kron(ub))
+        tw1 = bad is None
+        if bad is not None:
+            failures["tw1"] = ("unit_B (x) a", bad)
+    else:
+        tw1 = False
+        failures["tw1"] = ("b (x) unit_A", bad)
+
+    ma = _mult_matrix(a)
+    mb = _mult_matrix(b)
+    # tw2 on B(x)A(x)A
+    lhs = m * ib.kron(ma)
+    rhs = ma.kron(ib) * ia.kron(m) * m.kron(ia)
+    bad = _first_bad_column(lhs, rhs)
+    tw2 = bad is None
+    if bad is not None:
+        failures["tw2"] = (bad // (da * da), (bad // da) % da, bad % da)
+    # tw3 on B(x)B(x)A
+    lhs = m * mb.kron(ia)
+    rhs = ia.kron(mb) * m.kron(ib) * ib.kron(m)
+    bad = _first_bad_column(lhs, rhs)
+    tw3 = bad is None
+    if bad is not None:
+        failures["tw3"] = (bad // (db * da), (bad // da) % db, bad % da)
+    return {"tw1": tw1, "tw2": tw2, "tw3": tw3, "failures": failures}
+
+
+def _random_scalar(rng, field):
+    if field.characteristic:
+        return rng.randrange(field.characteristic)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _random_invertible(rng, field, n):
+    while True:
+        m = Matrix(field, n, n, [
+            [_random_scalar(rng, field) for _ in range(n)] for _ in range(n)
+        ])
+        if m.rank() == n:
+            return m
+
+
+def test_verify_twisting_matches_kron_reference():
+    # random perturbations of the flip, including units that are not basis
+    # vectors (a change_of_basis'd k[Z2], k_n) and unequal dimensions
+    rng = random.Random(41)
+    outcomes = set()
+    for field in (GF(3), GF(5), QQ):
+        z2 = standard_algebra("group_algebra_z2", field)
+        z2_moved = change_of_basis(z2, _random_invertible(rng, field, 2))
+        k2 = standard_algebra("k_n", field, n=2)
+        k3 = standard_algebra("k_n", field, n=3)
+        pairs = [(z2, z2), (z2_moved, z2), (z2, k2), (k2, z2_moved),
+                 (k3, z2), (z2_moved, k3)]
+        for a, b in pairs:
+            t = flip(a, b).matrix
+            for _ in range(25):
+                data = [row[:] for row in t.data]
+                for _ in range(rng.randrange(4)):
+                    r, c = rng.randrange(t.rows), rng.randrange(t.cols)
+                    data[r][c] = _random_scalar(rng, field)
+                m = Matrix(field, t.rows, t.cols, data)
+                report = verify_twisting(a, b, m)
+                assert report == kron_twisting_report(a, b, m), (field, a, b)
+                outcomes.add((report["tw1"], report["tw2"] and report["tw3"]))
+    # passes, (tw2)/(tw3)-only failures and (tw1) failures all occur
+    assert outcomes >= {(True, True), (True, False), (False, False)}
 
 
 def test_flip_matrix_is_the_expected_permutation():
@@ -280,20 +387,85 @@ def test_inclusions_are_algebra_maps():
         assert inclusion_maps_are_morphisms(t)
 
 
-def test_fast_checker_agrees_with_matrix_verifier_on_f3():
-    # brute-force cross-validation over all 81 candidate columns
-    f = GF(3)
-    a, b = z2_pair(f)
-    survivors = {
-        scalars_of_map(t) for t in enumerate_twisting_maps(a, b)
-    }
+def _verified_candidates(a, b):
+    """Brute force: every tau that is the flip on unit pairs, as (tw1) fixes
+    it, kept when verify_twisting passes it."""
+    f = a.field
+    da, db = a.dim, b.dim
+    d = da * db
+    ua, ub = a.unit.index(f.one), b.unit.index(f.one)
+    free = [i * da + j for i in range(db) for j in range(da)
+            if i != ub and j != ua]
+    base = flip(a, b).matrix.data
     hits = set()
-    for p, q, r, s in itertools.product(range(3), repeat=4):
-        m = pqrs_matrix(f, p, q, r, s)
+    for values in itertools.product(f.elements(), repeat=len(free) * d):
+        data = [row[:] for row in base]
+        for n, c in enumerate(free):
+            for r in range(d):
+                data[r][c] = values[n * d + r]
+        m = Matrix(f, d, d, data)
         rep = verify_twisting(a, b, m)
         if rep["tw1"] and rep["tw2"] and rep["tw3"]:
-            hits.add((f.scalar(p), f.scalar(q), f.scalar(r), f.scalar(s)))
-    assert hits == survivors
+            hits.add(tuple(map(tuple, data)))
+    return hits
+
+
+def test_fast_checker_agrees_with_matrix_verifier_on_f3():
+    # the census filter scans only the triples without a unit index; the
+    # 3-dim input has two non-unit indices, so the skip is tested beyond
+    # one index per factor
+    f3, f2 = GF(3), GF(2)
+    k3_unit_first = change_of_basis(
+        standard_algebra("k_n", f2, n=3),
+        Matrix.from_rows(f2, [[1, 0, 0], [1, 1, 0], [1, 0, 1]]),
+    )
+    inputs = [
+        z2_pair(f3),  # 81 candidates
+        (x_idempotent_algebra(f3), standard_algebra("group_algebra_z2", f3)),
+        (k3_unit_first, standard_algebra("group_algebra_z2", f2)),  # 4096
+    ]
+    for a, b in inputs:
+        assert a.unit.index(a.field.one) == 0
+        survivors = {
+            tuple(map(tuple, t.matrix.data))
+            for t in enumerate_twisting_maps(a, b)
+        }
+        assert survivors == _verified_candidates(a, b)
+
+
+def test_verifier_census_and_closed_form_agree_on_random_pqrs():
+    # a full pass of verify_twisting, membership in the census and
+    # membership in a solve_2dim_twist family must coincide
+    rng = random.Random(53)
+    for p in (5, 7, 11):
+        f = GF(p)
+        a, b = z2_pair(f)
+        census = {scalars_of_map(t) for t in enumerate_twisting_maps(a, b)}
+        closed_form = set()
+        for desc in solve_2dim_twist(f):
+            params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
+            for x in params:
+                closed_form.add(descriptor_scalars(desc.with_parameter(x), f))
+        # every claimed solution, one random coordinate changed in each,
+        # and uniform draws
+        solutions = sorted(census | closed_form)
+        nearby = []
+        for pqrs in solutions:
+            pqrs = list(pqrs)
+            pqrs[rng.randrange(4)] = rng.randrange(p)
+            nearby.append(tuple(pqrs))
+        drawn = [tuple(rng.randrange(p) for _ in range(4)) for _ in range(40)]
+        passed = set()
+        for pqrs in solutions + nearby + drawn:
+            m = pqrs_matrix(f, *pqrs)
+            report = verify_twisting(a, b, m)
+            full = report["tw1"] and report["tw2"] and report["tw3"]
+            assert full == (pqrs in census) == (pqrs in closed_form), (p, pqrs)
+            if full:
+                passed.add(pqrs)
+                desc = identify_family(TwistingMap(a, b, m))
+                assert descriptor_scalars(desc, f) == pqrs
+        assert passed == census and len(census) == p + 5
 
 
 def test_enumeration_guards():
