@@ -3,14 +3,26 @@
 ``table[i][j][k]`` is the coefficient of e_k in e_i * e_j.  Invariant
 computations (center, Jacobson radical, separability) are the data the
 classification of the 4-dimensional twisted products rests on.
+
+The scans over the whole table (the associativity check, the transport
+of a table to a new basis, the trace form) run on integer structure
+constants: ``scale_to_integers`` multiplies every constant by one scale D
+(the lcm of the denominators over Q, 1 over F_p, where the constants are
+residues).  Each of these computations is a sum of products of a fixed
+number of constants, so scaling multiplies it by a fixed power of D; an
+equality, a rank or a kernel is unchanged, and a transported constant is
+recovered by one exact division.  The inner loops make no Fraction.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from fractions import Fraction
 
 from .fields import Field, field_from_name
-from .linalg import Matrix, coords_in_echelon_basis, echelon_basis
+from .linalg import Matrix, coords_in_echelon_basis, echelon_basis, sparse_rank
 
 
 class CriterionInapplicable(Exception):
@@ -188,34 +200,67 @@ def multiply(a: Element, b: Element) -> Element:
     return Element(a.algebra, a.algebra.multiply_coords(a.coords, b.coords))
 
 
+def scale_to_integers(values: list, p: int) -> tuple:
+    """(ints, D): scalars in nested lists as integers of the same shape.
+
+    Over F_p (p > 0) the entries become residues and D = 1.  Over Q every
+    entry v becomes the integer v * D, where D is the lcm of the
+    denominators: the one scale that clears them all.
+    """
+    if p:
+        scale = 1
+
+        def conv(v):
+            return v % p
+    else:
+        scale = math.lcm(*(v.denominator for v in _leaves(values)))
+
+        def conv(v):
+            return v.numerator * (scale // v.denominator)
+
+    def walk(vs):
+        return [walk(v) if isinstance(v, list) else conv(v) for v in vs]
+
+    return walk(values), scale
+
+
+def _leaves(values):
+    for v in values:
+        if isinstance(v, list):
+            yield from _leaves(v)
+        else:
+            yield v
+
+
 def verify_axioms(a: Algebra) -> dict:
-    """Exhaustive associativity and unit scan; first failing indices listed."""
-    f = a.field
+    """Exhaustive associativity and unit scan; first failing indices listed.
+
+    Associativity is compared on the integer table of
+    ``scale_to_integers``: both sides of (e_i e_j) e_k = e_i (e_j e_k) are
+    quadratic in the constants, so scaling by D multiplies both by D^2.
+    For each (i, j, k) in lexicographic order the two coordinate rows are
+    summed over the nonzero constants only and compared (mod p over F_p);
+    the first differing l gives the failing (i, j, k, l).
+    """
     d = a.dim
+    p = a.field.characteristic
+    c, _ = scale_to_integers(a.table, p)
+    nonzero = [[[(m, x) for m, x in enumerate(cell) if x] for cell in plane]
+               for plane in c]
     failing = None
-    associative = True
-    for i in range(d):
-        if failing:
+    for i, j, k in itertools.product(range(d), repeat=3):
+        lhs = [0] * d
+        for m, x in nonzero[i][j]:
+            lhs = [s + x * y for s, y in zip(lhs, c[m][k])]
+        rhs = [0] * d
+        for m, x in nonzero[j][k]:
+            rhs = [s + x * y for s, y in zip(rhs, c[i][m])]
+        if p:
+            lhs = [s % p for s in lhs]
+            rhs = [s % p for s in rhs]
+        if lhs != rhs:
+            failing = (i, j, k, next(l for l in range(d) if lhs[l] != rhs[l]))
             break
-        for j in range(d):
-            if failing:
-                break
-            ij = a.table[i][j]
-            for k in range(d):
-                for l in range(d):
-                    lhs = f.zero
-                    rhs = f.zero
-                    for m in range(d):
-                        if ij[m]:
-                            lhs = f.add(lhs, f.mul(ij[m], a.table[m][k][l]))
-                        if a.table[j][k][m]:
-                            rhs = f.add(rhs, f.mul(a.table[j][k][m], a.table[i][m][l]))
-                    if lhs != rhs:
-                        associative = False
-                        failing = (i, j, k, l)
-                        break
-                if failing:
-                    break
     unital = True
     unit_failing = None
     for j in range(d):
@@ -225,7 +270,7 @@ def verify_axioms(a: Algebra) -> dict:
             unit_failing = (j,)
             break
     return {
-        "associative": associative,
+        "associative": failing is None,
         "unital": unital,
         "failing_indices": failing or unit_failing,
     }
@@ -244,20 +289,22 @@ def center(a: Algebra) -> list:
     return m.kernel_basis()
 
 
-def _trace_form_gram(a: Algebra) -> Matrix:
-    f = a.field
-    d = a.dim
-    traces = [a.trace_of_left_mult(a._basis_coords(m)) for m in range(d)]
-    g = Matrix(f, d, d)
-    for i in range(d):
-        for j in range(d):
-            acc = f.zero
-            for m in range(d):
-                c = a.table[i][j][m]
-                if c and traces[m]:
-                    acc = f.add(acc, f.mul(c, traces[m]))
-            g.data[i][j] = acc
-    return g
+def trace_form_gram(c: list) -> list:
+    """Rows of the trace form T(e_i, e_j) = trace(L_{e_i e_j}) from an
+    integer table c; scaling c by D scales every entry by D^2."""
+    d = len(c)
+    traces = [sum(c[m][l][l] for l in range(d)) for m in range(d)]
+    return [[sum(x * t for x, t in zip(c[i][j], traces)) for j in range(d)]
+            for i in range(d)]
+
+
+def integer_rank(rows: list, p: int) -> int:
+    """Exact rank of integer rows over Q (p = 0) or mod p."""
+    return sparse_rank([dict(enumerate(row)) for row in rows], p or None)
+
+
+def _integer_gram(a: Algebra) -> list:
+    return trace_form_gram(scale_to_integers(a.table, a.field.characteristic)[0])
 
 
 def _is_ideal(a: Algebra, basis: list) -> bool:
@@ -294,7 +341,13 @@ def jacobson_radical(a: Algebra) -> list:
     verification fails outside the trace criterion's validity range
     (char 0 or char > dim), the computation refuses to guess.
     """
-    candidate = _trace_form_gram(a).kernel_basis()
+    return radical_from_gram(a, _integer_gram(a))
+
+
+def radical_from_gram(a: Algebra, gram: list) -> list:
+    """``jacobson_radical`` given the rows of a nonzero multiple of the
+    trace form (``trace_form_gram``): the kernel does not see the scale."""
+    candidate = Matrix(a.field, a.dim, a.dim, gram).kernel_basis()
     if not candidate:
         return []
     if _is_ideal(a, candidate) and _is_nilpotent_subspace(a, candidate):
@@ -310,7 +363,12 @@ def jacobson_radical(a: Algebra) -> list:
 
 def radical_power_dims(a: Algebra) -> list:
     """[dim J, dim J^2, ...] down to the first zero; [] when J = 0."""
-    j = jacobson_radical(a)
+    return power_dims(a, jacobson_radical(a))
+
+
+def power_dims(a: Algebra, j: list) -> list:
+    """[dim J, dim J^2, ...] down to the first zero for the echelon basis j
+    of an ideal; [] when j is empty."""
     if not j:
         return []
     dims = []
@@ -334,25 +392,43 @@ def is_separable(a: Algebra) -> bool:
     Caveat: the criterion can report false negatives when char(k) divides
     the matrix size of a simple block; no desk-scale case here hits that.
     """
-    return _trace_form_gram(a).rank() == a.dim
+    return integer_rank(_integer_gram(a), a.field.characteristic) == a.dim
 
 
 def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     """Transport the structure constants: column j of p is the new basis
-    vector b_j written in the old coordinates."""
+    vector b_j written in the old coordinates.
+
+    With Q = p^-1 the new constants are
+    T[i][j][n] = sum over x, y, m of p[x][i] p[y][j] c[x][y][m] Q[n][m].
+    p, Q and c are scaled to integers by one scale D (``scale_to_integers``);
+    each term is a product of four scaled entries, so the integer sum is
+    D^4 T[i][j][n] and one exact division per entry (a residue over F_p)
+    recovers T.  The result is built with check=True: every transported
+    table goes through ``verify_axioms`` again.
+    """
     if p.rows != a.dim or p.cols != a.dim:
         raise ValueError("change of basis must be square of the algebra dimension")
     pinv = p.inverse()
     if pinv is None:
         raise ValueError("change of basis matrix is singular")
     d = a.dim
-    new_basis = [p.col(j) for j in range(d)]
+    char = a.field.characteristic
+    (pm, qm, c), scale = scale_to_integers([p.data, pinv.data, a.table], char)
+    pcols = [[row[i] for row in pm] for i in range(d)]
+    denom = scale ** 4
     table = []
     for i in range(d):
+        # left[y]: coordinates of b_i * e_y
+        left = [[sum(x * c[k][y][m] for k, x in enumerate(pcols[i]))
+                 for m in range(d)] for y in range(d)]
         row = []
         for j in range(d):
-            prod_old = a.multiply_coords(new_basis[i], new_basis[j])
-            row.append(pinv.apply(prod_old))
+            prod = [sum(x * left[k][m] for k, x in enumerate(pcols[j]))
+                    for m in range(d)]
+            new = [sum(q * v for q, v in zip(qrow, prod)) for qrow in qm]
+            row.append([v % char for v in new] if char
+                       else [Fraction(v, denom) for v in new])
         table.append(row)
     unit = pinv.apply(a.unit)
     if labels is None:

@@ -17,11 +17,13 @@ from .fields import Field
 from .linalg import Matrix
 from .algebra import (
     Algebra,
-    center,
+    integer_rank,
     is_commutative,
-    is_separable,
-    radical_power_dims,
+    power_dims,
+    radical_from_gram,
+    scale_to_integers,
     standard_algebra,
+    trace_form_gram,
 )
 from .twisting import (
     TwistFamilyDescriptor,
@@ -67,12 +69,27 @@ REFERENCE_FINGERPRINTS = {
 
 
 def fingerprint(a: Algebra) -> Fingerprint:
+    """The invariants from one integer table (``scale_to_integers``).
+
+    The trace-form Gram matrix is built once.  Its exact rank decides
+    separability, and a nonsingular one means J = 0 with no kernel taken;
+    only a singular one goes through the kernel, ideal and nilpotency
+    checks of ``jacobson_radical``.  The center has dimension d minus the
+    rank of x -> (x e_i - e_i x)_i.  Scaling changes none of these ranks.
+    """
+    d = a.dim
+    p = a.field.characteristic
+    c, _ = scale_to_integers(a.table, p)
+    gram = trace_form_gram(c)
+    separable = integer_rank(gram, p) == d
+    commutators = [[c[m][i][n] - c[i][m][n] for i in range(d) for n in range(d)]
+                   for m in range(d)]
     return Fingerprint(
-        a.dim,
+        d,
         is_commutative(a),
-        len(center(a)),
-        tuple(radical_power_dims(a)),
-        is_separable(a),
+        d - integer_rank(commutators, p),
+        () if separable else tuple(power_dims(a, radical_from_gram(a, gram))),
+        separable,
     )
 
 

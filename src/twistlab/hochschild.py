@@ -14,10 +14,8 @@ sources.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import Field, QQ
 from .algebra import (
@@ -27,6 +25,7 @@ from .algebra import (
     is_separable,
     jacobson_radical,
     radical_power_dims,
+    scale_to_integers,
 )
 from .linalg import (
     Matrix,
@@ -94,20 +93,8 @@ def _integerize_columns(cols: list, p: int) -> list:
     scaled by its denominators' lcm over Q (scaling keeps the rank)."""
     out = []
     for col in cols:
-        if p:
-            red = {r: v % p for r, v in col.items() if v % p}
-            out.append(red)
-            continue
-        denom = 1
-        for v in col.values():
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        red = {}
-        for r, v in col.items():
-            w = int(v * denom)
-            if w:
-                red[r] = w
-        out.append(red)
+        ints, _ = scale_to_integers(list(col.values()), p)
+        out.append({r: v for r, v in zip(col, ints) if v})
     return out
 
 
@@ -245,16 +232,8 @@ def _bar_tables(a: Algebra) -> tuple:
         ]
         for x in range(d)
     ]
-    if f.characteristic:
-        return comp, c, cbar
-    denom = math.lcm(
-        *(v.denominator for t in (c, cbar) for plane in t for row in plane for v in row)
-    )
-
-    def scaled(t):
-        return [[[int(v * denom) for v in row] for row in plane] for plane in t]
-
-    return comp, scaled(c), scaled(cbar)
+    (c, cbar), _ = scale_to_integers([c, cbar], f.characteristic)
+    return comp, c, cbar
 
 
 def bar_coboundary_columns(a: Algebra, n: int) -> list:

@@ -308,29 +308,45 @@ def _fast_candidate_ok(cols, a: Algebra, b: Algebra, a_idx, b_idx) -> bool:
     return next(_twist_failures(cols, a, b, a_idx, b_idx), None) is None
 
 
-def enumerate_twisting_maps(a: Algebra, b: Algebra) -> list:
-    """The complete census over a prime field, by exhaustive filtering.
+def _search_space_bits(a: Algebra, b: Algebra) -> float:
+    """log2 of the number of candidates ``enumerate_twisting_maps`` tries.
 
-    tau is fixed on unit pairs by (tw1); every assignment of the remaining
-    columns is tried in lexicographic scalar order.
+    Both units must be basis vectors; every column but those on unit pairs
+    is free: (dim a - 1)(dim b - 1) columns of dim a * dim b scalars.  A
+    ValueError when that exceeds ENUM_BITS_BOUND, so the bound is checked
+    without running a search.
     """
     f = a.field
     if f != b.field:
         raise ValueError("field mismatch")
     if f.characteristic == 0:
         raise ValueError("enumeration needs a finite prime field")
+    for alg in (a, b):
+        _unit_basis_index(alg)
+    da, db = a.dim, b.dim
+    bits = (da - 1) * (db - 1) * da * db * math.log2(f.characteristic)
+    if bits > ENUM_BITS_BOUND:
+        raise ValueError(
+            f"search space of {bits:.1f} bits exceeds the "
+            f"{ENUM_BITS_BOUND}-bit bound"
+        )
+    return bits
+
+
+def enumerate_twisting_maps(a: Algebra, b: Algebra) -> list:
+    """The complete census over a prime field, by exhaustive filtering.
+
+    tau is fixed on unit pairs by (tw1); every assignment of the remaining
+    columns is tried in lexicographic scalar order.
+    """
+    _search_space_bits(a, b)
+    f = a.field
     p = f.characteristic
     da, db = a.dim, b.dim
     ua, ub = _unit_basis_index(a), _unit_basis_index(b)
     free_cols = [
         i * da + j for i in range(db) for j in range(da) if i != ub and j != ua
     ]
-    bits = len(free_cols) * da * db * math.log2(p)
-    if bits > ENUM_BITS_BOUND:
-        raise ValueError(
-            f"search space of {bits:.1f} bits exceeds the "
-            f"{ENUM_BITS_BOUND}-bit bound"
-        )
     d = da * db
     # (tw1) makes tau the flip on every pair with a unit
     base_cols = [None] * (db * da)

@@ -20,6 +20,104 @@ from twistlab.algebra import (
     verify_axioms,
 )
 from twistlab.linalg import Matrix
+from twistlab.quivers import Quiver, truncated_path_algebra
+
+
+def fraction_verify_axioms(a) -> dict:
+    """Reference: the associativity and unit scan with one field operation
+    per step on the algebra's own scalars."""
+    f = a.field
+    d = a.dim
+    failing = None
+    associative = True
+    for i in range(d):
+        if failing:
+            break
+        for j in range(d):
+            if failing:
+                break
+            ij = a.table[i][j]
+            for k in range(d):
+                for l in range(d):
+                    lhs = f.zero
+                    rhs = f.zero
+                    for m in range(d):
+                        if ij[m]:
+                            lhs = f.add(lhs, f.mul(ij[m], a.table[m][k][l]))
+                        if a.table[j][k][m]:
+                            rhs = f.add(rhs, f.mul(a.table[j][k][m], a.table[i][m][l]))
+                    if lhs != rhs:
+                        associative = False
+                        failing = (i, j, k, l)
+                        break
+                if failing:
+                    break
+    unital = True
+    unit_failing = None
+    for j in range(d):
+        e = a._basis_coords(j)
+        if a.multiply_coords(a.unit, e) != e or a.multiply_coords(e, a.unit) != e:
+            unital = False
+            unit_failing = (j,)
+            break
+    return {
+        "associative": associative,
+        "unital": unital,
+        "failing_indices": failing or unit_failing,
+    }
+
+
+def fraction_change_of_basis(a, p, labels=None):
+    """Reference: the transport through multiply_coords and p^-1 applied
+    to each product, on the algebra's own scalars; the table is not
+    checked again."""
+    pinv = p.inverse()
+    d = a.dim
+    new_basis = [p.col(j) for j in range(d)]
+    table = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            prod_old = a.multiply_coords(new_basis[i], new_basis[j])
+            row.append(pinv.apply(prod_old))
+        table.append(row)
+    unit = pinv.apply(a.unit)
+    if labels is None:
+        labels = [f"b{i}" for i in range(d)]
+    return Algebra(a.field, labels, table, unit)
+
+
+def random_scalar(field, rng):
+    if field.characteristic:
+        return rng.randrange(field.characteristic)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def random_basis_change(field, d, rng):
+    while True:
+        p = Matrix(field, d, d, [[random_scalar(field, rng) for _ in range(d)]
+                                 for _ in range(d)])
+        if p.is_invertible():
+            return p
+
+
+def sample_algebras(field, rng):
+    """Dimensions 2, 4 and 8; over Q one of each is moved to a rational
+    basis, so its constants are Fractions and its unit no basis vector."""
+    arrows = [(rng.randrange(3), rng.randrange(3)) for _ in range(5)]
+    algebras = [
+        standard_algebra("group_algebra_z2", field),
+        standard_algebra("a_q", field, q=3),
+        standard_algebra("matrix2", field),
+        standard_algebra("truncated_roundtrip", field),
+        truncated_path_algebra(Quiver(3, arrows), field),
+    ]
+    if field.characteristic == 0:
+        algebras += [
+            fraction_change_of_basis(alg, random_basis_change(field, alg.dim, rng))
+            for alg in (algebras[0], algebras[1], algebras[4])
+        ]
+    return algebras
 
 
 def test_verify_axioms_standard_presentations():
@@ -60,7 +158,9 @@ def test_verify_axioms_detects_broken_associativity():
     bad = Algebra(QQ, rt.basis_labels, table, rt.unit)
     report = verify_axioms(bad)
     assert not report["associative"]
-    assert report["failing_indices"] is not None
+    # first failure in (i, j, k, l) order: (e*x)*e = 0 but e*(x*e) = e*y = y
+    assert report["failing_indices"] == (0, 2, 0, 3)
+    assert report == fraction_verify_axioms(bad)
 
 
 def test_verify_axioms_detects_broken_unit():
@@ -256,3 +356,42 @@ def test_serialization_roundtrip_and_stability():
     assert text.index('"basis"') < text.index('"unit"') < text.index('"table"')
     f5 = standard_algebra("matrix2", GF(5))
     assert Algebra.from_json(f5.to_json()).to_json() == f5.to_json()
+
+
+def test_verify_axioms_matches_fraction_reference():
+    # whole reports, failing indices included, on perturbed tables
+    rng = random.Random(61)
+    seen = set()
+    failures = set()
+    for field in (QQ, GF(3), GF(7)):
+        for alg in sample_algebras(field, rng):
+            d = alg.dim
+            cases = [alg]
+            for _ in range(6):
+                table = [[list(cell) for cell in plane] for plane in alg.table]
+                for _ in range(rng.randint(1, 2)):
+                    i, j, k = (rng.randrange(d) for _ in range(3))
+                    table[i][j][k] = random_scalar(field, rng)
+                cases.append(Algebra(field, alg.basis_labels, table, alg.unit))
+            for case in cases:
+                report = verify_axioms(case)
+                assert report == fraction_verify_axioms(case), (field, d)
+                seen.add((d, report["associative"]))
+                if not report["associative"]:
+                    failures.add(report["failing_indices"])
+    assert seen == {(d, ok) for d in (2, 4, 8) for ok in (True, False)}
+    assert len(failures) > 20
+
+
+def test_change_of_basis_matches_fraction_reference():
+    # Fraction-valued p over Q; equal table, unit and labels
+    rng = random.Random(67)
+    for field in (QQ, GF(3), GF(7)):
+        for alg in sample_algebras(field, rng):
+            for _ in range(2):
+                p = random_basis_change(field, alg.dim, rng)
+                got = change_of_basis(alg, p)
+                want = fraction_change_of_basis(alg, p)
+                assert got.table == want.table, (field, alg)
+                assert got.unit == want.unit
+                assert got.basis_labels == want.basis_labels

@@ -1,12 +1,24 @@
 """Class labels, explicit isomorphisms, and the orbit census."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from twistlab.fields import GF, QQ
 from twistlab.linalg import Matrix
-from twistlab.algebra import change_of_basis, standard_algebra
+from twistlab.algebra import (
+    Algebra,
+    CriterionInapplicable,
+    _is_ideal,
+    _is_nilpotent_subspace,
+    _span_product,
+    center,
+    change_of_basis,
+    is_commutative,
+    standard_algebra,
+)
+from twistlab.quivers import Quiver, truncated_path_algebra
 from twistlab.twisting import TwistFamilyDescriptor, family_member, twisted_product
 from twistlab.classify import (
     CHAR2_NOTE,
@@ -92,6 +104,112 @@ def random_invertible(field, d, rng):
                 m.data[i][j] = field.scalar(rng.choice(pool))
         if m.inverse() is not None:
             return m
+
+
+def fraction_gram(a) -> Matrix:
+    """Reference: the trace form T(e_i, e_j) = trace(L_{e_i e_j}) on the
+    algebra's own scalars."""
+    f = a.field
+    d = a.dim
+    traces = [a.trace_of_left_mult(a._basis_coords(m)) for m in range(d)]
+    g = Matrix(f, d, d)
+    for i in range(d):
+        for j in range(d):
+            acc = f.zero
+            for m in range(d):
+                c = a.table[i][j][m]
+                if c and traces[m]:
+                    acc = f.add(acc, f.mul(c, traces[m]))
+            g.data[i][j] = acc
+    return g
+
+
+def fraction_fingerprint(a) -> Fingerprint:
+    """Reference: each invariant on its own, on the algebra's own scalars:
+    the center's kernel, the trace-form radical with its ideal and
+    nilpotency checks and its powers, and the trace form's rank."""
+    gram = fraction_gram(a)
+    radical = gram.kernel_basis()
+    if radical and not (
+        _is_ideal(a, radical) and _is_nilpotent_subspace(a, radical)
+    ):
+        char = a.field.characteristic
+        if char == 0 or char > a.dim:
+            raise AssertionError("trace criterion inconsistency in its validity range")
+        raise CriterionInapplicable(
+            f"criterion-inapplicable: char {char} <= dim {a.dim} and the trace-form "
+            "radical is not a nilpotent ideal"
+        )
+    dims = []
+    power = radical
+    while power:
+        dims.append(len(power))
+        power = _span_product(a, power, radical)
+    if radical:
+        dims.append(0)
+    return Fingerprint(
+        a.dim,
+        is_commutative(a),
+        len(center(a)),
+        tuple(dims),
+        gram.rank() == a.dim,
+    )
+
+
+def fingerprint_outcome(fn, a):
+    try:
+        return fn(a)
+    except CriterionInapplicable as exc:
+        return str(exc)
+
+
+def group_algebra_z3(field):
+    # basis (1, g, g^2): the local algebra k[X]/(X - 1)^3 over GF(3)
+    table = [[[int((i + j) % 3 == k) for k in range(3)] for j in range(3)]
+             for i in range(3)]
+    return Algebra(field, ["1", "g", "g2"], table, [1, 0, 0], check=True)
+
+
+def test_fingerprint_matches_fraction_reference():
+    rng = random.Random(71)
+    refused = 0
+    for field in (QQ, GF(7), GF(13), GF(2), GF(3)):
+        algebras = [
+            standard_algebra("group_algebra_z2", field),
+            group_algebra_z3(field),
+            standard_algebra("k_n", field, n=3),
+            standard_algebra("matrix2", field),
+            standard_algebra("truncated_roundtrip", field),
+            standard_algebra("qtilde_path_algebra", field),
+        ]
+        for _ in range(3):
+            arrows = [(rng.randrange(3), rng.randrange(3))
+                      for _ in range(rng.randint(1, 5))]
+            algebras.append(truncated_path_algebra(Quiver(3, arrows), field))
+        if field.characteristic != 2:
+            algebras += [line_product(field, alpha) for alpha in (2, -2, 3)]
+            algebras += [
+                twisted_product(family_member(TwistFamilyDescriptor(fam), *z2_pair(field)))
+                for fam in ("flip", "isolated_iii", "isolated_iv", "isolated_v",
+                            "isolated_vi")
+            ]
+        for alg in list(algebras):
+            for _ in range(2):
+                p = random_invertible(field, alg.dim, rng)
+                if field.characteristic == 0:
+                    p = Matrix(field, alg.dim, alg.dim, [
+                        [Fraction(x, rng.randint(1, 3)) for x in row] for row in p.data
+                    ])
+                    if p.inverse() is None:
+                        continue
+                algebras.append(change_of_basis(alg, p))
+        for alg in algebras:
+            want = fingerprint_outcome(fraction_fingerprint, alg)
+            assert fingerprint_outcome(fingerprint, alg) == want, (field, alg)
+            refused += isinstance(want, str)
+    assert refused >= 6
+    with pytest.raises(CriterionInapplicable):
+        fingerprint(standard_algebra("group_algebra_z2", GF(2)))
 
 
 def test_fingerprint_invariant_under_basis_change():

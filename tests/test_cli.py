@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from twistlab.twisting import parse_census_tsv
 from twistlab.classify import parse_orbit_tsv
 from twistlab.quivers import standard_quiver
 from twistlab.algebra import standard_algebra
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -212,3 +216,19 @@ def test_reproduce_paper_extra_field_f7(capsys):
     assert code == 0
     assert "census-count-F7: 12 rows" in out
     assert "summary: 37/37" in out
+
+
+@pytest.mark.parametrize("argv, stdout_file, stderr_file", [
+    (("census", "--field", "F5"), "census-F5.tsv", "census-F5.stderr"),
+    (("classify", "--field", "F13", "--format", "structured"),
+     "classify-F13.json", None),
+    (("reproduce-paper", "--format", "structured"), "reproduce-paper.json", None),
+], ids=["census-F5", "classify-F13", "reproduce-paper"])
+def test_cli_output_matches_golden_files(capsys, argv, stdout_file, stderr_file):
+    # the golden files hold the output of an earlier release; any change to
+    # a census row, a class label or a check detail shows up here
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (DATA / stdout_file).read_bytes()
+    want_err = (DATA / stderr_file).read_bytes() if stderr_file else b""
+    assert err.encode() == want_err

@@ -8,6 +8,7 @@ import pytest
 
 from twistlab.fields import GF, QQ
 from twistlab.algebra import (
+    Algebra,
     center,
     is_commutative,
     is_separable,
@@ -17,10 +18,12 @@ from twistlab.algebra import (
     verify_axioms,
     change_of_basis,
 )
+from twistlab import twisting
 from twistlab.duplicates import x_idempotent_algebra
 from twistlab.linalg import Matrix
 from twistlab.twisting import (
     CENSUS_ERRATA,
+    ENUM_BITS_BOUND,
     LINE_FAMILIES,
     TwistFamilyDescriptor,
     TwistingMap,
@@ -39,6 +42,7 @@ from twistlab.twisting import (
     solve_2dim_twist,
     twisted_product,
     verify_twisting,
+    _search_space_bits,
 )
 
 
@@ -483,6 +487,34 @@ def test_enumeration_guards():
     )
     with pytest.raises(ValueError):
         enumerate_twisting_maps(shifted, z2)
+
+
+def truncated_polynomial_algebra(field, n):
+    # k[X]/(X^n) on 1, X, ..., X^(n-1): the unit is the first basis vector
+    table = [[[int(i + j == k) for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    return Algebra(field, [f"X{i}" for i in range(n)], table,
+                   [1] + [0] * (n - 1), check=True)
+
+
+def test_search_space_bound_edge(monkeypatch):
+    # k[Z2] x k[X]/(X^5): 4 free columns of 10 scalars, 40 * log2(p) bits
+    f2, f3 = GF(2), GF(3)
+    z2 = standard_algebra("group_algebra_z2", f2)
+    x5 = truncated_polynomial_algebra(f2, 5)
+    assert ENUM_BITS_BOUND == 40
+    assert _search_space_bits(z2, x5) == 40.0
+    assert _search_space_bits(x5, z2) == 40.0
+    z2, x5 = standard_algebra("group_algebra_z2", f3), truncated_polynomial_algebra(f3, 5)
+    with pytest.raises(ValueError, match="63.4 bits exceeds the 40-bit bound"):
+        _search_space_bits(z2, x5)
+    # the enumerator checks the bound before it tries a candidate
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(twisting, "_fast_candidate_ok", no_search)
+    with pytest.raises(ValueError, match="63.4 bits exceeds the 40-bit bound"):
+        enumerate_twisting_maps(z2, x5)
 
 
 def test_census_tsv_roundtrip_and_golden_f3():
