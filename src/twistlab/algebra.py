@@ -5,8 +5,8 @@ computations (center, Jacobson radical, separability) are the data the
 classification of the 4-dimensional twisted products rests on.
 
 The scans over the whole table (the associativity check, the transport
-of a table to a new basis, the trace form) run on integer structure
-constants: ``scale_to_integers`` multiplies every constant by one scale D
+of a table to a new basis, the trace form, the commutator rows of the
+center) run on integer structure constants: ``scale_to_integers`` multiplies every constant by one scale D
 (the lcm of the denominators over Q, 1 over F_p, where the constants are
 residues).  Each of these computations is a sum of products of a fixed
 number of constants, so scaling multiplies it by a fixed power of D; an
@@ -82,23 +82,6 @@ class Algebra:
         if p:
             out = [v % p for v in out]
         return out
-
-    def left_mult_matrix(self, x: list) -> Matrix:
-        """Matrix of y -> x*y in the basis (columns are images of e_j)."""
-        m = Matrix(self.field, self.dim, self.dim)
-        for j in range(self.dim):
-            col = self.multiply_coords(x, self._basis_coords(j))
-            for i in range(self.dim):
-                m.data[i][j] = col[i]
-        return m
-
-    def right_mult_matrix(self, x: list) -> Matrix:
-        m = Matrix(self.field, self.dim, self.dim)
-        for j in range(self.dim):
-            col = self.multiply_coords(self._basis_coords(j), x)
-            for i in range(self.dim):
-                m.data[i][j] = col[i]
-        return m
 
     def _basis_coords(self, i: int) -> list:
         coords = [self.field.zero] * self.dim
@@ -277,16 +260,18 @@ def verify_axioms(a: Algebra) -> dict:
 
 
 def center(a: Algebra) -> list:
-    """Echelon basis of {x : x*e_i = e_i*x for all i}."""
-    rows = []
-    for i in range(a.dim):
-        e = a._basis_coords(i)
-        left = a.left_mult_matrix(e)
-        right = a.right_mult_matrix(e)
-        diff = left - right
-        rows.extend(diff.data)
-    m = Matrix(a.field, len(rows), a.dim, rows)
-    return m.kernel_basis()
+    """Echelon basis of {x : x*e_i = e_i*x for all i}: the kernel of the
+    integer ``commutator_rows`` (scaling the table does not move it)."""
+    c, _ = scale_to_integers(a.table, a.field.characteristic)
+    return Matrix(a.field, a.dim * a.dim, a.dim, commutator_rows(c)).kernel_basis()
+
+
+def commutator_rows(c: list) -> list:
+    """Rows of x -> (x e_i - e_i x)_i from a table c: row (i, n) holds the
+    e_n coordinate of e_m e_i - e_i e_m at column m."""
+    d = len(c)
+    return [[c[m][i][n] - c[i][m][n] for m in range(d)]
+            for i in range(d) for n in range(d)]
 
 
 def trace_form_gram(c: list) -> list:

@@ -17,6 +17,7 @@ from .fields import Field
 from .linalg import Matrix
 from .algebra import (
     Algebra,
+    commutator_rows,
     integer_rank,
     is_commutative,
     power_dims,
@@ -75,19 +76,18 @@ def fingerprint(a: Algebra) -> Fingerprint:
     separability, and a nonsingular one means J = 0 with no kernel taken;
     only a singular one goes through the kernel, ideal and nilpotency
     checks of ``jacobson_radical``.  The center has dimension d minus the
-    rank of x -> (x e_i - e_i x)_i.  Scaling changes none of these ranks.
+    rank of ``commutator_rows``, whose kernel ``center`` takes.  Scaling
+    changes none of these ranks.
     """
     d = a.dim
     p = a.field.characteristic
     c, _ = scale_to_integers(a.table, p)
     gram = trace_form_gram(c)
     separable = integer_rank(gram, p) == d
-    commutators = [[c[m][i][n] - c[i][m][n] for i in range(d) for n in range(d)]
-                   for m in range(d)]
     return Fingerprint(
         d,
         is_commutative(a),
-        d - integer_rank(commutators, p),
+        d - integer_rank(commutator_rows(c), p),
         () if separable else tuple(power_dims(a, radical_from_gram(a, gram))),
         separable,
     )

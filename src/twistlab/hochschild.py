@@ -3,9 +3,17 @@
 Routes: the parallel-paths cochain complex for radical-square-zero
 quiver algebras, the normalized bar complex Hom((A/k*1)^(x)n, A) for
 arbitrary small algebras (quasi-isomorphic to the full bar complex, with
-cochain dimension d (d-1)^n instead of d^(n+1)), and the two-term complex
-attached to a decomposition R = E + J with J^2 = 0.
-Closed-form evaluators cover connected non-crown quivers and crowns.
+cochain dimension d (d-1)^n instead of d^(n+1)), and the reduced complex
+Hom_(E-E)(J^(x)_E n, A) of a decomposition A = E + J with J^2 = 0, where E
+is spanned by complete orthogonal idempotents. The last one works in the
+Peirce basis (the idempotents, then a basis of each block e_u J e_v), in
+which each cochain space is an index set and each coboundary entry is one
+signed structure constant, 0 or 1 there. Every route emits sparse integer
+columns into one function, ``complex_dims``; the two table-driven routes
+read one table scaled to integers by a single common scale
+(``scale_to_integers``), which multiplies each coboundary by a constant
+and so keeps d^2 = 0 and every rank. Closed-form evaluators cover
+connected non-crown quivers and crowns.
 
 Ground-truth hierarchy when values disagree: normalized bar complex, then
 the two structural complexes, then closed-form formulas, then printed
@@ -22,18 +30,13 @@ from .algebra import (
     Algebra,
     Element,
     center,
+    change_of_basis,
     is_separable,
     jacobson_radical,
     radical_power_dims,
     scale_to_integers,
 )
-from .linalg import (
-    Matrix,
-    coords_in_echelon_basis,
-    echelon_basis,
-    sparse_compose_zero,
-    sparse_rank,
-)
+from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_rank
 from .quivers import Quiver, Path, parallel_pairs, standard_quiver
 
 RSZ_DEGREE_BOUND = 32
@@ -88,14 +91,12 @@ class HHProfile:
         }
 
 
-def _integerize_columns(cols: list, p: int) -> list:
-    """Columns with zero entries dropped: reduced mod p over F_p, each
-    scaled by its denominators' lcm over Q (scaling keeps the rank)."""
-    out = []
-    for col in cols:
-        ints, _ = scale_to_integers(list(col.values()), p)
-        out.append({r: v for r, v in zip(col, ints) if v})
-    return out
+def _reduced(col: dict, p: int) -> dict:
+    """A sparse integer column without its zero entries, reduced mod p
+    over F_p (p > 0)."""
+    if p:
+        return {r: x % p for r, x in col.items() if x % p}
+    return {r: x for r, x in col.items() if x}
 
 
 def complex_dims(layer_dims: list, deltas: list, p: int) -> list:
@@ -135,7 +136,8 @@ def rsz_layer(q: Quiver, field: Field, n: int) -> RszComplexLayer:
 
     D(gamma, e) = sum over arrows a leaving e of (gamma.a, a), plus
     (-1)^(n+1) times the sum over arrows a entering e of (a.gamma, a).
-    D is kept as sparse integer columns {row: int}, one per p0 pair.
+    D is kept as sparse integer columns {row: int}, one per p0 pair, with
+    residues over F_p.
     """
     # layer n reads paths of length n + 1, and hh_rsz builds layers 0..N
     bound = RSZ_DEGREE_BOUND + 1
@@ -156,10 +158,8 @@ def rsz_layer(q: Quiver, field: Field, n: int) -> RszComplexLayer:
             x = Path(q, (a,) + gamma.arrow_indices)
             row = index[_pair_key(x, Path(q, (a,)))]
             col[row] = col.get(row, 0) + sign
-        cols.append(col)
-    return RszComplexLayer(
-        n, p0, p1, _integerize_columns(cols, field.characteristic)
-    )
+        cols.append(_reduced(col, field.characteristic))
+    return RszComplexLayer(n, p0, p1, cols)
 
 
 def rsz_coboundary(layer: RszComplexLayer, next_p0: int) -> list:
@@ -293,10 +293,7 @@ def bar_coboundary_columns(a: Algebra, n: int) -> list:
             for off, v in last[k]:
                 r = t * e * d + off
                 col[r] = col.get(r, 0) + v
-            if p:
-                cols.append({r: v % p for r, v in col.items() if v % p})
-            else:
-                cols.append({r: v for r, v in col.items() if v})
+            cols.append(_reduced(col, p))
     return cols
 
 
@@ -321,20 +318,32 @@ def hh_bar(a: Algebra, N: int, tag: str = None) -> HHProfile:
     return HHProfile(dims, "bar-complex", tag)
 
 
-def _coords(x) -> list:
-    return x.coords if isinstance(x, Element) else list(x)
-
-
 def hh_e_complex(a: Algebra, idempotents: list, N: int, tag: str = None) -> HHProfile:
     """Cohomology of 0 -> R^E -> Hom(J, R) -> Hom(J (x)_E J, R) -> ...
 
     Requires a = E + J with E spanned by the given complete orthogonal
-    idempotents, J the radical, and J^2 = 0. Bimodule Hom spaces are
-    realized through the idempotent-pair block decomposition.
+    idempotents, J the radical, and J^2 = 0. The algebra is moved once
+    into its Peirce basis (``change_of_basis``): the idempotents e_u, then
+    an echelon basis of each block e_u J e_v, so that each basis vector
+    lies in one block e_u A e_v. There R^E is spanned by the diagonal-block
+    vectors, and degree n by the pairs (chain, m): radical basis vectors
+    j_1, ..., j_n in blocks (u_1, v_1), ..., (u_n, v_n) with v_i = u_(i+1),
+    and a basis vector m in block (u_1, v_n); degree 0 is the empty chain
+    with a diagonal m. The coboundary
+        (df)(j_0, ..., j_n) = j_0 f(j_1, ..., j_n)
+                              + (-1)^(n+1) f(j_0, ..., j_(n-1)) j_n
+    has as entries the signed constants c[k][m] and c[m][k] of the
+    transported table, read once as integers (``scale_to_integers``). Since
+    e_u j = j = j e_v for j in e_u J e_v and J^2 = 0, each product of two
+    Peirce basis vectors is 0 or a basis vector: the constants are 0 and 1
+    (the scale is 1), whatever fractions the given table has.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     f = a.field
+    p = f.characteristic
     d = a.dim
-    eps = [_coords(e) for e in idempotents]
+    eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
     ne = len(eps)
     zero = [f.zero] * d
     for i, e in enumerate(eps):
@@ -363,110 +372,61 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int, tag: str = None) -> HHPr
             if a.multiply_coords(u, v) != zero:
                 raise ValueError("radical square is nonzero")
 
-    def sandwich(u: int, vecs: list, v: int) -> list:
-        return [
-            a.multiply_coords(eps[u], a.multiply_coords(w, eps[v]))
-            for w in vecs
-        ]
-
-    r_blocks = [
-        [echelon_basis(f, sandwich(u, [a._basis_coords(k) for k in range(d)], v))
-         for v in range(ne)]
-        for u in range(ne)
-    ]
-    j_blocks = [
-        [echelon_basis(f, sandwich(u, jbas, v)) for v in range(ne)]
-        for u in range(ne)
-    ]
-    jlist = []
+    # the Peirce basis and the block (u, v) of each of its vectors
+    peirce = list(eps)
+    blocks = [(u, u) for u in range(ne)]
     for u in range(ne):
         for v in range(ne):
-            for w in j_blocks[u][v]:
-                jlist.append((u, v, w))
-    if len(jlist) != len(jbas):
+            part = echelon_basis(f, [
+                a.multiply_coords(eps[u], a.multiply_coords(w, eps[v]))
+                for w in jbas
+            ])
+            peirce.extend(part)
+            blocks.extend([(u, v)] * len(part))
+    if len(peirce) != d:
         raise ValueError("radical does not split along the idempotent blocks")
+    moved = change_of_basis(a, Matrix(f, d, d, [list(r) for r in zip(*peirce)]))
+    c, _ = scale_to_integers(moved.table, p)
 
-    # commutant of E: kernel of the stacked commutator maps
-    stacked = []
-    for e in eps:
-        le = a.left_mult_matrix(e)
-        re = a.right_mult_matrix(e)
-        stacked.extend((le - re).data)
-    c0 = echelon_basis(f, Matrix.from_rows(f, stacked).kernel_basis()) \
-        if stacked else [a._basis_coords(k) for k in range(d)]
-
-    chains = [[()], [tuple([i]) for i in range(len(jlist))]]
-    while len(chains) < N + 2:
-        prev = chains[-1]
-        nxt = []
-        for ch in prev:
-            tail = jlist[ch[-1]][1]
-            for i, (u, _, _) in enumerate(jlist):
-                if u == tail:
-                    nxt.append(ch + (i,))
-        chains.append(nxt)
-
-    def chain_ends(ch: tuple) -> tuple:
-        return (jlist[ch[0]][0], jlist[ch[-1]][1])
-
-    def layer_basis(n: int) -> list:
-        if n == 0:
-            return [("r", i) for i in range(len(c0))]
-        out = []
-        for ch in chains[n]:
-            u0, un = chain_ends(ch)
-            for t in range(len(r_blocks[u0][un])):
-                out.append((ch, t))
-        return out
-
-    bases = [layer_basis(n) for n in range(N + 2)]
-    row_index = [
-        {key: i for i, key in enumerate(bases[n])} for n in range(N + 2)
-    ]
-
-    def scatter(col: dict, block: list, val: list, chain: tuple, sign: int) -> None:
-        coords = coords_in_echelon_basis(f, block, val)
-        if coords is None:
-            raise AssertionError("image escapes its block")
-        for s, x in enumerate(coords):
-            if x:
-                row = row_index[len(chain)][(chain, s)]
-                col[row] = col.get(row, 0) + sign * x
+    rad = range(ne, d)
+    in_block = {}
+    for m, uv in enumerate(blocks):
+        in_block.setdefault(uv, []).append(m)
+    chains = [()]
+    bases = [[((), m) for m, (u, v) in enumerate(blocks) if u == v]]
+    for _ in range(N + 1):
+        chains = [ch + (k,) for ch in chains for k in rad
+                  if not ch or blocks[k][0] == blocks[ch[-1]][1]]
+        bases.append([(ch, m) for ch in chains
+                      for m in in_block.get((blocks[ch[0]][0], blocks[ch[-1]][1]), ())])
+    # b_k b_m and b_m b_k for radical b_k as (k, row, constant), nonzero only
+    left = [[(k, r, x) for k in rad for r, x in enumerate(c[k][m]) if x]
+            for m in range(d)]
+    right = [[(k, r, x) for k in rad for r, x in enumerate(c[m][k]) if x]
+             for m in range(d)]
 
     def delta(n: int) -> list:
-        sign = 1 if (n + 1) % 2 == 0 else -1
+        sign = 1 if n % 2 else -1
+        rows = {key: i for i, key in enumerate(bases[n + 1])}
         cols = []
-        for key in bases[n]:
+        for ch, m in bases[n]:
             col = {}
-            cols.append(col)
-            if n == 0:
-                r = c0[key[1]]
-                for bi, (u, v, bvec) in enumerate(jlist):
-                    val = [
-                        f.sub(x, y)
-                        for x, y in zip(
-                            a.multiply_coords(r, bvec),
-                            a.multiply_coords(bvec, r),
-                        )
-                    ]
-                    scatter(col, r_blocks[u][v], val, (bi,), 1)
-                continue
-            ch, t = key
-            u0, un = chain_ends(ch)
-            rho = r_blocks[u0][un][t]
-            for bi, (u, v, bvec) in enumerate(jlist):
-                if v == u0:
-                    val = a.multiply_coords(bvec, rho)
-                    scatter(col, r_blocks[u][un], val, (bi,) + ch, 1)
-                if u == un:
-                    val = a.multiply_coords(rho, bvec)
-                    scatter(col, r_blocks[u0][v], val, ch + (bi,), sign)
-        return _integerize_columns(cols, f.characteristic)
+            try:
+                for k, r, x in left[m]:
+                    i = rows[(k,) + ch, r]
+                    col[i] = col.get(i, 0) + x
+                for k, r, x in right[m]:
+                    i = rows[ch + (k,), r]
+                    col[i] = col.get(i, 0) + sign * x
+            except KeyError:
+                raise AssertionError("image escapes its block") from None
+            cols.append(_reduced(col, p))
+        return cols
 
     dims = complex_dims(
         [len(bases[n]) for n in range(N + 1)],
         [delta(n) for n in range(N + 1)],
-        f.characteristic,
+        p,
     )
     if tag is None:
         tag = f"e-complex:dim{d}"

@@ -87,6 +87,21 @@ def fraction_change_of_basis(a, p, labels=None):
     return Algebra(a.field, labels, table, unit)
 
 
+def dense_center(a) -> list:
+    """Reference: the kernel of the stacked dense L(e_i) - R(e_i), built
+    column by column from products with the algebra's own scalars."""
+    d = a.dim
+    rows = []
+    for i in range(d):
+        e = a._basis_coords(i)
+        left = [a.multiply_coords(e, a._basis_coords(j)) for j in range(d)]
+        right = [a.multiply_coords(a._basis_coords(j), e) for j in range(d)]
+        diff = Matrix(a.field, d, d, [list(r) for r in zip(*left)]) - Matrix(
+            a.field, d, d, [list(r) for r in zip(*right)])
+        rows.extend(diff.data)
+    return Matrix(a.field, len(rows), d, rows).kernel_basis()
+
+
 def random_scalar(field, rng):
     if field.characteristic:
         return rng.randrange(field.characteristic)
@@ -395,3 +410,18 @@ def test_change_of_basis_matches_fraction_reference():
                 assert got.table == want.table, (field, alg)
                 assert got.unit == want.unit
                 assert got.basis_labels == want.basis_labels
+
+
+def test_center_matches_dense_reference():
+    # identical echelon bases; over Q some tables carry Fraction constants
+    rng = random.Random(73)
+    rational = 0
+    for field in (QQ, GF(3), GF(7), GF(13)):
+        for alg in sample_algebras(field, rng):
+            for case in (alg, change_of_basis(alg, random_basis_change(
+                    field, alg.dim, rng))):
+                assert center(case) == dense_center(case), (field, case)
+                rational += any(getattr(v, "denominator", 1) > 1
+                                for plane in case.table for row in plane
+                                for v in row)
+    assert rational >= 6

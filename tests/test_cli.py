@@ -232,3 +232,11 @@ def test_cli_output_matches_golden_files(capsys, argv, stdout_file, stderr_file)
     assert out.encode() == (DATA / stdout_file).read_bytes()
     want_err = (DATA / stderr_file).read_bytes() if stderr_file else b""
     assert err.encode() == want_err
+
+
+def test_hh_negative_degree_refused_by_every_method(capsys):
+    for method in ("rsz", "bar", "e-complex"):
+        code, out, err = run(capsys, "hh", "--quiver", "roundtrip",
+                             "--method", method, "--N", "-2")
+        assert code == 2 and out == "", method
+        assert "error: N must be" in err, method

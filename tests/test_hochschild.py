@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from twistlab.fields import GF, QQ
-from twistlab.algebra import change_of_basis, standard_algebra
+from twistlab.algebra import change_of_basis, scale_to_integers, standard_algebra
 from twistlab.quivers import (
     Quiver,
+    is_crown,
     longest_path_length,
     path_algebra_acyclic,
     standard_quiver,
@@ -19,7 +20,6 @@ from twistlab.hochschild import (
     HH_ERRATA,
     HHProfile,
     READING_NOTES,
-    _integerize_columns,
     bar_budget,
     complex_dims,
     crown_formula,
@@ -151,9 +151,16 @@ def full_bar_columns(a, n: int) -> list:
     return cols
 
 
+def integer_columns(cols: list, p: int) -> list:
+    """The columns of one map scaled by one common scale; a scale per
+    column would keep the rank but break the d^2 = 0 check."""
+    ints, _ = scale_to_integers([list(col.values()) for col in cols], p)
+    return [dict(zip(col, vals)) for col, vals in zip(cols, ints)]
+
+
 def full_bar_dims(a, N: int) -> list:
     p = a.field.characteristic
-    deltas = [_integerize_columns(full_bar_columns(a, n), p) for n in range(N + 1)]
+    deltas = [integer_columns(full_bar_columns(a, n), p) for n in range(N + 1)]
     return complex_dims([a.dim ** (n + 1) for n in range(N + 1)], deltas, p)
 
 
@@ -281,6 +288,67 @@ def test_e_complex_k4_collapses():
     assert hh_e_complex(alg, idems, 2).dims == [4, 0, 0]
 
 
+def random_invertible(rng, field, d):
+    while True:
+        if field.characteristic:
+            entries = [[rng.randrange(field.characteristic) for _ in range(d)]
+                       for _ in range(d)]
+        else:
+            entries = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+                        for _ in range(d)] for _ in range(d)]
+        p = Matrix(field, d, d, entries)
+        if p.inverse() is not None:
+            return p
+
+
+def test_e_complex_on_transported_truncated_path_algebras():
+    # a random base change gives Fraction structure constants over Q, and
+    # the vertex idempotents P^-1 e_v are no longer basis vectors; a scale
+    # per coboundary column keeps ranks but breaks d^2 = 0 on such tables
+    rng = random.Random(83)
+    rational = 0
+    for trial in range(30):
+        field = (QQ, GF(11), GF(13))[trial % 3]
+        vertices = rng.randint(1, 3)
+        arrows = [
+            (rng.randrange(vertices), rng.randrange(vertices))
+            for _ in range(rng.randint(1, vertices + 1))
+        ]
+        q = Quiver(vertices, arrows)
+        alg = truncated_path_algebra(q, field)
+        p = random_invertible(rng, field, alg.dim)
+        moved = change_of_basis(alg, p)
+        if field == QQ:
+            rational += any(v.denominator > 1
+                            for plane in moved.table for row in plane for v in row)
+        pinv = p.inverse()
+        idems = [pinv.apply(alg.basis_element(v).coords) for v in range(vertices)]
+        rng.shuffle(idems)
+        rsz = hh_rsz(q, field, 5).dims
+        assert hh_e_complex(moved, idems, 5).dims == rsz, (field.name, arrows)
+        # a dense transported table makes bar elimination slow past dim 5
+        if alg.dim <= 5:
+            assert hh_bar(moved, 2).dims == rsz[:3], (field.name, arrows)
+    assert rational >= 5
+
+
+def test_e_complex_alpha_2_product_with_non_basis_idempotents():
+    # e = (-1/2, -1, 1/2, 1) and 1 - e split the alpha = 2 product, J^2 = 0
+    for field in (QQ, GF(5)):
+        prod = z2_product(field, "line_char_ne_2", 2)
+        e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
+        assert e * e == e
+        assert hh_e_complex(prod, [e, prod.unit_element() - e], 8).dims == [1] * 9
+
+
+def test_e_complex_rejects_negative_degree():
+    alg = standard_algebra("truncated_roundtrip", QQ)
+    idems = [alg.basis_element(0), alg.basis_element(1)]
+    assert hh_e_complex(alg, idems, 0).dims == [1]
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        hh_e_complex(alg, idems, -1)
+
+
 def test_e_complex_hypothesis_errors():
     alg = standard_algebra("truncated_roundtrip", QQ)
     e, f = alg.basis_element(0), alg.basis_element(1)
@@ -335,14 +403,21 @@ def test_methods_agree_over_f5():
 
 def test_routes_agree_on_random_quivers():
     # GF(11): the trace-form radical needs char > dim, and dim <= 7 here
+    # the last four draws are oriented cycles, for the crown formula
     rng = random.Random(29)
-    for trial in range(12):
+    formulas = [0, 0]
+    for trial in range(16):
         field = (QQ, GF(11))[trial % 2]
-        vertices = rng.randint(1, 3)
-        arrows = [
-            (rng.randrange(vertices), rng.randrange(vertices))
-            for _ in range(rng.randint(1, vertices + 1))
-        ]
+        if trial < 12:
+            vertices = rng.randint(1, 3)
+            arrows = [
+                (rng.randrange(vertices), rng.randrange(vertices))
+                for _ in range(rng.randint(1, vertices + 1))
+            ]
+        else:
+            vertices = rng.randint(2, 3)
+            order = rng.sample(range(vertices), vertices)
+            arrows = [(order[i - 1], order[i]) for i in range(vertices)]
         q = Quiver(vertices, arrows)
         rsz = hh_rsz(q, field, 3).dims
         alg = truncated_path_algebra(q, field)
@@ -352,6 +427,17 @@ def test_routes_agree_on_random_quivers():
         while alg.dim ** (n_bar + 2) > bar_budget(field):
             n_bar -= 1
         assert hh_bar(alg, n_bar).dims == rsz[: n_bar + 1], (field.name, arrows)
+        crown = is_crown(q)
+        if crown is None:
+            closed = [thm_formula(q, n) for n in range(4)]
+            if closed[0] is not None:
+                assert rsz == closed, (field.name, arrows)
+                formulas[0] += 1
+        elif crown >= 2:
+            assert rsz == [crown_formula(crown, n, field.characteristic)
+                           for n in range(4)], (field.name, arrows)
+            formulas[1] += 1
+    assert formulas == [6, 4]
 
 
 def test_complex_dims_checks_square_zero():
@@ -385,7 +471,7 @@ def test_integerized_fraction_columns_rank_matches_dense():
         dense = Matrix(
             QQ, r, len(cols), [[col.get(i, 0) for col in cols] for i in range(r)]
         )
-        assert sparse_rank(_integerize_columns(cols, 0)) == dense.rank()
+        assert sparse_rank(integer_columns(cols, 0)) == dense.rank()
 
 
 def test_thm_formula_values_and_hypotheses():
