@@ -37,13 +37,14 @@ class Algebra:
         self.dim = len(basis_labels)
         self.basis_labels = [str(s) for s in basis_labels]
         d = self.dim
-        self.table = [
-            [[field.scalar(table[i][j][k]) for k in range(d)] for j in range(d)]
-            for i in range(d)
-        ]
-        self.unit = [field.scalar(x) for x in unit]
-        if len(self.unit) != d or len(self.table) != d:
+        if len(unit) != d or len(table) != d or any(
+            len(plane) != d or any(len(cell) != d for cell in plane)
+            for plane in table
+        ):
             raise ValueError("table/unit shape does not match the basis")
+        self.table = [[[field.scalar(x) for x in cell] for cell in plane]
+                      for plane in table]
+        self.unit = [field.scalar(x) for x in unit]
         if check:
             report = verify_axioms(self)
             if not (report["associative"] and report["unital"]):
@@ -223,11 +224,13 @@ def verify_axioms(a: Algebra) -> dict:
     quadratic in the constants, so scaling by D multiplies both by D^2.
     For each (i, j, k) in lexicographic order the two coordinate rows are
     summed over the nonzero constants only and compared (mod p over F_p);
-    the first differing l gives the failing (i, j, k, l).
+    the first differing l gives the failing (i, j, k, l).  The unit u is
+    scaled with the table by the same D, so u e_j and e_j u, bilinear, are
+    compared with D^2 e_j; the first failing j gives (j,).
     """
     d = a.dim
     p = a.field.characteristic
-    c, _ = scale_to_integers(a.table, p)
+    (c, u), scale = scale_to_integers([a.table, a.unit], p)
     nonzero = [[[(m, x) for m, x in enumerate(cell) if x] for cell in plane]
                for plane in c]
     failing = None
@@ -244,17 +247,24 @@ def verify_axioms(a: Algebra) -> dict:
         if lhs != rhs:
             failing = (i, j, k, next(l for l in range(d) if lhs[l] != rhs[l]))
             break
-    unital = True
     unit_failing = None
+    unit_terms = [(i, x) for i, x in enumerate(u) if x]
     for j in range(d):
-        e = a._basis_coords(j)
-        if a.multiply_coords(a.unit, e) != e or a.multiply_coords(e, a.unit) != e:
-            unital = False
+        want = [scale * scale if m == j else 0 for m in range(d)]
+        left = [0] * d
+        right = [0] * d
+        for i, x in unit_terms:
+            left = [s + x * y for s, y in zip(left, c[i][j])]
+            right = [s + x * y for s, y in zip(right, c[j][i])]
+        if p:
+            left = [s % p for s in left]
+            right = [s % p for s in right]
+        if left != want or right != want:
             unit_failing = (j,)
             break
     return {
         "associative": failing is None,
-        "unital": unital,
+        "unital": unit_failing is None,
         "failing_indices": failing or unit_failing,
     }
 
@@ -307,15 +317,6 @@ def _span_product(a: Algebra, basis1: list, basis2: list) -> list:
     return echelon_basis(a.field, prods)
 
 
-def _is_nilpotent_subspace(a: Algebra, basis: list) -> bool:
-    power = basis
-    for _ in range(a.dim + 1):
-        if not power:
-            return True
-        power = _span_product(a, power, basis)
-    return False
-
-
 def jacobson_radical(a: Algebra) -> list:
     """Echelon basis of the Jacobson radical.
 
@@ -326,17 +327,25 @@ def jacobson_radical(a: Algebra) -> list:
     verification fails outside the trace criterion's validity range
     (char 0 or char > dim), the computation refuses to guess.
     """
-    return radical_from_gram(a, _integer_gram(a))
+    powers = radical_powers(a, _integer_gram(a))
+    return powers[0] if powers else []
 
 
-def radical_from_gram(a: Algebra, gram: list) -> list:
-    """``jacobson_radical`` given the rows of a nonzero multiple of the
-    trace form (``trace_form_gram``): the kernel does not see the scale."""
+def radical_powers(a: Algebra, gram: list) -> list:
+    """[J, J^2, ...], echelon bases down to the last nonzero power; [] when
+    J = 0.  ``gram`` holds the rows of a nonzero multiple of the trace form
+    (``trace_form_gram``): the kernel does not see the scale.  The chain
+    that proves the candidate nilpotent is the one returned."""
     candidate = Matrix(a.field, a.dim, a.dim, gram).kernel_basis()
     if not candidate:
         return []
-    if _is_ideal(a, candidate) and _is_nilpotent_subspace(a, candidate):
-        return candidate
+    if _is_ideal(a, candidate):
+        powers = [candidate]
+        for _ in range(a.dim):
+            power = _span_product(a, powers[-1], candidate)
+            if not power:
+                return powers
+            powers.append(power)
     char = a.field.characteristic
     if char == 0 or char > a.dim:
         raise AssertionError("trace criterion inconsistency in its validity range")
@@ -346,23 +355,11 @@ def radical_from_gram(a: Algebra, gram: list) -> list:
     )
 
 
-def radical_power_dims(a: Algebra) -> list:
-    """[dim J, dim J^2, ...] down to the first zero; [] when J = 0."""
-    return power_dims(a, jacobson_radical(a))
-
-
-def power_dims(a: Algebra, j: list) -> list:
-    """[dim J, dim J^2, ...] down to the first zero for the echelon basis j
-    of an ideal; [] when j is empty."""
-    if not j:
-        return []
-    dims = []
-    power = j
-    while power:
-        dims.append(len(power))
-        power = _span_product(a, power, j)
-    dims.append(0)
-    return dims
+def radical_power_dims(a: Algebra, gram: list = None) -> list:
+    """[dim J, dim J^2, ...] down to the first zero; [] when J = 0.
+    ``gram`` defaults to the integer trace form of ``a``."""
+    powers = radical_powers(a, _integer_gram(a) if gram is None else gram)
+    return [len(j) for j in powers] + [0] if powers else []
 
 
 def is_commutative(a: Algebra) -> bool:

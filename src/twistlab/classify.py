@@ -20,8 +20,7 @@ from .algebra import (
     commutator_rows,
     integer_rank,
     is_commutative,
-    power_dims,
-    radical_from_gram,
+    radical_power_dims,
     scale_to_integers,
     standard_algebra,
     trace_form_gram,
@@ -75,9 +74,10 @@ def fingerprint(a: Algebra) -> Fingerprint:
     The trace-form Gram matrix is built once.  Its exact rank decides
     separability, and a nonsingular one means J = 0 with no kernel taken;
     only a singular one goes through the kernel, ideal and nilpotency
-    checks of ``jacobson_radical``.  The center has dimension d minus the
-    rank of ``commutator_rows``, whose kernel ``center`` takes.  Scaling
-    changes none of these ranks.
+    checks of ``radical_powers``, whose chain of powers gives the radical
+    dimensions.  The center has dimension d minus the rank of
+    ``commutator_rows``, whose kernel ``center`` takes.  Scaling changes
+    none of these ranks.
     """
     d = a.dim
     p = a.field.characteristic
@@ -88,7 +88,7 @@ def fingerprint(a: Algebra) -> Fingerprint:
         d,
         is_commutative(a),
         d - integer_rank(commutator_rows(c), p),
-        () if separable else tuple(power_dims(a, radical_from_gram(a, gram))),
+        () if separable else tuple(radical_power_dims(a, gram)),
         separable,
     )
 

@@ -37,7 +37,7 @@ from .algebra import (
     scale_to_integers,
 )
 from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_rank
-from .quivers import Quiver, Path, parallel_pairs, standard_quiver
+from .quivers import Quiver, standard_quiver, walks
 
 RSZ_DEGREE_BOUND = 32
 DEFAULT_BUDGET_CHAR0 = 4096
@@ -127,65 +127,71 @@ class RszComplexLayer:
     columns: list
 
 
-def _pair_key(x: Path, y: Path) -> tuple:
-    return (x.key(), y.key())
+def rsz_pairs(q: Quiver, top: int) -> tuple:
+    """(P0, P1): P0[n] lists Q_n || Q_0 and P1[n] lists Q_n || Q_1, n = 0..top.
 
-
-def rsz_layer(q: Quiver, field: Field, n: int) -> RszComplexLayer:
-    """Layer n: k(Q_n || Q_0) + k(Q_n || Q_1), with D into degree n+1.
-
-    D(gamma, e) = sum over arrows a leaving e of (gamma.a, a), plus
-    (-1)^(n+1) times the sum over arrows a entering e of (a.gamma, a).
-    D is kept as sparse integer columns {row: int}, one per p0 pair, with
-    residues over F_p.
+    One ``walks`` pass gives every path. A Q_0 pair is (arrows, vertex), a
+    closed path at that vertex; a Q_1 pair is (arrows, arrow), a path with
+    the arrow's source and target. Both lists are in lexicographic order
+    of the path, then of the arrow index.
     """
-    # layer n reads paths of length n + 1, and hh_rsz builds layers 0..N
-    bound = RSZ_DEGREE_BOUND + 1
-    p0 = parallel_pairs(q, n, 0, bound=bound)
-    p1 = parallel_pairs(q, n, 1, bound=bound)
-    p1_next = parallel_pairs(q, n + 1, 1, bound=bound)
-    index = {_pair_key(x, y): i for i, (x, y) in enumerate(p1_next)}
+    between = {}
+    for a, ends in enumerate(q.arrows):
+        between.setdefault(ends, []).append(a)
+    layers = walks(q, top)
+    p0 = [[(x, s) for s, t, x in layer if s == t] for layer in layers]
+    p1 = [[(x, a) for s, t, x in layer for a in between.get((s, t), ())]
+          for layer in layers]
+    return p0, p1
+
+
+def rsz_layer(q: Quiver, pairs: tuple, n: int, p: int) -> RszComplexLayer:
+    """Layer n, k(Q_n || Q_0) + k(Q_n || Q_1), and its coboundary.
+
+    ``pairs`` comes from ``rsz_pairs`` and reaches degree n+1. The columns
+    are the block map (0 0; D 0) into degree n+1, whose rows are the
+    (Q_(n+1) || Q_0) pairs, then the (Q_(n+1) || Q_1) pairs:
+    D(gamma, e) = sum over arrows a leaving e of (gamma.a, a), plus
+    (-1)^(n+1) times the sum over arrows a entering e of (a.gamma, a),
+    and each Q_1 pair maps to zero. Entries are integers over Q (p = 0)
+    and residues over F_p.
+    """
+    p0, p1 = pairs[0][n], pairs[1][n]
+    shift = len(pairs[0][n + 1])
+    rows = {pair: shift + i for i, pair in enumerate(pairs[1][n + 1])}
     sign = 1 if (n + 1) % 2 == 0 else -1
     cols = []
-    for gamma, e in p0:
+    for gamma, v in p0:
         col = {}
-        v = e.base_vertex
-        for a in q.arrows_from(v):
-            x = Path(q, gamma.arrow_indices + (a,))
-            row = index[_pair_key(x, Path(q, (a,)))]
-            col[row] = col.get(row, 0) + 1
-        for a in q.arrows_into(v):
-            x = Path(q, (a,) + gamma.arrow_indices)
-            row = index[_pair_key(x, Path(q, (a,)))]
-            col[row] = col.get(row, 0) + sign
-        cols.append(_reduced(col, field.characteristic))
-    return RszComplexLayer(n, p0, p1, cols)
-
-
-def rsz_coboundary(layer: RszComplexLayer, next_p0: int) -> list:
-    """Sparse columns of the block map (0 0; D 0) from layer n to layer n+1,
-    whose k(Q_(n+1) || Q_0) block has next_p0 rows."""
-    shifted = [{next_p0 + r: v for r, v in col.items()} for col in layer.columns]
-    return shifted + [{} for _ in layer.basis_p1]
+        for a, (s, t) in enumerate(q.arrows):
+            if s == v:
+                r = rows[gamma + (a,), a]
+                col[r] = col.get(r, 0) + 1
+            if t == v:
+                r = rows[(a,) + gamma, a]
+                col[r] = col.get(r, 0) + sign
+        cols.append(_reduced(col, p))
+    return RszComplexLayer(n, p0, p1, cols + [{} for _ in p1])
 
 
 def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProfile:
     """Cohomology dims of the radical-square-zero algebra of q, degrees 0..N.
 
-    The d^2 = 0 check that `complex_dims` runs here holds by the block
-    shape (0 0; D 0) for any D, so it certifies nothing for this route;
-    the route is cross-checked by `hh_e_complex` and the closed forms.
+    One ``rsz_pairs`` pass enumerates the paths up to length N+1, and
+    ``rsz_layer`` builds each degree's block map from it. The d^2 = 0 check
+    that `complex_dims` runs here holds by the block shape (0 0; D 0) for
+    any D, so it certifies nothing for this route; the route is
+    cross-checked by `hh_e_complex` and the closed forms.
     """
     if not (0 <= N <= RSZ_DEGREE_BOUND):
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
-    layers = [rsz_layer(q, field, n) for n in range(N + 1)]
-    next_p0 = [len(layer.basis_p0) for layer in layers[1:]]
-    next_p0.append(len(parallel_pairs(q, N + 1, 0, bound=RSZ_DEGREE_BOUND + 1)))
-    deltas = [rsz_coboundary(layers[n], next_p0[n]) for n in range(N + 1)]
+    p = field.characteristic
+    pairs = rsz_pairs(q, N + 1)
+    layers = [rsz_layer(q, pairs, n, p) for n in range(N + 1)]
     dims = complex_dims(
-        [len(layer.basis_p0) + len(layer.basis_p1) for layer in layers],
-        deltas,
-        field.characteristic,
+        [len(layer.columns) for layer in layers],
+        [layer.columns for layer in layers],
+        p,
     )
     if tag is None:
         tag = f"rsz:{q.vertex_count}v{len(q.arrows)}a"

@@ -110,6 +110,24 @@ class Path:
         return f"Path({'.'.join(str(i) for i in self.arrow_indices)})"
 
 
+def walks(q: Quiver, top: int) -> list:
+    """[Q_0, ..., Q_top] in one pass, each path as (source, target, arrows).
+
+    Q_0 holds (v, v, ()) and Q_1 the arrows in index order; each longer
+    layer extends the one before by the arrows leaving each target, so
+    every layer is in lexicographic arrow order.
+    """
+    out = [q.arrows_from(v) for v in range(q.vertex_count)]
+    layers = [
+        [(v, v, ()) for v in range(q.vertex_count)],
+        [(s, t, (a,)) for a, (s, t) in enumerate(q.arrows)],
+    ]
+    for _ in range(top - 1):
+        layers.append([(s, q.arrows[a][1], arrows + (a,))
+                       for s, t, arrows in layers[-1] for a in out[t]])
+    return layers[: top + 1]
+
+
 def paths_of_length(q: Quiver, n: int, bound: int = None) -> list:
     """All length-n paths in lexicographic arrow order."""
     if n < 0:
@@ -117,23 +135,7 @@ def paths_of_length(q: Quiver, n: int, bound: int = None) -> list:
     limit = PATH_LENGTH_BOUND if bound is None else bound
     if n > limit:
         raise ValueError(f"path length {n} exceeds bound {limit}")
-    if n == 0:
-        return [Path(q, (), v) for v in range(q.vertex_count)]
-    out_by_vertex = [q.arrows_from(v) for v in range(q.vertex_count)]
-    paths = []
-
-    def extend(prefix: list, at: int, remaining: int) -> None:
-        if remaining == 0:
-            paths.append(Path(q, tuple(prefix)))
-            return
-        for a in out_by_vertex[at]:
-            prefix.append(a)
-            extend(prefix, q.arrows[a][1], remaining - 1)
-            prefix.pop()
-
-    for a in range(len(q.arrows)):
-        extend([a], q.arrows[a][1], n - 1)
-    return paths
+    return [Path(q, arrows, s) for s, _, arrows in walks(q, n)[n]]
 
 
 def parallel_pairs(q: Quiver, n: int, m: int, bound: int = None) -> list:
@@ -215,10 +217,7 @@ def longest_path_length(q: Quiver) -> int:
     """Longest path length in an acyclic quiver."""
     if has_oriented_cycle(q):
         raise ValueError("quiver has an oriented cycle")
-    n = 0
-    while paths_of_length(q, n + 1):
-        n += 1
-    return n
+    return max(n for n, layer in enumerate(walks(q, q.vertex_count - 1)) if layer)
 
 
 def truncated_path_algebra(q: Quiver, field: Field) -> Algebra:
@@ -243,35 +242,18 @@ def path_algebra_acyclic(q: Quiver, field: Field) -> Algebra:
     if has_oriented_cycle(q):
         raise ValueError("path algebra is infinite-dimensional: oriented cycle present")
     f = field
-    paths = []
-    n = 0
-    while True:
-        layer = paths_of_length(q, n)
-        if n > 0 and not layer:
-            break
-        paths.extend(layer)
-        n += 1
+    # an acyclic path visits each vertex at most once
+    paths = [p for layer in walks(q, q.vertex_count - 1) for p in layer]
     index = {p: i for i, p in enumerate(paths)}
     d = len(paths)
-
-    def label(p: Path) -> str:
-        if p.length == 0:
-            return f"e{p.base_vertex}"
-        return "*".join(f"a{i}" for i in p.arrow_indices)
-
     table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
-    for i, p in enumerate(paths):
-        for j, r in enumerate(paths):
-            if p.target != r.source:
-                continue
-            combined = p.arrow_indices + r.arrow_indices
-            if combined:
-                prod = Path(q, combined)
-            else:
-                prod = Path(q, (), p.base_vertex)
-            table[i][j][index[prod]] = f.one
-    unit = [f.one if p.length == 0 else f.zero for p in paths]
-    return Algebra(f, [label(p) for p in paths], table, unit, check=True)
+    for i, (s, t, x) in enumerate(paths):
+        for j, (s2, t2, y) in enumerate(paths):
+            if t == s2:
+                table[i][j][index[s, t2, x + y]] = f.one
+    labels = ["*".join(f"a{a}" for a in x) if x else f"e{s}" for s, _, x in paths]
+    unit = [f.zero if x else f.one for _, _, x in paths]
+    return Algebra(f, labels, table, unit, check=True)
 
 
 def standard_quiver(name: str, c: int = None) -> Quiver:

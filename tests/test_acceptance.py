@@ -20,8 +20,8 @@ from twistlab.hochschild import (
     hh_bar,
     hh_e_complex,
     hh_rsz,
-    rsz_coboundary,
     rsz_layer,
+    rsz_pairs,
     thm_formula,
     verify_counterexample,
 )
@@ -267,10 +267,11 @@ def test_criterion_07_three_routes_agree():
         assert rsz.dims[: n_bar + 1] == bar.dims, name
 
         # composition of consecutive coboundaries vanishes on every layer
-        layers = [rsz_layer(q, QQ, n) for n in range(6)]
+        pairs = rsz_pairs(q, 6)
+        layers = [rsz_layer(q, pairs, n, 0) for n in range(6)]
         for n in range(4):
-            outer = rsz_coboundary(layers[n + 1], len(layers[n + 2].basis_p0))
-            inner = rsz_coboundary(layers[n], len(layers[n + 1].basis_p0))
+            outer = layers[n + 1].columns
+            inner = layers[n].columns
             assert sparse_compose_zero(outer, inner), (name, n)
     print(
         "criterion  7 PASS: rsz, bar, and e-complex dims agree through "

@@ -1,5 +1,6 @@
 """Structure-constant algebras: axioms, invariants, reference presentations."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -185,6 +186,33 @@ def test_verify_axioms_detects_broken_unit():
     report = verify_axioms(Algebra(QQ, ["1", "a"], table, [1, 0]))
     assert not report["unital"]
     assert report["failing_indices"] is not None
+
+
+SHAPE_ERROR = "table/unit shape does not match the basis"
+
+
+def bad_shapes():
+    """(table, unit) pairs for a 1- or 2-dimensional basis, each with one
+    wrong length: a long cell, a short cell, a short row, a missing plane,
+    a long unit."""
+    z2 = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    return [
+        (["1"], [[["1", "5"]]], ["1"]),
+        (["1", "a"], [[[1, 0], [0, 1]], [[0, 1], [1]]], [1, 0]),
+        (["1", "a"], [[[1, 0], [0, 1]], [[0, 1]]], [1, 0]),
+        (["1", "a"], [[[1, 0], [0, 1]]], [1, 0]),
+        (["1", "a"], z2, [1, 0, 0]),
+    ]
+
+
+def test_algebra_rejects_table_of_wrong_shape():
+    for labels, table, unit in bad_shapes():
+        with pytest.raises(ValueError, match=SHAPE_ERROR):
+            Algebra(QQ, labels, table, unit)
+        doc = {"field": "Q", "dim": len(labels), "basis": labels,
+               "unit": unit, "table": table}
+        with pytest.raises(ValueError, match=SHAPE_ERROR):
+            Algebra.from_json(json.dumps(doc))
 
 
 def test_a_q_verifies_at_q7():
@@ -376,8 +404,10 @@ def test_serialization_roundtrip_and_stability():
 def test_verify_axioms_matches_fraction_reference():
     # whole reports, failing indices included, on perturbed tables
     rng = random.Random(61)
+    unit_rng = random.Random(62)
     seen = set()
     failures = set()
+    unit_failures = set()
     for field in (QQ, GF(3), GF(7)):
         for alg in sample_algebras(field, rng):
             d = alg.dim
@@ -388,14 +418,22 @@ def test_verify_axioms_matches_fraction_reference():
                     i, j, k = (rng.randrange(d) for _ in range(3))
                     table[i][j][k] = random_scalar(field, rng)
                 cases.append(Algebra(field, alg.basis_labels, table, alg.unit))
+            # the unit perturbed on the associative table; fractions over Q
+            for _ in range(3):
+                unit = list(alg.unit)
+                unit[unit_rng.randrange(d)] = random_scalar(field, unit_rng)
+                cases.append(Algebra(field, alg.basis_labels, alg.table, unit))
             for case in cases:
                 report = verify_axioms(case)
                 assert report == fraction_verify_axioms(case), (field, d)
                 seen.add((d, report["associative"]))
                 if not report["associative"]:
                     failures.add(report["failing_indices"])
+                elif not report["unital"]:
+                    unit_failures.add((field.name, report["failing_indices"]))
     assert seen == {(d, ok) for d in (2, 4, 8) for ok in (True, False)}
     assert len(failures) > 20
+    assert unit_failures >= {("Q", (0,)), ("Q", (1,)), ("F3", (0,)), ("F7", (0,))}
 
 
 def test_change_of_basis_matches_fraction_reference():

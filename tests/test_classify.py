@@ -11,7 +11,6 @@ from twistlab.algebra import (
     Algebra,
     CriterionInapplicable,
     _is_ideal,
-    _is_nilpotent_subspace,
     _span_product,
     center,
     change_of_basis,
@@ -124,6 +123,17 @@ def fraction_gram(a) -> Matrix:
     return g
 
 
+def is_nilpotent_subspace(a, basis) -> bool:
+    """Reference: some power of the span of ``basis`` up to the
+    (dim + 1)-th is zero."""
+    power = basis
+    for _ in range(a.dim + 1):
+        if not power:
+            return True
+        power = _span_product(a, power, basis)
+    return False
+
+
 def fraction_fingerprint(a) -> Fingerprint:
     """Reference: each invariant on its own, on the algebra's own scalars:
     the center's kernel, the trace-form radical with its ideal and
@@ -131,7 +141,7 @@ def fraction_fingerprint(a) -> Fingerprint:
     gram = fraction_gram(a)
     radical = gram.kernel_basis()
     if radical and not (
-        _is_ideal(a, radical) and _is_nilpotent_subspace(a, radical)
+        _is_ideal(a, radical) and is_nilpotent_subspace(a, radical)
     ):
         char = a.field.characteristic
         if char == 0 or char > a.dim:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,28 @@ def test_reproduce_paper_extra_field_f7(capsys):
     assert code == 0
     assert "census-count-F7: 12 rows" in out
     assert "summary: 37/37" in out
+
+
+def test_hh_algebra_file_with_wrong_table_shape(tmp_path, capsys):
+    # a long cell used to be cut to the basis, a short row to crash
+    for name, table in (("long", [[["1", "5"]]]), ("short", [[[]]])):
+        apath = tmp_path / f"{name}.alg"
+        apath.write_text(json.dumps({"field": "Q", "dim": 1, "basis": ["1"],
+                                     "unit": ["1"], "table": table}))
+        code, out, err = run(capsys, "hh", "--algebra", str(apath), "--N", "2")
+        assert code == 2 and out == "", name
+        assert "table/unit shape does not match the basis" in err, name
+
+
+def test_readme_quickstart_commands_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quickstart = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line) for line in quickstart.splitlines()
+                if line.startswith("twistlab ")]
+    assert len(commands) == 5
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 @pytest.mark.parametrize("argv, stdout_file, stderr_file", [

@@ -26,8 +26,8 @@ from twistlab.hochschild import (
     hh_bar,
     hh_e_complex,
     hh_rsz,
-    rsz_coboundary,
     rsz_layer,
+    rsz_pairs,
     thm_formula,
     verify_counterexample,
 )
@@ -86,16 +86,18 @@ def test_rsz_degree_bound():
 
 def test_rsz_layer_shapes_and_square_zero():
     q = standard_quiver("roundtrip")
-    layers = [rsz_layer(q, QQ, n) for n in range(6)]
+    pairs = rsz_pairs(q, 6)
+    layers = [rsz_layer(q, pairs, n, 0) for n in range(6)]
     for n, layer in enumerate(layers):
         expect_p0 = 2 if n % 2 == 0 else 0
         expect_p1 = 0 if n % 2 == 0 else 2
         assert len(layer.basis_p0) == expect_p0
         assert len(layer.basis_p1) == expect_p1
-        assert len(layer.columns) == expect_p0
+        assert len(layer.columns) == expect_p0 + expect_p1
+        assert not any(layer.columns[expect_p0:])
     for n in range(4):
-        a = rsz_coboundary(layers[n], len(layers[n + 1].basis_p0))
-        b = rsz_coboundary(layers[n + 1], len(layers[n + 2].basis_p0))
+        a = layers[n].columns
+        b = layers[n + 1].columns
         assert sparse_compose_zero(b, a)
 
 
