@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .fields import Field, field_from_name
-from .linalg import Matrix, coords_in_echelon_basis, echelon_basis, sparse_rank
+from .linalg import Matrix, echelon_basis, sparse_rank
 
 
 class CriterionInapplicable(Exception):
@@ -303,13 +303,13 @@ def _integer_gram(a: Algebra) -> list:
 
 
 def _is_ideal(a: Algebra, basis: list) -> bool:
-    for i in range(a.dim):
-        e = a._basis_coords(i)
-        for v in basis:
-            for prod in (a.multiply_coords(e, v), a.multiply_coords(v, e)):
-                if coords_in_echelon_basis(a.field, basis, prod) is None:
-                    return False
-    return True
+    """Whether the independent rows ``basis`` span a two-sided ideal: one
+    rank of them and each e_i v (from c[i]) and v e_i (from column i of c)."""
+    (c, rows), _ = scale_to_integers([a.table, basis], a.field.characteristic)
+    prods = [[sum(x * side[m][n] for m, x in terms) for n in range(a.dim)]
+             for terms in ([(m, x) for m, x in enumerate(v) if x] for v in rows)
+             for pair in zip(c, zip(*c)) for side in pair]
+    return integer_rank(rows + prods, a.field.characteristic) == len(rows)
 
 
 def _span_product(a: Algebra, basis1: list, basis2: list) -> list:

@@ -3,20 +3,20 @@
 Basis convention, fixed globally: the input index of e_i^B (x) e_j^A is
 i*dim_A + j and the output index of e_k^A (x) e_l^B is k*dim_B + l.
 
-The exhaustive finite-field census is the ground truth here; the
+The complete finite-field census is the ground truth here; the
 closed-form solution set is validated against it, and two typos in the
 published census list are carried as erratum records, not reproduced.
 
 (tw2) and (tw3) are decided in one place, `_twist_failures`, an exact scan
-of basis triples on raw scalars.  `verify_twisting` runs it over every
-triple; the census filter runs it only over triples with no unit index,
-because once (tw1) makes tau the flip on unit pairs, (tw2) and (tw3) hold
-identically on any triple containing the unit.
+of basis triples.  `verify_twisting` runs it over every triple.  The
+census runs it once, on columns of polynomial variables, over the triples
+with no unit index (once (tw1) makes tau the flip on unit pairs, (tw2) and
+(tw3) hold on any triple with the unit), and solves the equations it
+yields mod p by constraint propagation (`census_search`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,10 +93,12 @@ def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
     """Yield each basis triple where (tw2) or (tw3) fails, all (tw2) first.
 
     ``cols[i*dim_A+j]`` is tau(e_i^B (x) e_j^A) in the output basis, as raw
-    scalars.  (tw2) is tried on e_i^B (x) e_j^A (x) e_k^A and (tw3) on
-    e_i^B (x) e_j^B (x) e_k^A, with B-indices from ``b_idx`` and A-indices
-    from ``a_idx``, each triple in lexicographic order; each failure is
-    yielded as ``("tw2", (i, j, k))`` or ``("tw3", (i, j, k))``.
+    scalars or `census_search.Poly` values.  (tw2) is tried on
+    e_i^B (x) e_j^A (x) e_k^A and (tw3) on e_i^B (x) e_j^B (x) e_k^A, with
+    B-indices from ``b_idx`` and A-indices from ``a_idx``, each triple in
+    lexicographic order; each failure is yielded as
+    ``("tw2", (i, j, k), residual)`` or ``("tw3", ...)``, with the
+    unreduced coordinates of lhs - rhs as ``residual``.
     """
     p = a.field.characteristic
     atab, btab = a.table, b.table
@@ -127,7 +129,7 @@ def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
                                     if arow_s[u]:
                                         rhs[u * db + tt] += c * arow_s[u]
                 if _differ(lhs, rhs, p):
-                    yield "tw2", (i, j, k)
+                    yield "tw2", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
     for i in b_idx:
         for j in b_idx:
             for k in a_idx:
@@ -152,7 +154,7 @@ def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
                                     if brow[u]:
                                         rhs[s * db + u] += c * brow[u]
                 if _differ(lhs, rhs, p):
-                    yield "tw3", (i, j, k)
+                    yield "tw3", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
 
 
 def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
@@ -188,7 +190,7 @@ def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
             [ub[r % db] if r // db == j else 0 for r in range(d)], p)), None)
         if bad is not None:
             failures["tw1"] = ("unit_B (x) a", bad)
-    for cond, triple in _twist_failures(cols, a, b, range(da), range(db)):
+    for cond, triple, _ in _twist_failures(cols, a, b, range(da), range(db)):
         failures.setdefault(cond, triple)
     return {
         "tw1": "tw1" not in failures,
@@ -303,18 +305,14 @@ def _unit_basis_index(alg: Algebra) -> int:
     return nz[0]
 
 
-def _fast_candidate_ok(cols, a: Algebra, b: Algebra, a_idx, b_idx) -> bool:
-    """The census filter: no (tw2)/(tw3) failure on the given index ranges."""
-    return next(_twist_failures(cols, a, b, a_idx, b_idx), None) is None
-
-
 def _search_space_bits(a: Algebra, b: Algebra) -> float:
-    """log2 of the number of candidates ``enumerate_twisting_maps`` tries.
+    """log2 of the size of the space ``enumerate_twisting_maps`` searches.
 
     Both units must be basis vectors; every column but those on unit pairs
     is free: (dim a - 1)(dim b - 1) columns of dim a * dim b scalars.  A
     ValueError when that exceeds ENUM_BITS_BOUND, so the bound is checked
-    without running a search.
+    without running a search.  The bound caps the size of the space, not
+    the number of assignments tried, which propagation keeps far smaller.
     """
     f = a.field
     if f != b.field:
@@ -326,48 +324,34 @@ def _search_space_bits(a: Algebra, b: Algebra) -> float:
     da, db = a.dim, b.dim
     bits = (da - 1) * (db - 1) * da * db * math.log2(f.characteristic)
     if bits > ENUM_BITS_BOUND:
+        # rounded up: a space just past the bound must not read as on it
         raise ValueError(
-            f"search space of {bits:.1f} bits exceeds the "
-            f"{ENUM_BITS_BOUND}-bit bound"
+            f"search space of {math.ceil(bits * 10) / 10:.1f} bits exceeds "
+            f"the {ENUM_BITS_BOUND}-bit bound"
         )
     return bits
 
 
 def enumerate_twisting_maps(a: Algebra, b: Algebra) -> list:
-    """The complete census over a prime field, by exhaustive filtering.
+    """The complete census over a prime field, by constraint propagation.
 
-    tau is fixed on unit pairs by (tw1); every assignment of the remaining
-    columns is tried in lexicographic scalar order.
+    tau is fixed on unit pairs by (tw1); (tw2) and (tw3) are then equations
+    in the scalars of the other columns, derived once and solved exactly
+    (`census_search`).  The maps come in the lexicographic order of those
+    scalars, each verified in full by TwistingMap.
     """
+    # loaded on first use, so that importing twistlab does not load it
+    from .census_search import census_equations, common_zeros
+
     _search_space_bits(a, b)
     f = a.field
-    p = f.characteristic
-    da, db = a.dim, b.dim
-    ua, ub = _unit_basis_index(a), _unit_basis_index(b)
-    free_cols = [
-        i * da + j for i in range(db) for j in range(da) if i != ub and j != ua
-    ]
-    d = da * db
-    # (tw1) makes tau the flip on every pair with a unit
-    base_cols = [None] * (db * da)
-    for i in range(db):
-        for j in range(da):
-            if i == ub or j == ua:
-                col = [0] * d
-                col[j * db + i] = 1
-                base_cols[i * da + j] = col
-    # given (tw1), (tw2) and (tw3) hold on every triple with a unit index
-    a_idx = [j for j in range(da) if j != ua]
-    b_idx = [i for i in range(db) if i != ub]
+    cols, nvars, equations = census_equations(a, b)
     found = []
-    nfree = len(free_cols)
-    for assignment in itertools.product(range(p), repeat=nfree * d):
-        cols = list(base_cols)
-        for ci, cidx in enumerate(free_cols):
-            cols[cidx] = assignment[ci * d:(ci + 1) * d]
-        if not _fast_candidate_ok(cols, a, b, a_idx, b_idx):
-            continue
-        m = Matrix(f, d, db * da, list(zip(*cols)))
+    for values in common_zeros(equations, nvars, f.characteristic):
+        it = iter(values)
+        tau = [[x if isinstance(x, int) else next(it) for x in col]
+               for col in cols]
+        m = Matrix(f, len(tau), len(tau), list(zip(*tau)))
         found.append(TwistingMap(a, b, m))
     return found
 

@@ -8,7 +8,12 @@ import pytest
 
 from twistlab.cli import main, parse_hh_tsv
 from twistlab.fields import GF, QQ
-from twistlab.twisting import parse_census_tsv
+from twistlab.twisting import (
+    LINE_FAMILIES,
+    descriptor_scalars,
+    parse_census_tsv,
+    solve_2dim_twist,
+)
 from twistlab.classify import parse_orbit_tsv
 from twistlab.quivers import standard_quiver
 from twistlab.algebra import standard_algebra
@@ -65,6 +70,24 @@ def test_census_bad_field_fails(capsys):
     code, _, err = run(capsys, "census", "--field", "F4")
     assert code == 2
     assert "error:" in err
+
+
+def test_census_at_the_search_space_edge(capsys):
+    # 1021 is the largest prime with 4 log2(p) <= 40 = ENUM_BITS_BOUND
+    code, out, _ = run(capsys, "census", "--field", "F1021")
+    assert code == 0
+    f = GF(1021)
+    rows = parse_census_tsv(out, f)
+    assert len(rows) == 1026
+    closed_form = set()
+    for desc in solve_2dim_twist(f):
+        params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
+        for x in params:
+            closed_form.add(descriptor_scalars(desc.with_parameter(x), f))
+    assert {(r["p"], r["q"], r["r"], r["s"]) for r in rows} == closed_form
+    code, _, err = run(capsys, "census", "--field", "F1031")
+    assert code == 2
+    assert "search space of 40.1 bits exceeds the 40-bit bound" in err
 
 
 def test_classify_f5_counts(capsys):

@@ -18,7 +18,7 @@ from twistlab.algebra import (
     verify_axioms,
     change_of_basis,
 )
-from twistlab import twisting
+from twistlab import census_search, twisting
 from twistlab.duplicates import x_idempotent_algebra
 from twistlab.linalg import Matrix
 from twistlab.twisting import (
@@ -414,19 +414,108 @@ def _verified_candidates(a, b):
     return hits
 
 
-def test_fast_checker_agrees_with_matrix_verifier_on_f3():
-    # the census filter scans only the triples without a unit index; the
-    # 3-dim input has two non-unit indices, so the skip is tested beyond
-    # one index per factor
-    f3, f2 = GF(3), GF(2)
-    k3_unit_first = change_of_basis(
+def brute_force_twisting_maps(a, b):
+    """Reference census: every assignment of the free columns, in
+    itertools.product order, kept when the (tw2)/(tw3) scan over the triples
+    with no unit index finds no failure."""
+    f = a.field
+    da, db = a.dim, b.dim
+    d = da * db
+    ua, ub = a.unit.index(f.one), b.unit.index(f.one)
+    free_cols = [
+        i * da + j for i in range(db) for j in range(da) if i != ub and j != ua
+    ]
+    # (tw1) makes tau the flip on every pair with a unit
+    base_cols = [None] * (db * da)
+    for i in range(db):
+        for j in range(da):
+            if i == ub or j == ua:
+                col = [0] * d
+                col[j * db + i] = 1
+                base_cols[i * da + j] = col
+    a_idx = [j for j in range(da) if j != ua]
+    b_idx = [i for i in range(db) if i != ub]
+    found = []
+    nfree = len(free_cols)
+    for assignment in itertools.product(range(f.characteristic), repeat=nfree * d):
+        cols = list(base_cols)
+        for ci, cidx in enumerate(free_cols):
+            cols[cidx] = assignment[ci * d:(ci + 1) * d]
+        if next(twisting._twist_failures(cols, a, b, a_idx, b_idx), None):
+            continue
+        m = Matrix(f, d, db * da, list(zip(*cols)))
+        found.append(TwistingMap(a, b, m))
+    return found
+
+
+def k3_unit_first():
+    f2 = GF(2)
+    return change_of_basis(
         standard_algebra("k_n", f2, n=3),
         Matrix.from_rows(f2, [[1, 0, 0], [1, 1, 0], [1, 0, 1]]),
     )
+
+
+def random_unit_first(rng, alg):
+    """``alg`` (2-dim) in a random basis whose first vector is the unit."""
+    f = alg.field
+    u0, u1 = alg.unit
+    while True:
+        v0, v1 = rng.randrange(f.characteristic), rng.randrange(f.characteristic)
+        if f.sub(f.mul(u0, v1), f.mul(u1, v0)):
+            return change_of_basis(alg, Matrix.from_rows(f, [[u0, v0], [u1, v1]]))
+
+
+def test_propagation_matches_brute_force_in_order():
+    inputs = [z2_pair(GF(p)) for p in (2, 3, 5, 7, 11, 13)]
+    f3 = GF(3)
+    inputs.append((x_idempotent_algebra(f3), standard_algebra("group_algebra_z2", f3)))
+    z2 = standard_algebra("group_algebra_z2", GF(2))
+    inputs += [(k3_unit_first(), z2), (z2, k3_unit_first())]  # 4096 each
+    # seeded: k[Z2], k x k and k[X]/(X^2) in random unit-first bases
+    rng = random.Random(29)
+    makers = [
+        lambda f: standard_algebra("group_algebra_z2", f),
+        lambda f: standard_algebra("k_n", f, n=2),
+        lambda f: truncated_polynomial_algebra(f, 2),
+    ]
+    for _ in range(8):
+        f = GF(rng.choice([2, 3, 5]))
+        inputs.append(tuple(random_unit_first(rng, rng.choice(makers)(f))
+                            for _ in range(2)))
+    for a, b in inputs:
+        got = enumerate_twisting_maps(a, b)
+        want = brute_force_twisting_maps(a, b)
+        assert [t.matrix.data for t in got] == [t.matrix.data for t in want]
+        assert got == want
+
+
+def test_census_matches_closed_form_at_every_prime_below_200():
+    for p in [q for q in range(2, 200) if all(q % r for r in range(2, q))]:
+        f = GF(p)
+        rows = census_rows(f)
+        got = [(r["p"], r["q"], r["r"], r["s"]) for r in rows]
+        closed_form = set()
+        for desc in solve_2dim_twist(f):
+            params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
+            for x in params:
+                closed_form.add(descriptor_scalars(desc.with_parameter(x), f))
+        assert len(got) == len(set(got)) == (3 if p == 2 else p + 5), p
+        assert set(got) == closed_form, p
+        for r, pqrs in zip(rows, got):
+            desc = TwistFamilyDescriptor(r["family"], r["parameter"])
+            assert descriptor_scalars(desc, f) == pqrs
+
+
+def test_fast_checker_agrees_with_matrix_verifier_on_f3():
+    # the census takes its equations only from the triples without a unit
+    # index; the 3-dim input has two non-unit indices, so the skip is
+    # tested beyond one index per factor
+    f3, f2 = GF(3), GF(2)
     inputs = [
         z2_pair(f3),  # 81 candidates
         (x_idempotent_algebra(f3), standard_algebra("group_algebra_z2", f3)),
-        (k3_unit_first, standard_algebra("group_algebra_z2", f2)),  # 4096
+        (k3_unit_first(), standard_algebra("group_algebra_z2", f2)),  # 4096
     ]
     for a, b in inputs:
         assert a.unit.index(a.field.one) == 0
@@ -508,11 +597,15 @@ def test_search_space_bound_edge(monkeypatch):
     z2, x5 = standard_algebra("group_algebra_z2", f3), truncated_polynomial_algebra(f3, 5)
     with pytest.raises(ValueError, match="63.4 bits exceeds the 40-bit bound"):
         _search_space_bits(z2, x5)
-    # the enumerator checks the bound before it tries a candidate
+    # 4 log2(1031) = 40.04 is shown rounded up, never as the bound itself
+    with pytest.raises(ValueError, match="40.1 bits exceeds the 40-bit bound"):
+        _search_space_bits(*z2_pair(GF(1031)))
+    assert _search_space_bits(*z2_pair(GF(1021))) <= ENUM_BITS_BOUND
+    # the enumerator checks the bound before the search derives an equation
     def no_search(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(twisting, "_fast_candidate_ok", no_search)
+    monkeypatch.setattr(census_search, "census_equations", no_search)
     with pytest.raises(ValueError, match="63.4 bits exceeds the 40-bit bound"):
         enumerate_twisting_maps(z2, x5)
 
