@@ -6,23 +6,24 @@ classification of the 4-dimensional twisted products rests on.
 
 The scans over the whole table (the associativity check, the transport
 of a table to a new basis, the trace form, the commutator rows of the
-center) run on integer structure constants: ``scale_to_integers`` multiplies every constant by one scale D
-(the lcm of the denominators over Q, 1 over F_p, where the constants are
-residues).  Each of these computations is a sum of products of a fixed
-number of constants, so scaling multiplies it by a fixed power of D; an
-equality, a rank or a kernel is unchanged, and a transported constant is
-recovered by one exact division.  The inner loops make no Fraction.
+center, the products of radical powers) run on integer structure
+constants: ``scale_to_integers`` (from ``linalg``, re-exported here)
+multiplies every constant by one scale D (the lcm of the denominators
+over Q, 1 over F_p, where the constants are residues).  Each of these
+computations is a sum of products of a fixed number of constants, so
+scaling multiplies it by a fixed power of D; an equality, a rank or a
+kernel is unchanged, and a transported constant is recovered by one
+exact division.  The inner loops make no Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from fractions import Fraction
 
 from .fields import Field, field_from_name
-from .linalg import Matrix, echelon_basis, sparse_rank
+from .linalg import Matrix, echelon_basis, scale_to_integers, sparse_rank
 
 
 class CriterionInapplicable(Exception):
@@ -184,36 +185,15 @@ def multiply(a: Element, b: Element) -> Element:
     return Element(a.algebra, a.algebra.multiply_coords(a.coords, b.coords))
 
 
-def scale_to_integers(values: list, p: int) -> tuple:
-    """(ints, D): scalars in nested lists as integers of the same shape.
-
-    Over F_p (p > 0) the entries become residues and D = 1.  Over Q every
-    entry v becomes the integer v * D, where D is the lcm of the
-    denominators: the one scale that clears them all.
-    """
-    if p:
-        scale = 1
-
-        def conv(v):
-            return v % p
-    else:
-        scale = math.lcm(*(v.denominator for v in _leaves(values)))
-
-        def conv(v):
-            return v.numerator * (scale // v.denominator)
-
-    def walk(vs):
-        return [walk(v) if isinstance(v, list) else conv(v) for v in vs]
-
-    return walk(values), scale
-
-
-def _leaves(values):
-    for v in values:
-        if isinstance(v, list):
-            yield from _leaves(v)
-        else:
-            yield v
+def is_algebra_map(m: Matrix, a: Algebra, b: Algebra) -> bool:
+    """Whether m, column j the image of a's j-th basis vector in b's
+    coordinates, is a unital algebra map a -> b: m(1) = 1 and
+    m(e_i e_j) = m(e_i) m(e_j) for every pair of basis vectors."""
+    if m.apply(a.unit) != b.unit:
+        return False
+    cols = [m.col(j) for j in range(a.dim)]
+    return all(m.apply(a.table[i][j]) == b.multiply_coords(cols[i], cols[j])
+               for i in range(a.dim) for j in range(a.dim))
 
 
 def verify_axioms(a: Algebra) -> dict:
@@ -295,26 +275,44 @@ def trace_form_gram(c: list) -> list:
 
 def integer_rank(rows: list, p: int) -> int:
     """Exact rank of integer rows over Q (p = 0) or mod p."""
-    return sparse_rank([dict(enumerate(row)) for row in rows], p or None)
+    return sparse_rank([dict(enumerate(row)) for row in rows], p)
 
 
 def _integer_gram(a: Algebra) -> list:
     return trace_form_gram(scale_to_integers(a.table, a.field.characteristic)[0])
 
 
-def _is_ideal(a: Algebra, basis: list) -> bool:
-    """Whether the independent rows ``basis`` span a two-sided ideal: one
-    rank of them and each e_i v (from c[i]) and v e_i (from column i of c)."""
-    (c, rows), _ = scale_to_integers([a.table, basis], a.field.characteristic)
-    prods = [[sum(x * side[m][n] for m, x in terms) for n in range(a.dim)]
+def _is_ideal(c: list, basis: list, p: int) -> bool:
+    """Whether the independent rows ``basis`` span a two-sided ideal of the
+    algebra with integer table c: one rank of them and each e_i v (from
+    c[i]) and v e_i (from column i of c)."""
+    rows, _ = scale_to_integers(basis, p)
+    d = len(c)
+    prods = [[sum(x * side[m][n] for m, x in terms) for n in range(d)]
              for terms in ([(m, x) for m, x in enumerate(v) if x] for v in rows)
              for pair in zip(c, zip(*c)) for side in pair]
-    return integer_rank(rows + prods, a.field.characteristic) == len(rows)
+    return integer_rank(rows + prods, p) == len(rows)
 
 
-def _span_product(a: Algebra, basis1: list, basis2: list) -> list:
-    prods = [a.multiply_coords(x, y) for x in basis1 for y in basis2]
-    return echelon_basis(a.field, prods)
+def _span_product(field: Field, c: list, basis1: list, basis2: list) -> list:
+    """Echelon basis of the span of all x y, x in basis1, y in basis2, from
+    the integer table c.  Each basis is scaled to integers on its own: the
+    products are trilinear, so every one is scaled alike and the span is
+    unchanged."""
+    p = field.characteristic
+    rows1, _ = scale_to_integers(basis1, p)
+    rows2, _ = scale_to_integers(basis2, p)
+    terms2 = [[(j, y) for j, y in enumerate(row) if y] for row in rows2]
+    prods = []
+    for x in rows1:
+        for terms in terms2:
+            out = [0] * len(c)
+            for i, xi in enumerate(x):
+                if xi:
+                    for j, y in terms:
+                        out = [o + xi * y * v for o, v in zip(out, c[i][j])]
+            prods.append(out)
+    return echelon_basis(field, prods)
 
 
 def jacobson_radical(a: Algebra) -> list:
@@ -339,14 +337,15 @@ def radical_powers(a: Algebra, gram: list) -> list:
     candidate = Matrix(a.field, a.dim, a.dim, gram).kernel_basis()
     if not candidate:
         return []
-    if _is_ideal(a, candidate):
+    char = a.field.characteristic
+    c, _ = scale_to_integers(a.table, char)
+    if _is_ideal(c, candidate, char):
         powers = [candidate]
         for _ in range(a.dim):
-            power = _span_product(a, powers[-1], candidate)
+            power = _span_product(a.field, c, powers[-1], candidate)
             if not power:
                 return powers
             powers.append(power)
-    char = a.field.characteristic
     if char == 0 or char > a.dim:
         raise AssertionError("trace criterion inconsistency in its validity range")
     raise CriterionInapplicable(

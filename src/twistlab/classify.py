@@ -19,6 +19,7 @@ from .algebra import (
     Algebra,
     commutator_rows,
     integer_rank,
+    is_algebra_map,
     is_commutative,
     radical_power_dims,
     scale_to_integers,
@@ -113,17 +114,7 @@ def is_isomorphism(p: Matrix, a: Algebra, b: Algebra) -> bool:
         raise ValueError("field mismatch")
     if a.dim != b.dim or p.rows != a.dim or p.cols != a.dim:
         raise ValueError("need a square matrix matching both dimensions")
-    if p.inverse() is None:
-        return False
-    if p.apply(a.unit) != b.unit:
-        return False
-    d = a.dim
-    images = [[p.data[r][j] for r in range(d)] for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if p.apply(a.table[i][j]) != b.multiply_coords(images[i], images[j]):
-                return False
-    return True
+    return p.rank() == a.dim and is_algebra_map(p, a, b)
 
 
 def _from_columns(f: Field, cols: list) -> Matrix:

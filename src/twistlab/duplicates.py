@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .algebra import Algebra
+from .algebra import Algebra, is_algebra_map
 from .linalg import Matrix
 from .twisting import TwistingMap
 
@@ -63,10 +63,6 @@ def _require_kn_idempotent_base(base: Algebra) -> None:
         raise ValueError("base must be k^n in the idempotent basis")
 
 
-def _col(m: Matrix, j: int) -> list:
-    return [m.data[i][j] for i in range(m.rows)]
-
-
 def verify_pair(d: DuplicateDatum) -> dict:
     """Check the three defining conditions and report the Leibniz rule.
 
@@ -83,17 +79,7 @@ def verify_pair(d: DuplicateDatum) -> dict:
     if (fm.rows, fm.cols) != (n, n) or (dm.rows, dm.cols) != (n, n):
         raise ValueError(f"f and delta must be {n}x{n}")
 
-    endo = fm.apply(base.unit) == base.unit
-    if endo:
-        for i in range(n):
-            for j in range(n):
-                lhs = fm.apply(base.table[i][j])
-                rhs = base.multiply_coords(_col(fm, i), _col(fm, j))
-                if lhs != rhs:
-                    endo = False
-                    break
-            if not endo:
-                break
+    endo = is_algebra_map(fm, base, base)
 
     idem = (dm * dm) == dm
     compat = fm == (fm * fm) + (dm * fm) + (fm * dm)
@@ -106,15 +92,15 @@ def verify_pair(d: DuplicateDatum) -> dict:
             v1 = [
                 f.add(x, y)
                 for x, y in zip(
-                    base.multiply_coords(_col(dm, i), _col(fm, j)),
-                    base.multiply_coords(ei, _col(dm, j)),
+                    base.multiply_coords(dm.col(i), fm.col(j)),
+                    base.multiply_coords(ei, dm.col(j)),
                 )
             ]
             v2 = [
                 f.add(x, y)
                 for x, y in zip(
-                    base.multiply_coords(_col(dm, i), ej),
-                    base.multiply_coords(_col(fm, i), _col(dm, j)),
+                    base.multiply_coords(dm.col(i), ej),
+                    base.multiply_coords(fm.col(i), dm.col(j)),
                 )
             ]
             first = first and lhs == v1
@@ -146,8 +132,8 @@ def _duplicate_algebra(d: DuplicateDatum, check: bool) -> Algebra:
         ei = base._basis_coords(i)
         for j in range(n):
             plain = base.table[i][j]
-            u = base.multiply_coords(ei, _col(dm, j))
-            w = base.multiply_coords(ei, _col(fm, j))
+            u = base.multiply_coords(ei, dm.col(j))
+            w = base.multiply_coords(ei, fm.col(j))
             for k in range(n):
                 table[2 * i][2 * j][2 * k] = plain[k]
                 table[2 * i][2 * j + 1][2 * k + 1] = plain[k]

@@ -99,23 +99,22 @@ def _reduced(col: dict, p: int) -> dict:
     return {r: x for r, x in col.items() if x}
 
 
-def complex_dims(layer_dims: list, deltas: list, p: int) -> list:
+def complex_dims(deltas: list, p: int) -> list:
     """Cohomology dims of a cochain complex given by sparse integer columns.
 
     ``deltas[n]`` maps degree n into degree n+1, one dict {row: int} per
-    basis element of degree n; entries are integers over Q (p = 0) and
-    residues over F_p. The composite of each consecutive pair is checked
-    to vanish before any rank is trusted; then rank-nullity gives
-    dim H^n = dim C^n - rank d^n - rank d^(n-1).
+    basis element of degree n, so dim C^n is its length; entries are
+    integers over Q (p = 0) and residues over F_p. The composite of each
+    consecutive pair is checked to vanish before any rank is trusted; then
+    rank-nullity gives dim H^n = dim C^n - rank d^n - rank d^(n-1).
     """
-    mod = p or None
     for n in range(len(deltas) - 1):
-        if not sparse_compose_zero(deltas[n + 1], deltas[n], mod):
+        if not sparse_compose_zero(deltas[n + 1], deltas[n], p):
             raise AssertionError(f"coboundary square nonzero at degree {n}")
-    ranks = [sparse_rank(cols, mod) for cols in deltas]
+    ranks = [sparse_rank(cols, p) for cols in deltas]
     return [
-        dim - ranks[n] - (ranks[n - 1] if n else 0)
-        for n, dim in enumerate(layer_dims)
+        len(cols) - ranks[n] - (ranks[n - 1] if n else 0)
+        for n, cols in enumerate(deltas)
     ]
 
 
@@ -174,7 +173,7 @@ def rsz_layer(q: Quiver, pairs: tuple, n: int, p: int) -> RszComplexLayer:
     return RszComplexLayer(n, p0, p1, cols + [{} for _ in p1])
 
 
-def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProfile:
+def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10) -> HHProfile:
     """Cohomology dims of the radical-square-zero algebra of q, degrees 0..N.
 
     One ``rsz_pairs`` pass enumerates the paths up to length N+1, and
@@ -188,14 +187,8 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10, tag: str = None) -> HHProf
     p = field.characteristic
     pairs = rsz_pairs(q, N + 1)
     layers = [rsz_layer(q, pairs, n, p) for n in range(N + 1)]
-    dims = complex_dims(
-        [len(layer.columns) for layer in layers],
-        [layer.columns for layer in layers],
-        p,
-    )
-    if tag is None:
-        tag = f"rsz:{q.vertex_count}v{len(q.arrows)}a"
-    return HHProfile(dims, "rsz-complex", tag)
+    dims = complex_dims([layer.columns for layer in layers], p)
+    return HHProfile(dims, "rsz-complex", f"rsz:{q.vertex_count}v{len(q.arrows)}a")
 
 
 def bar_budget(field: Field) -> int:
@@ -303,7 +296,7 @@ def bar_coboundary_columns(a: Algebra, n: int) -> list:
     return cols
 
 
-def hh_bar(a: Algebra, N: int, tag: str = None) -> HHProfile:
+def hh_bar(a: Algebra, N: int) -> HHProfile:
     """Cohomology dims, degrees 0..N, from the normalized bar complex
     Hom((A/k*1)^(x)n, A), by exact sparse elimination."""
     if N < 0:
@@ -316,15 +309,11 @@ def hh_bar(a: Algebra, N: int, tag: str = None) -> HHProfile:
             f"for dim {d} at degree {N}; lower N or raise TWISTLAB_BUDGET"
         )
     deltas = [bar_coboundary_columns(a, n) for n in range(N + 1)]
-    dims = complex_dims(
-        [d * (d - 1) ** n for n in range(N + 1)], deltas, a.field.characteristic
-    )
-    if tag is None:
-        tag = f"bar:dim{d}"
-    return HHProfile(dims, "bar-complex", tag)
+    dims = complex_dims(deltas, a.field.characteristic)
+    return HHProfile(dims, "bar-complex", f"bar:dim{d}")
 
 
-def hh_e_complex(a: Algebra, idempotents: list, N: int, tag: str = None) -> HHProfile:
+def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     """Cohomology of 0 -> R^E -> Hom(J, R) -> Hom(J (x)_E J, R) -> ...
 
     Requires a = E + J with E spanned by the given complete orthogonal
@@ -429,14 +418,8 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int, tag: str = None) -> HHPr
             cols.append(_reduced(col, p))
         return cols
 
-    dims = complex_dims(
-        [len(bases[n]) for n in range(N + 1)],
-        [delta(n) for n in range(N + 1)],
-        p,
-    )
-    if tag is None:
-        tag = f"e-complex:dim{d}"
-    return HHProfile(dims, "e-complex", tag)
+    dims = complex_dims([delta(n) for n in range(N + 1)], p)
+    return HHProfile(dims, "e-complex", f"e-complex:dim{d}")
 
 
 def thm_formula(q: Quiver, n: int):
@@ -499,9 +482,9 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
     b = standard_algebra("group_algebra_z2", field)
     t = family_member(TwistFamilyDescriptor("line_char_ne_2", 2), a, b)
     prod = twisted_product(t)
-    rsz = hh_rsz(standard_quiver("roundtrip"), field, N, tag="roundtrip")
+    rsz = hh_rsz(standard_quiver("roundtrip"), field, N)
     n_bar = min(N, 4 if field.characteristic == 0 else 5)
-    bar = hh_bar(prod, n_bar, tag="twisted-product-alpha-2")
+    bar = hh_bar(prod, n_bar)
     report = {
         "field": field.name,
         "alpha": field.scalar_to_str(field.scalar(2)),

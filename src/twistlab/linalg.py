@@ -1,15 +1,22 @@
-"""Exact linear algebra with deterministic elimination.
+"""Exact linear algebra on one elimination kernel.
 
-Dense ``Matrix`` serves the small structural computations (kernels,
-inverses, base changes). Pivot choice is fixed (first nonzero column,
-topmost row) so reduced echelon forms, and hence kernel bases, are
-byte-stable across runs. Every cochain complex goes through the sparse
-integer kernel below (``sparse_rank``, ``sparse_compose_zero``) instead.
+``sparse_echelon`` is the only elimination: sparse integer rows (residues
+over F_p), each new row reduced against the pivot rows kept so far and
+kept with its largest coordinate as pivot. Every cochain rank
+(``sparse_rank``) is one pass of it. The dense ``Matrix`` serves the
+small structural computations (ranks, kernels, inverses, base changes)
+through ``echelon_basis``, which numbers coordinates from the right so
+that the largest-coordinate pivot is each row's leading column; a second
+pass over the kept rows is the back-substitution. The reduced echelon
+form of a span is unique, so kernel bases are byte-stable across runs.
+
+``p`` is the characteristic throughout: 0 for Q, a prime for F_p.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field
 
@@ -55,12 +62,6 @@ class Matrix:
     def column_vector(cls, field: Field, entries: list) -> "Matrix":
         return cls(field, len(entries), 1, [[x] for x in entries])
 
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row(self, i: int) -> list:
-        return list(self.data[i])
-
     def col(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -78,13 +79,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
-
-    def transpose(self) -> "Matrix":
-        out = Matrix(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j][i] = self.data[i][j]
-        return out
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
@@ -157,45 +151,16 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    # elimination
-
-    def rref(self) -> tuple:
-        """Reduced row echelon form and the list of pivot columns."""
-        f = self.field
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            prow = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    prow = i
-                    break
-            if prow is None:
-                continue
-            m[r], m[prow] = m[prow], m[r]
-            if m[r][c] != f.one:
-                inv = f.inv(m[r][c])
-                m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    t = m[i][c]
-                    m[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        out = Matrix(f, self.rows, self.cols)
-        out.data = m
-        return out, pivots
+    # elimination, all through ``echelon_basis``
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(echelon_basis(self.field, self.data))
 
     def kernel_basis(self) -> list:
         """Echelon-normalized basis of the right null space."""
         f = self.field
-        red, pivots = self.rref()
+        red = echelon_basis(f, self.data)
+        pivots = [_leading(row) for row in red]
         pivot_set = set(pivots)
         basis = []
         for fc in range(self.cols):
@@ -203,8 +168,8 @@ class Matrix:
                 continue
             v = [f.zero] * self.cols
             v[fc] = f.one
-            for i, pc in enumerate(pivots):
-                v[pc] = f.neg(red.data[i][fc])
+            for row, pc in zip(red, pivots):
+                v[pc] = f.neg(row[fc])
             basis.append(v)
         return echelon_basis(f, basis)
 
@@ -213,18 +178,14 @@ class Matrix:
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
         f = self.field
-        aug = Matrix(
-            f,
-            self.rows,
-            self.cols + 1,
-            [row + [bv] for row, bv in zip(self.data, b)],
-        )
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [f.zero] * self.cols
-        for i, pc in enumerate(pivots):
-            x[pc] = red.data[i][self.cols]
+        n = self.cols
+        red = echelon_basis(f, [row + [f.scalar(bv)] for row, bv in zip(self.data, b)])
+        x = [f.zero] * n
+        for row in red:
+            pc = _leading(row)
+            if pc == n:
+                return None
+            x[pc] = row[n]
         return x
 
     def inverse(self):
@@ -233,17 +194,14 @@ class Matrix:
             return None
         f = self.field
         n = self.rows
-        aug = Matrix(f, n, 2 * n)
-        for i in range(n):
-            aug.data[i] = self.data[i][:] + [
-                f.one if j == i else f.zero for j in range(n)
-            ]
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
+        red = echelon_basis(f, [
+            row + [f.one if j == i else f.zero for j in range(n)]
+            for i, row in enumerate(self.data)
+        ])
+        if [_leading(row) for row in red] != list(range(n)):
             return None
         out = Matrix(f, n, n)
-        for i in range(n):
-            out.data[i] = red.data[i][n:]
+        out.data = [row[n:] for row in red]
         return out
 
     def is_invertible(self) -> bool:
@@ -269,16 +227,68 @@ class Matrix:
         return out
 
 
+def _leading(row: list) -> int:
+    return next(i for i, x in enumerate(row) if x)
+
+
+def scale_to_integers(values: list, p: int) -> tuple:
+    """(ints, D): scalars in nested lists as integers of the same shape.
+
+    Over F_p (p > 0) the entries become residues and D = 1.  Over Q every
+    entry v becomes the integer v * D, where D is the lcm of the
+    denominators: the one scale that clears them all.
+    """
+    denominators = set()
+
+    def collect(vs):
+        for v in vs:
+            if isinstance(v, list):
+                collect(v)
+            else:
+                denominators.add(v.denominator)
+
+    if not p:
+        collect(values)
+    scale = lcm(*denominators)
+
+    def walk(vs):
+        return [walk(v) if isinstance(v, list) else v % p if p
+                else v.numerator * (scale // v.denominator) for v in vs]
+
+    return walk(values), scale
+
+
 def echelon_basis(field: Field, vectors: list) -> list:
     """Reduced echelon normal form of the span of the given vectors.
 
-    Returns the nonzero RREF rows; the canonical basis of the subspace.
+    Returns the nonzero RREF rows, the canonical basis of the subspace.
+    Each vector becomes a sparse integer row (over Q scaled by the lcm of
+    its own denominators, which does not move the span), with coordinate
+    j numbered n - 1 - j so that the pivot ``sparse_echelon`` picks is the
+    row's leading column. A second ``sparse_echelon`` over the kept rows,
+    the last pivot first, clears each pivot from the rows above it (every
+    kept row is zero left of its pivot, so no pivot moves); then each row
+    is divided by its pivot, which over F_p is already 1.
     """
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return []
-    red, pivots = Matrix.from_rows(field, vecs).rref()
-    return [red.data[i] for i in range(len(pivots))]
+    p = field.characteristic
+    top = len(vectors[0]) - 1 if vectors else 0
+    rows = []
+    for v in vectors:
+        row = {top - j: x for j, x in enumerate(v) if x}
+        if not p:
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
+        rows.append(row)
+    rows = sparse_echelon(rows, p)
+    rows = sparse_echelon([rows[k] for k in sorted(rows)], p)
+    out = []
+    for k in sorted(rows, reverse=True):
+        row, piv = rows[k], rows[k][k]
+        vec = [field.zero] * (top + 1)
+        for c, x in row.items():
+            vec[top - c] = x if p else Fraction(x, piv)
+        out.append(vec)
+    return out
 
 
 def coords_in_echelon_basis(field: Field, basis: list, v: list):
@@ -292,8 +302,7 @@ def coords_in_echelon_basis(field: Field, basis: list, v: list):
     w = list(v)
     coords = []
     for b in basis:
-        pivot = next(i for i, x in enumerate(b) if x)
-        c = w[pivot]
+        c = w[_leading(b)]
         coords.append(c)
         if c:
             w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, b)]
@@ -302,21 +311,24 @@ def coords_in_echelon_basis(field: Field, basis: list, v: list):
     return coords
 
 
-# sparse exact kernel for cochain complexes
+# the elimination kernel
 
 
-def sparse_rank(vectors: list, p: int | None = None) -> int:
-    """Rank of a family of sparse vectors over Q (p=None) or F_p.
+def sparse_echelon(vectors: list, p: int = 0) -> dict:
+    """Pivot rows {pivot: row} spanning a family of sparse vectors over Q
+    (p = 0) or F_p.
 
     Each vector is a dict {coordinate: int}.  Over Q the entries must be
     integers (scale each vector beforehand; scaling does not change the
-    rank).  Insertion-style elimination with gcd-reduced pivot rows keeps
-    the integers small on the incidence-like matrices this is used for.
+    span).  Insertion-style elimination: each vector is reduced against
+    the rows kept so far and, if nonzero, kept with its largest coordinate
+    as pivot.  Over Q a kept row is gcd-reduced, which keeps the integers
+    small on the incidence-like matrices this is used for; over F_p it is
+    scaled to pivot 1.  Each kept row is zero at every earlier pivot.
     """
     pivots = {}
-    rnk = 0
     for vec in vectors:
-        if p is None:
+        if not p:
             v = {k: x for k, x in vec.items() if x}
         else:
             v = {}
@@ -333,7 +345,7 @@ def sparse_rank(vectors: list, p: int | None = None) -> int:
             if hit is None:
                 break
             piv = pivots[hit]
-            if p is None:
+            if not p:
                 a, b = piv[hit], v[hit]
                 g = gcd(a, b)
                 ca, cb = a // g, b // g
@@ -368,16 +380,20 @@ def sparse_rank(vectors: list, p: int | None = None) -> int:
             # indices in each column, so these pivots rarely collide and
             # the elimination stays sparse
             pivot = max(v)
-            if p is not None:
+            if p:
                 inv = pow(v[pivot], -1, p)
                 if inv != 1:
                     v = {k: (x * inv) % p for k, x in v.items()}
             pivots[pivot] = v
-            rnk += 1
-    return rnk
+    return pivots
 
 
-def sparse_compose_zero(outer: list, inner: list, p: int | None = None) -> bool:
+def sparse_rank(vectors: list, p: int = 0) -> int:
+    """Rank of a family of sparse vectors over Q (p = 0) or F_p."""
+    return len(sparse_echelon(vectors, p))
+
+
+def sparse_compose_zero(outer: list, inner: list, p: int = 0) -> bool:
     """Whether outer∘inner = 0 for sparse column families.
 
     ``inner[j]`` is the j-th column of the first map as {row: int}; the
@@ -389,6 +405,6 @@ def sparse_compose_zero(outer: list, inner: list, p: int | None = None) -> bool:
             for rr, vv in outer[r].items():
                 acc[rr] = acc.get(rr, 0) + v * vv
         for x in acc.values():
-            if (x % p if p is not None else x):
+            if (x % p if p else x):
                 return False
     return True

@@ -128,20 +128,19 @@ def walks(q: Quiver, top: int) -> list:
     return layers[: top + 1]
 
 
-def paths_of_length(q: Quiver, n: int, bound: int = None) -> list:
+def paths_of_length(q: Quiver, n: int) -> list:
     """All length-n paths in lexicographic arrow order."""
     if n < 0:
         raise ValueError("negative path length")
-    limit = PATH_LENGTH_BOUND if bound is None else bound
-    if n > limit:
-        raise ValueError(f"path length {n} exceeds bound {limit}")
+    if n > PATH_LENGTH_BOUND:
+        raise ValueError(f"path length {n} exceeds bound {PATH_LENGTH_BOUND}")
     return [Path(q, arrows, s) for s, _, arrows in walks(q, n)[n]]
 
 
-def parallel_pairs(q: Quiver, n: int, m: int, bound: int = None) -> list:
+def parallel_pairs(q: Quiver, n: int, m: int) -> list:
     """All pairs (x, y) in Q_n x Q_m sharing source and target."""
-    xs = paths_of_length(q, n, bound=bound)
-    ys = paths_of_length(q, m, bound=bound)
+    xs = paths_of_length(q, n)
+    ys = paths_of_length(q, m)
     by_ends = {}
     for y in ys:
         by_ends.setdefault((y.source, y.target), []).append(y)

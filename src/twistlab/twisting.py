@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field
-from .algebra import Algebra
+from .algebra import Algebra, is_algebra_map
 from .linalg import Matrix
 
 ENUM_BITS_BOUND = 40
@@ -262,37 +262,9 @@ def inclusion_maps_are_morphisms(t: TwistingMap) -> bool:
     prod = twisted_product(t)
     a, b = t.source_a, t.source_b
     f = a.field
-    da, db = a.dim, b.dim
-
-    def inc_a(coords):
-        out = [f.zero] * (da * db)
-        for i, c in enumerate(coords):
-            for j, u in enumerate(b.unit):
-                out[i * db + j] = f.mul(c, u)
-        return out
-
-    def inc_b(coords):
-        out = [f.zero] * (da * db)
-        for i, u in enumerate(a.unit):
-            for j, c in enumerate(coords):
-                out[i * db + j] = f.mul(u, c)
-        return out
-
-    for i in range(da):
-        for j in range(da):
-            ei, ej = a._basis_coords(i), a._basis_coords(j)
-            lhs = inc_a(a.multiply_coords(ei, ej))
-            rhs = prod.multiply_coords(inc_a(ei), inc_a(ej))
-            if lhs != rhs:
-                return False
-    for i in range(db):
-        for j in range(db):
-            ei, ej = b._basis_coords(i), b._basis_coords(j)
-            lhs = inc_b(b.multiply_coords(ei, ej))
-            rhs = prod.multiply_coords(inc_b(ei), inc_b(ej))
-            if lhs != rhs:
-                return False
-    return True
+    inc_a = Matrix.identity(f, a.dim).kron(Matrix.column_vector(f, b.unit))
+    inc_b = Matrix.column_vector(f, a.unit).kron(Matrix.identity(f, b.dim))
+    return is_algebra_map(inc_a, a, prod) and is_algebra_map(inc_b, b, prod)
 
 
 def _unit_basis_index(alg: Algebra) -> int:

@@ -17,11 +17,16 @@ from twistlab.algebra import (
     jacobson_radical,
     multiply,
     radical_power_dims,
+    radical_powers,
+    scale_to_integers,
     standard_algebra,
+    trace_form_gram,
     verify_axioms,
 )
 from twistlab.linalg import Matrix
 from twistlab.quivers import Quiver, truncated_path_algebra
+
+from test_linalg import reference_echelon_basis, reference_kernel_basis
 
 
 def fraction_verify_axioms(a) -> dict:
@@ -463,3 +468,50 @@ def test_center_matches_dense_reference():
                                 for plane in case.table for row in plane
                                 for v in row)
     assert rational >= 6
+
+
+def test_structural_kernels_match_gauss_jordan_reference():
+    # center, radical and radical powers against Gauss-Jordan on dense
+    # matrices built with the algebra's own scalars
+    rng = random.Random(79)
+    depths = []
+    refused = 0
+    for field in (QQ, GF(3), GF(7), GF(13)):
+        # k[x]/(x^n): J^(n-1) is the last nonzero power
+        truncated = [Algebra(field, [f"x{i}" for i in range(n)], [
+            [[int(i + j == k) for k in range(n)] for j in range(n)]
+            for i in range(n)], [1] + [0] * (n - 1), check=True)
+            for n in (3, 4)]
+        for alg in sample_algebras(field, rng) + truncated:
+            for case in (alg, change_of_basis(alg, random_basis_change(
+                    field, alg.dim, rng))):
+                d = case.dim
+                basis = [case._basis_coords(i) for i in range(d)]
+                commutators = Matrix(field, d * d, d, [
+                    [field.sub(case.multiply_coords(x, e)[n],
+                               case.multiply_coords(e, x)[n]) for x in basis]
+                    for e in basis for n in range(d)])
+                assert center(case) == reference_kernel_basis(commutators)
+                try:
+                    powers = radical_powers(case, trace_form_gram(
+                        scale_to_integers(case.table, field.characteristic)[0]))
+                except CriterionInapplicable:
+                    refused += 1
+                    continue
+                gram = Matrix(field, d, d, [
+                    [case.trace_of_left_mult(case.multiply_coords(x, y))
+                     for y in basis] for x in basis])
+                rad = reference_kernel_basis(gram)
+                want = [rad] if rad else []
+                while want:
+                    power = reference_echelon_basis(field, [
+                        case.multiply_coords(x, y) for x in want[-1] for y in rad])
+                    if not power:
+                        break
+                    want.append(power)
+                assert powers == want, (field, case)
+                assert jacobson_radical(case) == rad
+                depths.append(len(want))
+    assert refused <= 4
+    assert depths.count(0) >= 10 and depths.count(1) >= 10
+    assert depths.count(2) >= 4 and depths.count(3) >= 4

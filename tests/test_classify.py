@@ -10,14 +10,18 @@ from twistlab.linalg import Matrix
 from twistlab.algebra import (
     Algebra,
     CriterionInapplicable,
-    _is_ideal,
-    _span_product,
     center,
     change_of_basis,
     is_commutative,
     standard_algebra,
 )
 from twistlab.quivers import Quiver, truncated_path_algebra
+
+from test_linalg import (
+    gauss_jordan_rref,
+    reference_echelon_basis,
+    reference_kernel_basis,
+)
 from twistlab.twisting import TwistFamilyDescriptor, family_member, twisted_product
 from twistlab.classify import (
     CHAR2_NOTE,
@@ -123,6 +127,20 @@ def fraction_gram(a) -> Matrix:
     return g
 
 
+def fraction_span_product(a, basis1, basis2) -> list:
+    """Reference: the echelon basis of all products x y by Gauss-Jordan."""
+    return reference_echelon_basis(
+        a.field, [a.multiply_coords(x, y) for x in basis1 for y in basis2])
+
+
+def fraction_is_ideal(a, basis) -> bool:
+    """Reference: basis and every e_i v and v e_i span no more than basis."""
+    units = [a._basis_coords(i) for i in range(a.dim)]
+    prods = [a.multiply_coords(e, v) for v in basis for e in units]
+    prods += [a.multiply_coords(v, e) for v in basis for e in units]
+    return len(reference_echelon_basis(a.field, basis + prods)) == len(basis)
+
+
 def is_nilpotent_subspace(a, basis) -> bool:
     """Reference: some power of the span of ``basis`` up to the
     (dim + 1)-th is zero."""
@@ -130,7 +148,7 @@ def is_nilpotent_subspace(a, basis) -> bool:
     for _ in range(a.dim + 1):
         if not power:
             return True
-        power = _span_product(a, power, basis)
+        power = fraction_span_product(a, power, basis)
     return False
 
 
@@ -139,9 +157,9 @@ def fraction_fingerprint(a) -> Fingerprint:
     the center's kernel, the trace-form radical with its ideal and
     nilpotency checks and its powers, and the trace form's rank."""
     gram = fraction_gram(a)
-    radical = gram.kernel_basis()
+    radical = reference_kernel_basis(gram)
     if radical and not (
-        _is_ideal(a, radical) and is_nilpotent_subspace(a, radical)
+        fraction_is_ideal(a, radical) and is_nilpotent_subspace(a, radical)
     ):
         char = a.field.characteristic
         if char == 0 or char > a.dim:
@@ -154,7 +172,7 @@ def fraction_fingerprint(a) -> Fingerprint:
     power = radical
     while power:
         dims.append(len(power))
-        power = _span_product(a, power, radical)
+        power = fraction_span_product(a, power, radical)
     if radical:
         dims.append(0)
     return Fingerprint(
@@ -162,7 +180,7 @@ def fraction_fingerprint(a) -> Fingerprint:
         is_commutative(a),
         len(center(a)),
         tuple(dims),
-        gram.rank() == a.dim,
+        len(gauss_jordan_rref(gram)[1]) == a.dim,
     )
 
 

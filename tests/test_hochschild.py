@@ -163,7 +163,7 @@ def integer_columns(cols: list, p: int) -> list:
 def full_bar_dims(a, N: int) -> list:
     p = a.field.characteristic
     deltas = [integer_columns(full_bar_columns(a, n), p) for n in range(N + 1)]
-    return complex_dims([a.dim ** (n + 1) for n in range(N + 1)], deltas, p)
+    return complex_dims(deltas, p)
 
 
 def z2_product(field, family, parameter=None):
@@ -447,8 +447,8 @@ def test_complex_dims_checks_square_zero():
     inner = [{0: 1, 1: 1}]
     outer = [{0: 1}, {0: 1}]
     with pytest.raises(AssertionError):
-        complex_dims([1, 2, 1], [inner, outer, [{}]], 0)
-    assert complex_dims([1, 2, 1], [inner, outer, [{}]], 2) == [0, 0, 0]
+        complex_dims([inner, outer, [{}]], 0)
+    assert complex_dims([inner, outer, [{}]], 2) == [0, 0, 0]
 
 
 def test_integerized_fraction_columns_rank_matches_dense():

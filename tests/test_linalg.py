@@ -23,6 +23,80 @@ from twistlab.linalg import (
 )
 
 
+def gauss_jordan_rref(m: Matrix) -> tuple:
+    """Reference: reduced row echelon form (rows) and pivot columns by
+    Gauss-Jordan on the field's own scalars; first nonzero column, topmost
+    row."""
+    f = m.field
+    rows = [row[:] for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        prow = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if prow is None:
+            continue
+        rows[r], rows[prow] = rows[prow], rows[r]
+        if rows[r][c] != f.one:
+            inv = f.inv(rows[r][c])
+            rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                t = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def reference_echelon_basis(field, vectors: list) -> list:
+    vecs = [[field.scalar(x) for x in v] for v in vectors if any(v)]
+    if not vecs:
+        return []
+    rows, pivots = gauss_jordan_rref(Matrix.from_rows(field, vecs))
+    return rows[: len(pivots)]
+
+
+def reference_kernel_basis(m: Matrix) -> list:
+    f = m.field
+    rows, pivots = gauss_jordan_rref(m)
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = [f.zero] * m.cols
+        v[fc] = f.one
+        for i, pc in enumerate(pivots):
+            v[pc] = f.neg(rows[i][fc])
+        basis.append(v)
+    return reference_echelon_basis(f, basis)
+
+
+def reference_solve(m: Matrix, b: list):
+    aug = Matrix(m.field, m.rows, m.cols + 1,
+                 [row + [bv] for row, bv in zip(m.data, b)])
+    rows, pivots = gauss_jordan_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [m.field.zero] * m.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = rows[i][m.cols]
+    return x
+
+
+def reference_inverse(m: Matrix):
+    f = m.field
+    n = m.rows
+    aug = Matrix(f, n, 2 * n, [row + [f.one if j == i else f.zero
+                                      for j in range(n)]
+                               for i, row in enumerate(m.data)])
+    rows, pivots = gauss_jordan_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rows]
+
+
 def test_field_descriptors():
     assert QQ.kind == "rationals" and QQ.characteristic == 0 and QQ.name == "Q"
     f5 = GF(5)
@@ -220,8 +294,8 @@ def test_echelon_basis_and_coords():
 
 def test_sparse_rank_matches_dense():
     rng = random.Random(13)
-    for p in (None, 5):
-        field = QQ if p is None else GF(p)
+    for p in (0, 5):
+        field = GF(p) if p else QQ
         for _ in range(30):
             r, c = rng.randrange(1, 7), rng.randrange(1, 7)
             rows = [[rng.randrange(-2, 3) if rng.random() < 0.5 else 0 for _ in range(c)] for _ in range(r)]
@@ -230,7 +304,61 @@ def test_sparse_rank_matches_dense():
                 {j: x for j, x in enumerate(row) if x}
                 for row in rows
             ]
-            assert sparse_rank(sparse, p) == dense.rank()
+            assert sparse_rank(sparse, p) == len(gauss_jordan_rref(dense)[1])
+
+
+def _corpus_scalar(field, rng):
+    p = field.characteristic
+    if p:
+        return rng.randrange(p) if rng.random() < 0.7 else 0
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+
+def _corpus(field, rng):
+    """Shapes where elimination has edges: no rows, no columns, zero,
+    wide, tall, square, rank-deficient products and repeated rows."""
+    def rand(r, c):
+        return [[_corpus_scalar(field, rng) for _ in range(c)] for _ in range(r)]
+
+    def low_rank(r, c):
+        k = rng.randrange(1, min(r, c) + 1)
+        left = Matrix(field, r, k, rand(r, k))
+        right = Matrix(field, k, c, rand(k, c))
+        return (left * right).data
+
+    shapes = [Matrix(field, 0, 4), Matrix(field, 3, 0), Matrix(field, 3, 4)]
+    for _ in range(6):
+        r, c = rng.randrange(1, 4), rng.randrange(4, 8)
+        rows = rand(r, c)
+        for data in (rand(r, c), rand(c, r), rand(r + 1, r + 1),
+                     low_rank(c, r + 2), low_rank(r + 2, r + 2),
+                     [rng.choice(rows) for _ in range(r + 2)]):
+            shapes.append(Matrix.from_rows(field, data))
+    return shapes
+
+
+def test_exact_kernel_matches_gauss_jordan_reference():
+    rng = random.Random(29)
+    for field in (QQ, GF(2), GF(3), GF(13), GF(65521)):
+        deficient = square_singular = 0
+        for m in _corpus(field, rng):
+            r, c = m.rows, m.cols
+            red, pivots = gauss_jordan_rref(m)
+            assert echelon_basis(field, m.data) == red[: len(pivots)], (field, m.data)
+            assert m.rank() == len(pivots)
+            assert m.kernel_basis() == reference_kernel_basis(m)
+            deficient += len(pivots) < min(r, c)
+            if r == c:
+                want = reference_inverse(m)
+                got = m.inverse()
+                assert (None if got is None else got.data) == want
+                square_singular += want is None
+            x = [_corpus_scalar(field, rng) for _ in range(c)]
+            b = m.apply(x)
+            assert m.solve(b) == reference_solve(m, b)
+            b = [_corpus_scalar(field, rng) for _ in range(r)]
+            assert m.solve(b) == reference_solve(m, b)
+        assert deficient >= 6 and square_singular >= 3, field
 
 
 def test_sparse_compose_zero():

@@ -87,7 +87,7 @@ def reference_hh_rsz(q, field, n_top):
     next_p0.append(len(reference_pairs(q, n_top + 1, 0)))
     deltas = [reference_coboundary(layers[n], next_p0[n])
               for n in range(n_top + 1)]
-    return complex_dims([len(p0) + len(p1) for p0, p1, _ in layers], deltas, p)
+    return complex_dims(deltas, p)
 
 
 def random_quiver(rng):
