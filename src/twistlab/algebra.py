@@ -4,16 +4,17 @@
 computations (center, Jacobson radical, separability) are the data the
 classification of the 4-dimensional twisted products rests on.
 
-The scans over the whole table (the associativity check, the transport
-of a table to a new basis, the trace form, the commutator rows of the
-center, the products of radical powers) run on integer structure
-constants: ``scale_to_integers`` (from ``linalg``, re-exported here)
-multiplies every constant by one scale D (the lcm of the denominators
-over Q, 1 over F_p, where the constants are residues).  Each of these
-computations is a sum of products of a fixed number of constants, so
-scaling multiplies it by a fixed power of D; an equality, a rank or a
-kernel is unchanged, and a transported constant is recovered by one
-exact division.  The inner loops make no Fraction.
+Every algebra carries one integer form of its constants, made once at
+construction: ``int_table`` and ``int_unit`` are ``table`` and ``unit``
+times one scale D (``scale_to_integers``: the lcm of their denominators
+over Q; over F_p, D = 1 and the constants are residues).  Every scan
+over the whole table (the axiom check, base change, the trace form, the
+center's commutator rows, the radical's powers, the Hochschild
+coboundaries) reads these.  Each such quantity is a sum of products of a
+fixed number k of constants, so the integer sum is D^k times the true
+one: an equality, a rank, a kernel and d^2 = 0 are unchanged, and a
+transported constant is recovered by one exact division.  The inner
+loops make no Fraction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ class CriterionInapplicable(Exception):
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "basis_labels", "table", "unit")
+    """An algebra by structure constants; ``table`` and ``unit`` are not
+    mutated after construction, so the integer form made from them here
+    (``int_table``, ``int_unit``, ``scale``) stays valid."""
+
+    __slots__ = ("field", "dim", "basis_labels", "table", "unit",
+                 "int_table", "int_unit", "scale")
 
     def __init__(self, field: Field, basis_labels, table, unit, check=False):
         self.field = field
@@ -46,6 +52,8 @@ class Algebra:
         self.table = [[[field.scalar(x) for x in cell] for cell in plane]
                       for plane in table]
         self.unit = [field.scalar(x) for x in unit]
+        (self.int_table, self.int_unit), self.scale = scale_to_integers(
+            [self.table, self.unit], field.characteristic)
         if check:
             report = verify_axioms(self)
             if not (report["associative"] and report["unital"]):
@@ -199,18 +207,15 @@ def is_algebra_map(m: Matrix, a: Algebra, b: Algebra) -> bool:
 def verify_axioms(a: Algebra) -> dict:
     """Exhaustive associativity and unit scan; first failing indices listed.
 
-    Associativity is compared on the integer table of
-    ``scale_to_integers``: both sides of (e_i e_j) e_k = e_i (e_j e_k) are
-    quadratic in the constants, so scaling by D multiplies both by D^2.
-    For each (i, j, k) in lexicographic order the two coordinate rows are
-    summed over the nonzero constants only and compared (mod p over F_p);
-    the first differing l gives the failing (i, j, k, l).  The unit u is
-    scaled with the table by the same D, so u e_j and e_j u, bilinear, are
+    On the integer table, for each (i, j, k) in lexicographic order the
+    two coordinate rows of (e_i e_j) e_k and e_i (e_j e_k) are summed over
+    the nonzero constants only and compared (mod p over F_p); the first
+    differing l gives the failing (i, j, k, l).  u e_j and e_j u are
     compared with D^2 e_j; the first failing j gives (j,).
     """
     d = a.dim
     p = a.field.characteristic
-    (c, u), scale = scale_to_integers([a.table, a.unit], p)
+    c, u, scale = a.int_table, a.int_unit, a.scale
     nonzero = [[[(m, x) for m, x in enumerate(cell) if x] for cell in plane]
                for plane in c]
     failing = None
@@ -251,9 +256,9 @@ def verify_axioms(a: Algebra) -> dict:
 
 def center(a: Algebra) -> list:
     """Echelon basis of {x : x*e_i = e_i*x for all i}: the kernel of the
-    integer ``commutator_rows`` (scaling the table does not move it)."""
-    c, _ = scale_to_integers(a.table, a.field.characteristic)
-    return Matrix(a.field, a.dim * a.dim, a.dim, commutator_rows(c)).kernel_basis()
+    integer ``commutator_rows``."""
+    return Matrix(a.field, a.dim * a.dim, a.dim,
+                  commutator_rows(a.int_table)).kernel_basis()
 
 
 def commutator_rows(c: list) -> list:
@@ -278,28 +283,27 @@ def integer_rank(rows: list, p: int) -> int:
     return sparse_rank([dict(enumerate(row)) for row in rows], p)
 
 
-def _integer_gram(a: Algebra) -> list:
-    return trace_form_gram(scale_to_integers(a.table, a.field.characteristic)[0])
-
-
-def _is_ideal(c: list, basis: list, p: int) -> bool:
-    """Whether the independent rows ``basis`` span a two-sided ideal of the
-    algebra with integer table c: one rank of them and each e_i v (from
-    c[i]) and v e_i (from column i of c)."""
+def _is_ideal(a: Algebra, basis: list) -> bool:
+    """Whether the independent rows ``basis`` span a two-sided ideal of a:
+    one rank of them and each e_i v (from c[i]) and v e_i (from column i
+    of c), c the integer table."""
+    p = a.field.characteristic
     rows, _ = scale_to_integers(basis, p)
-    d = len(c)
+    c = a.int_table
+    d = a.dim
     prods = [[sum(x * side[m][n] for m, x in terms) for n in range(d)]
              for terms in ([(m, x) for m, x in enumerate(v) if x] for v in rows)
              for pair in zip(c, zip(*c)) for side in pair]
     return integer_rank(rows + prods, p) == len(rows)
 
 
-def _span_product(field: Field, c: list, basis1: list, basis2: list) -> list:
+def _span_product(a: Algebra, basis1: list, basis2: list) -> list:
     """Echelon basis of the span of all x y, x in basis1, y in basis2, from
     the integer table c.  Each basis is scaled to integers on its own: the
     products are trilinear, so every one is scaled alike and the span is
     unchanged."""
-    p = field.characteristic
+    p = a.field.characteristic
+    c = a.int_table
     rows1, _ = scale_to_integers(basis1, p)
     rows2, _ = scale_to_integers(basis2, p)
     terms2 = [[(j, y) for j, y in enumerate(row) if y] for row in rows2]
@@ -312,7 +316,7 @@ def _span_product(field: Field, c: list, basis1: list, basis2: list) -> list:
                     for j, y in terms:
                         out = [o + xi * y * v for o, v in zip(out, c[i][j])]
             prods.append(out)
-    return echelon_basis(field, prods)
+    return echelon_basis(a.field, prods)
 
 
 def jacobson_radical(a: Algebra) -> list:
@@ -325,24 +329,23 @@ def jacobson_radical(a: Algebra) -> list:
     verification fails outside the trace criterion's validity range
     (char 0 or char > dim), the computation refuses to guess.
     """
-    powers = radical_powers(a, _integer_gram(a))
+    powers = radical_powers(a)
     return powers[0] if powers else []
 
 
-def radical_powers(a: Algebra, gram: list) -> list:
+def radical_powers(a: Algebra) -> list:
     """[J, J^2, ...], echelon bases down to the last nonzero power; [] when
-    J = 0.  ``gram`` holds the rows of a nonzero multiple of the trace form
-    (``trace_form_gram``): the kernel does not see the scale.  The chain
-    that proves the candidate nilpotent is the one returned."""
-    candidate = Matrix(a.field, a.dim, a.dim, gram).kernel_basis()
+    J = 0.  The candidate J is the kernel of the integer trace form; the
+    chain that proves it nilpotent is the one returned."""
+    candidate = Matrix(a.field, a.dim, a.dim,
+                       trace_form_gram(a.int_table)).kernel_basis()
     if not candidate:
         return []
     char = a.field.characteristic
-    c, _ = scale_to_integers(a.table, char)
-    if _is_ideal(c, candidate, char):
+    if _is_ideal(a, candidate):
         powers = [candidate]
         for _ in range(a.dim):
-            power = _span_product(a.field, c, powers[-1], candidate)
+            power = _span_product(a, powers[-1], candidate)
             if not power:
                 return powers
             powers.append(power)
@@ -354,10 +357,9 @@ def radical_powers(a: Algebra, gram: list) -> list:
     )
 
 
-def radical_power_dims(a: Algebra, gram: list = None) -> list:
-    """[dim J, dim J^2, ...] down to the first zero; [] when J = 0.
-    ``gram`` defaults to the integer trace form of ``a``."""
-    powers = radical_powers(a, _integer_gram(a) if gram is None else gram)
+def radical_power_dims(a: Algebra) -> list:
+    """[dim J, dim J^2, ...] down to the first zero; [] when J = 0."""
+    powers = radical_powers(a)
     return [len(j) for j in powers] + [0] if powers else []
 
 
@@ -373,7 +375,7 @@ def is_separable(a: Algebra) -> bool:
     Caveat: the criterion can report false negatives when char(k) divides
     the matrix size of a simple block; no desk-scale case here hits that.
     """
-    return integer_rank(_integer_gram(a), a.field.characteristic) == a.dim
+    return integer_rank(trace_form_gram(a.int_table), a.field.characteristic) == a.dim
 
 
 def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
@@ -381,12 +383,11 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     vector b_j written in the old coordinates.
 
     With Q = p^-1 the new constants are
-    T[i][j][n] = sum over x, y, m of p[x][i] p[y][j] c[x][y][m] Q[n][m].
-    p, Q and c are scaled to integers by one scale D (``scale_to_integers``);
-    each term is a product of four scaled entries, so the integer sum is
-    D^4 T[i][j][n] and one exact division per entry (a residue over F_p)
-    recovers T.  The result is built with check=True: every transported
-    table goes through ``verify_axioms`` again.
+    T[i][j][n] = sum over x, y, m of p[x][i] p[y][j] c[x][y][m] Q[n][m],
+    summed on the integer table and on p and Q scaled by their own D_p,
+    then divided by D_p^3 times the table's scale.  The result is built
+    with check=True: every transported table goes through
+    ``verify_axioms`` again.
     """
     if p.rows != a.dim or p.cols != a.dim:
         raise ValueError("change of basis must be square of the algebra dimension")
@@ -395,9 +396,10 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
         raise ValueError("change of basis matrix is singular")
     d = a.dim
     char = a.field.characteristic
-    (pm, qm, c), scale = scale_to_integers([p.data, pinv.data, a.table], char)
+    (pm, qm), scale = scale_to_integers([p.data, pinv.data], char)
+    c = a.int_table
     pcols = [[row[i] for row in pm] for i in range(d)]
-    denom = scale ** 4
+    denom = scale ** 3 * a.scale
     table = []
     for i in range(d):
         # left[y]: coordinates of b_i * e_y

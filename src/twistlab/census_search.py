@@ -105,22 +105,25 @@ def common_zeros(equations: list, nvars: int, p: int) -> list:
         order.append(v)
         closing.append([e for e, s in zip(equations, eq_vars)
                         if v in s and not s & left])
-    vals, hits = [0] * nvars, []
-
-    def assign(k):
-        if k == nvars:
-            hits.append(tuple(vals))
-            return
-        v, xs = order[k], range(p)
-        for e in closing[k]:
-            c = [0, 0, 0]
-            for mono, coef in e.items():
-                c[mono.count(v)] += coef * math.prod(vals[u] for u in mono if u != v)
-            c0, c1, c2 = c
-            xs = [x for x in xs if not (c0 + x * (c1 + x * c2)) % p]
-        for x in xs:
-            vals[v] = x
-            assign(k + 1)
-
-    assign(0)
+    hits = []
+    _assign(0, order, closing, [0] * nvars, p, hits)
     return sorted(hits)
+
+
+def _assign(k: int, order: list, closing: list, vals: list, p: int,
+            hits: list) -> None:
+    """Set variables order[k:] in turn, appending each full solution to
+    hits; closing[k] are the equations that close at order[k]."""
+    if k == len(order):
+        hits.append(tuple(vals))
+        return
+    v, xs = order[k], range(p)
+    for e in closing[k]:
+        c = [0, 0, 0]
+        for mono, coef in e.items():
+            c[mono.count(v)] += coef * math.prod(vals[u] for u in mono if u != v)
+        c0, c1, c2 = c
+        xs = [x for x in xs if not (c0 + x * (c1 + x * c2)) % p]
+    for x in xs:
+        vals[v] = x
+        _assign(k + 1, order, closing, vals, p, hits)

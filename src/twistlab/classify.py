@@ -21,10 +21,9 @@ from .algebra import (
     integer_rank,
     is_algebra_map,
     is_commutative,
+    is_separable,
     radical_power_dims,
-    scale_to_integers,
     standard_algebra,
-    trace_form_gram,
 )
 from .twisting import (
     TwistFamilyDescriptor,
@@ -70,26 +69,17 @@ REFERENCE_FINGERPRINTS = {
 
 
 def fingerprint(a: Algebra) -> Fingerprint:
-    """The invariants from one integer table (``scale_to_integers``).
-
-    The trace-form Gram matrix is built once.  Its exact rank decides
-    separability, and a nonsingular one means J = 0 with no kernel taken;
-    only a singular one goes through the kernel, ideal and nilpotency
-    checks of ``radical_powers``, whose chain of powers gives the radical
-    dimensions.  The center has dimension d minus the rank of
-    ``commutator_rows``, whose kernel ``center`` takes.  Scaling changes
-    none of these ranks.
-    """
+    """The invariants from the integer table.  A separable algebra has
+    J = 0 with no kernel taken; only a non-separable one goes through the
+    kernel, ideal and nilpotency checks of ``radical_powers``.  The center
+    has dimension d minus the rank of ``commutator_rows``."""
     d = a.dim
-    p = a.field.characteristic
-    c, _ = scale_to_integers(a.table, p)
-    gram = trace_form_gram(c)
-    separable = integer_rank(gram, p) == d
+    separable = is_separable(a)
     return Fingerprint(
         d,
         is_commutative(a),
-        d - integer_rank(commutator_rows(c), p),
-        () if separable else tuple(radical_power_dims(a, gram)),
+        d - integer_rank(commutator_rows(a.int_table), a.field.characteristic),
+        () if separable else tuple(radical_power_dims(a)),
         separable,
     )
 

@@ -10,10 +10,8 @@ Peirce basis (the idempotents, then a basis of each block e_u J e_v), in
 which each cochain space is an index set and each coboundary entry is one
 signed structure constant, 0 or 1 there. Every route emits sparse integer
 columns into one function, ``complex_dims``; the two table-driven routes
-read one table scaled to integers by a single common scale
-(``scale_to_integers``), which multiplies each coboundary by a constant
-and so keeps d^2 = 0 and every rank. Closed-form evaluators cover
-connected non-crown quivers and crowns.
+read the algebra's integer table (``Algebra.int_table``). Closed-form
+evaluators cover connected non-crown quivers and crowns.
 
 Ground-truth hierarchy when values disagree: normalized bar complex, then
 the two structural complexes, then closed-form formulas, then printed
@@ -34,7 +32,6 @@ from .algebra import (
     is_separable,
     jacobson_radical,
     radical_power_dims,
-    scale_to_integers,
 )
 from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_rank
 from .quivers import Quiver, standard_quiver, walks
@@ -209,30 +206,24 @@ def bar_budget(field: Field) -> int:
 
 
 def _bar_tables(a: Algebra) -> tuple:
-    """The complement of k*1 and the integer tables c and c-bar.
+    """The complement of k*1 and the integer tables c and c-bar, times u_j.
 
-    j is the first basis index where the unit is nonzero; the other basis
+    j is the first basis index where the unit u is nonzero; the other basis
     vectors span a complement of k*1. c-bar drops the k*1 component of each
-    product, cbar[x][y][m] = c[x][y][m] - c[x][y][j] u[m] / u[j], which a
-    normalized cochain kills. Over Q both tables are scaled by one common
-    denominator: every coboundary entry is a signed sum of table entries,
-    so each coboundary is scaled by that constant and keeps its rank.
+    product, u_j cbar[x][y][m] = u_j c[x][y][m] - c[x][y][j] u[m], which a
+    normalized cochain kills.
     """
-    f = a.field
-    d = a.dim
-    u = a.unit
+    p = a.field.characteristic
+    c, u = a.int_table, a.int_unit
     j = next(i for i, x in enumerate(u) if x)
-    comp = [i for i in range(d) if i != j]
-    c = a.table
-    cbar = [
-        [
-            [f.sub(c[x][y][m], f.mul(c[x][y][j], f.div(u[m], u[j]))) for m in range(d)]
-            for y in range(d)
-        ]
-        for x in range(d)
-    ]
-    (c, cbar), _ = scale_to_integers([c, cbar], f.characteristic)
-    return comp, c, cbar
+    uj = u[j]
+    comp = [i for i in range(a.dim) if i != j]
+    cu = [[[x * uj for x in cell] for cell in plane] for plane in c]
+    cbar = [[[x * uj - cell[j] * y for x, y in zip(cell, u)] for cell in plane]
+            for plane in c]
+    if p:
+        cbar = [[[x % p for x in cell] for cell in plane] for plane in cbar]
+    return comp, cu, cbar
 
 
 def bar_coboundary_columns(a: Algebra, n: int) -> list:
@@ -328,10 +319,10 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
         (df)(j_0, ..., j_n) = j_0 f(j_1, ..., j_n)
                               + (-1)^(n+1) f(j_0, ..., j_(n-1)) j_n
     has as entries the signed constants c[k][m] and c[m][k] of the
-    transported table, read once as integers (``scale_to_integers``). Since
-    e_u j = j = j e_v for j in e_u J e_v and J^2 = 0, each product of two
-    Peirce basis vectors is 0 or a basis vector: the constants are 0 and 1
-    (the scale is 1), whatever fractions the given table has.
+    transported integer table. Since e_u j = j = j e_v for j in e_u J e_v
+    and J^2 = 0, each product of two Peirce basis vectors is 0 or a basis
+    vector: the constants are 0 and 1, whatever fractions the given table
+    has.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -381,7 +372,7 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     if len(peirce) != d:
         raise ValueError("radical does not split along the idempotent blocks")
     moved = change_of_basis(a, Matrix(f, d, d, [list(r) for r in zip(*peirce)]))
-    c, _ = scale_to_integers(moved.table, p)
+    c = moved.int_table
 
     rad = range(ne, d)
     in_block = {}

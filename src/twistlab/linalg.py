@@ -239,23 +239,23 @@ def scale_to_integers(values: list, p: int) -> tuple:
     denominators: the one scale that clears them all.
     """
     denominators = set()
-
-    def collect(vs):
-        for v in vs:
-            if isinstance(v, list):
-                collect(v)
-            else:
-                denominators.add(v.denominator)
-
     if not p:
-        collect(values)
+        _collect_denominators(values, denominators)
     scale = lcm(*denominators)
+    return _scaled(values, p, scale), scale
 
-    def walk(vs):
-        return [walk(v) if isinstance(v, list) else v % p if p
-                else v.numerator * (scale // v.denominator) for v in vs]
 
-    return walk(values), scale
+def _collect_denominators(values: list, out: set) -> None:
+    for v in values:
+        if isinstance(v, list):
+            _collect_denominators(v, out)
+        else:
+            out.add(v.denominator)
+
+
+def _scaled(values: list, p: int, scale: int) -> list:
+    return [_scaled(v, p, scale) if isinstance(v, list) else v % p if p
+            else v.numerator * (scale // v.denominator) for v in values]
 
 
 def echelon_basis(field: Field, vectors: list) -> list:

@@ -193,23 +193,28 @@ def is_connected(q: Quiver) -> bool:
     return len(seen) == q.vertex_count
 
 
+_WHITE, _GREY, _BLACK = 0, 1, 2
+
+
 def has_oriented_cycle(q: Quiver) -> bool:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * q.vertex_count
+    color = [_WHITE] * q.vertex_count
     out = [q.arrows_from(v) for v in range(q.vertex_count)]
+    return any(color[v] == _WHITE and _reaches_grey(q, out, color, v)
+               for v in range(q.vertex_count))
 
-    def visit(v: int) -> bool:
-        color[v] = GREY
-        for a in out[v]:
-            w = q.arrows[a][1]
-            if color[w] == GREY:
-                return True
-            if color[w] == WHITE and visit(w):
-                return True
-        color[v] = BLACK
-        return False
 
-    return any(color[v] == WHITE and visit(v) for v in range(q.vertex_count))
+def _reaches_grey(q: Quiver, out: list, color: list, v: int) -> bool:
+    """Depth-first visit of v: whether it reaches a vertex still on the
+    stack (grey), that is, closes an oriented cycle."""
+    color[v] = _GREY
+    for a in out[v]:
+        w = q.arrows[a][1]
+        if color[w] == _GREY:
+            return True
+        if color[w] == _WHITE and _reaches_grey(q, out, color, w):
+            return True
+    color[v] = _BLACK
+    return False
 
 
 def longest_path_length(q: Quiver) -> int:

@@ -1,6 +1,7 @@
 """Structure-constant algebras: axioms, invariants, reference presentations."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +19,7 @@ from twistlab.algebra import (
     multiply,
     radical_power_dims,
     radical_powers,
-    scale_to_integers,
     standard_algebra,
-    trace_form_gram,
     verify_axioms,
 )
 from twistlab.linalg import Matrix
@@ -406,6 +405,45 @@ def test_serialization_roundtrip_and_stability():
     assert Algebra.from_json(f5.to_json()).to_json() == f5.to_json()
 
 
+def test_integer_form_is_the_scaled_table():
+    # over Q the constants and unit times the lcm of their denominators,
+    # over F_p the residues themselves; for the standard algebras, their
+    # transports and transports of those (Fraction constants over Q)
+    rng = random.Random(97)
+    scales = set()
+    for field in (QQ, GF(3), GF(13)):
+        p = field.characteristic
+        algebras = [
+            standard_algebra("k_n", field, n=3),
+            standard_algebra("group_algebra_z2", field),
+            standard_algebra("matrix2", field),
+            standard_algebra("a_q", field, q="-3/2"),
+            standard_algebra("truncated_roundtrip", field),
+            standard_algebra("qtilde_path_algebra", field),
+        ]
+        for alg in algebras:
+            moved = change_of_basis(alg, random_basis_change(field, alg.dim, rng))
+            again = change_of_basis(moved, random_basis_change(field, alg.dim, rng))
+            for case in (alg, moved, again):
+                cells = [x for plane in case.table for cell in plane for x in cell]
+                ints = [x for plane in case.int_table for cell in plane for x in cell]
+                assert all(type(x) is int for x in ints + case.int_unit)
+                if p:
+                    assert case.scale == 1
+                    assert case.int_table == case.table
+                    assert case.int_unit == case.unit
+                    assert all(0 <= x < p for x in ints + case.int_unit)
+                    continue
+                assert case.scale == math.lcm(
+                    *(x.denominator for x in cells + case.unit))
+                assert case.int_table == [
+                    [[case.scale * x for x in cell] for cell in plane]
+                    for plane in case.table]
+                assert case.int_unit == [case.scale * x for x in case.unit]
+                scales.add(case.scale)
+    assert 1 in scales and len(scales) >= 5
+
+
 def test_verify_axioms_matches_fraction_reference():
     # whole reports, failing indices included, on perturbed tables
     rng = random.Random(61)
@@ -493,8 +531,7 @@ def test_structural_kernels_match_gauss_jordan_reference():
                     for e in basis for n in range(d)])
                 assert center(case) == reference_kernel_basis(commutators)
                 try:
-                    powers = radical_powers(case, trace_form_gram(
-                        scale_to_integers(case.table, field.characteristic)[0]))
+                    powers = radical_powers(case)
                 except CriterionInapplicable:
                     refused += 1
                     continue

@@ -21,6 +21,7 @@ from twistlab.hochschild import (
     HHProfile,
     READING_NOTES,
     bar_budget,
+    bar_coboundary_columns,
     complex_dims,
     crown_formula,
     hh_bar,
@@ -219,6 +220,54 @@ def test_normalized_bar_invariant_under_rational_basis_change():
     assert all(x for x in moved.unit)
     assert any(v.denominator > 1 for plane in moved.table for row in plane for v in row)
     assert hh_bar(moved, 3).dims == hh_bar(alg, 3).dims == [1, 0, 0, 0]
+
+
+def fraction_bar_tables(a) -> tuple:
+    """Reference: the complement of k*1 and the tables c and c-bar, c-bar
+    formed with the algebra's own scalars, then both scaled to integers
+    by one common scale."""
+    f = a.field
+    d = a.dim
+    u = a.unit
+    j = next(i for i, x in enumerate(u) if x)
+    comp = [i for i in range(d) if i != j]
+    c = a.table
+    cbar = [
+        [
+            [f.sub(c[x][y][m], f.mul(c[x][y][j], f.div(u[m], u[j]))) for m in range(d)]
+            for y in range(d)
+        ]
+        for x in range(d)
+    ]
+    (c, cbar), _ = scale_to_integers([c, cbar], f.characteristic)
+    return comp, c, cbar
+
+
+def test_bar_tables_match_fraction_reference(monkeypatch):
+    # the integer tables times u_j against c-bar formed in the field: the
+    # same columns where the table is integral with unit e_0, the same HH
+    # dims on a reversed basis (unit last) and on a transport whose unit
+    # is off every basis vector (u_j != 1, Fraction constants over Q)
+    rng = random.Random(89)
+    families = (("flip", None), ("line_char_ne_2", 2), ("line_char_ne_2", 3),
+                ("isolated_iii", None), ("isolated_vi", None))
+    for field in (QQ, GF(7), GF(13)):
+        reverse = Matrix(
+            field, 4, 4, [[int(i + j == 3) for j in range(4)] for i in range(4)]
+        )
+        for family, parameter in families:
+            prod = z2_product(field, family, parameter)
+            moved = change_of_basis(prod, random_invertible(rng, field, 4))
+            while not all(moved.unit):
+                moved = change_of_basis(prod, random_invertible(rng, field, 4))
+            cases = [prod, change_of_basis(prod, reverse), moved]
+            cols = [bar_coboundary_columns(prod, n) for n in range(4)]
+            dims = [hh_bar(case, 2).dims for case in cases]
+            with monkeypatch.context() as m:
+                m.setattr("twistlab.hochschild._bar_tables", fraction_bar_tables)
+                assert [bar_coboundary_columns(prod, n) for n in range(4)] == cols
+                assert [hh_bar(case, 2).dims for case in cases] == dims, (
+                    field.name, family, parameter)
 
 
 def test_bar_matrix2_and_k4():

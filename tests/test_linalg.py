@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples plus randomized cross-checks."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from twistlab.linalg import (
     Matrix,
     coords_in_echelon_basis,
     echelon_basis,
+    scale_to_integers,
     sparse_compose_zero,
     sparse_rank,
 )
@@ -369,3 +371,31 @@ def test_sparse_compose_zero():
     outer_bad = [{0: 1}, {0: 1}]
     assert not sparse_compose_zero(outer_bad, inner)
     assert sparse_compose_zero(outer_bad, inner, p=2)
+
+
+def test_recursive_helpers_leave_no_cyclic_garbage():
+    # a self-referencing recursive closure is a reference cycle that lives
+    # until the next collection; with gc disabled none may be left behind
+    from twistlab.algebra import standard_algebra
+    from twistlab.census_search import census_equations, common_zeros
+    from twistlab.quivers import Quiver, has_oriented_cycle, standard_quiver
+
+    z2 = standard_algebra("group_algebra_z2", GF(5))
+    _, nvars, equations = census_equations(z2, z2)
+    cyclic = standard_quiver("roundtrip")
+    acyclic = Quiver(3, [(0, 1), (1, 2), (0, 2)])
+    calls = [
+        lambda: scale_to_integers([[Fraction(1, 2), Fraction(3)], [Fraction(-2, 3)]], 0),
+        lambda: scale_to_integers([[1, 7], [12]], 5),
+        lambda: common_zeros(equations, nvars, 5),
+        lambda: has_oriented_cycle(cyclic),
+        lambda: has_oriented_cycle(acyclic),
+    ]
+    for i, call in enumerate(calls):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0, i
+        finally:
+            gc.enable()
