@@ -7,14 +7,15 @@ classification of the 4-dimensional twisted products rests on.
 Every algebra carries one integer form of its constants, made once at
 construction: ``int_table`` and ``int_unit`` are ``table`` and ``unit``
 times one scale D (``scale_to_integers``: the lcm of their denominators
-over Q; over F_p, D = 1 and the constants are residues).  Every scan
-over the whole table (the axiom check, base change, the trace form, the
-center's commutator rows, the radical's powers, the Hochschild
-coboundaries) reads these.  Each such quantity is a sum of products of a
-fixed number k of constants, so the integer sum is D^k times the true
-one: an equality, a rank, a kernel and d^2 = 0 are unchanged, and a
-transported constant is recovered by one exact division.  The inner
-loops make no Fraction.
+over Q).  Over F_p the constants are already residues: D = 1, and
+``int_table`` and ``int_unit`` are ``table`` and ``unit`` themselves, not
+a copy.  Every scan over the whole table (the axiom check, base change,
+the trace form, the center's commutator rows, the radical's powers, the
+Hochschild coboundaries) reads these.  Each such quantity is a sum of
+products of a fixed number k of constants, so the integer sum is D^k
+times the true one: an equality, a rank, a kernel and d^2 = 0 are
+unchanged, and a transported constant is recovered by one exact
+division.  The inner loops make no Fraction.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ class Algebra:
         self.table = [[[field.scalar(x) for x in cell] for cell in plane]
                       for plane in table]
         self.unit = [field.scalar(x) for x in unit]
-        (self.int_table, self.int_unit), self.scale = scale_to_integers(
-            [self.table, self.unit], field.characteristic)
+        if field.characteristic:
+            self.int_table, self.int_unit, self.scale = self.table, self.unit, 1
+        else:
+            (self.int_table, self.int_unit), self.scale = scale_to_integers(
+                [self.table, self.unit], 0)
         if check:
             report = verify_axioms(self)
             if not (report["associative"] and report["unital"]):

@@ -9,7 +9,9 @@ is spanned by complete orthogonal idempotents. The last one works in the
 Peirce basis (the idempotents, then a basis of each block e_u J e_v), in
 which each cochain space is an index set and each coboundary entry is one
 signed structure constant, 0 or 1 there. Every route emits sparse integer
-columns into one function, ``complex_dims``; the two table-driven routes
+columns into one function, ``complex_dims``, which checks d^2 = 0 and then
+takes the ranks with clearing: each degree eliminates only the columns
+that are not pivots of the degree before. The two table-driven routes
 read the algebra's integer table (``Algebra.int_table``). Closed-form
 evaluators cover connected non-crown quivers and crowns.
 
@@ -33,7 +35,7 @@ from .algebra import (
     jacobson_radical,
     radical_power_dims,
 )
-from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_rank
+from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_echelon
 from .quivers import Quiver, standard_quiver, walks
 
 RSZ_DEGREE_BOUND = 32
@@ -102,13 +104,28 @@ def complex_dims(deltas: list, p: int) -> list:
     ``deltas[n]`` maps degree n into degree n+1, one dict {row: int} per
     basis element of degree n, so dim C^n is its length; entries are
     integers over Q (p = 0) and residues over F_p. The composite of each
-    consecutive pair is checked to vanish before any rank is trusted; then
-    rank-nullity gives dim H^n = dim C^n - rank d^n - rank d^(n-1).
+    consecutive pair is checked to vanish, on the full columns, before any
+    rank is taken; then rank-nullity gives
+    dim H^n = dim C^n - rank d^n - rank d^(n-1).
+
+    Clearing: rank d^(n+1) is the rank of its columns j that are not
+    pivots of d^n, so only those are eliminated. ``sparse_echelon`` keeps
+    each row of d^n nonzero at its pivot i (its largest index) and zero
+    at every earlier pivot, so a triangular change of basis puts the rows
+    in place of the basis vectors i of C^(n+1); each is a coboundary,
+    which d^(n+1) kills. The rule rests on two premises: d^2 = 0 (checked
+    first), and the row numbering of ``deltas[n]`` equals the column
+    numbering of ``deltas[n+1]``. Only the pivot set is carried over.
     """
     for n in range(len(deltas) - 1):
         if not sparse_compose_zero(deltas[n + 1], deltas[n], p):
             raise AssertionError(f"coboundary square nonzero at degree {n}")
-    ranks = [sparse_rank(cols, p) for cols in deltas]
+    ranks = []
+    pivots = set()
+    for cols in deltas:
+        pivots = set(sparse_echelon(
+            [col for j, col in enumerate(cols) if j not in pivots], p))
+        ranks.append(len(pivots))
     return [
         len(cols) - ranks[n] - (ranks[n - 1] if n else 0)
         for n, cols in enumerate(deltas)
@@ -189,8 +206,8 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10) -> HHProfile:
 
 
 def bar_budget(field: Field) -> int:
-    """The cap on d^(N+2) for hh_bar: TWISTLAB_BUDGET when set, else a
-    per-characteristic default."""
+    """The cap on d (d-1)^(N+1), the rows of hh_bar's top coboundary to
+    degree N: TWISTLAB_BUDGET when set, else a per-characteristic default."""
     env = os.environ.get("TWISTLAB_BUDGET")
     if env is None:
         if field.characteristic == 0:
@@ -294,9 +311,10 @@ def hh_bar(a: Algebra, N: int) -> HHProfile:
         raise ValueError("N must be >= 0")
     d = a.dim
     budget = bar_budget(a.field)
-    if d ** (N + 2) > budget:
+    rows = d * (d - 1) ** (N + 1)
+    if rows > budget:
         raise ValueError(
-            f"the bar budget of {budget} caps d^(N+2), which is {d ** (N + 2)} "
+            f"the bar budget of {budget} caps d (d-1)^(N+1), which is {rows} "
             f"for dim {d} at degree {N}; lower N or raise TWISTLAB_BUDGET"
         )
     deltas = [bar_coboundary_columns(a, n) for n in range(N + 1)]

@@ -407,7 +407,7 @@ def test_serialization_roundtrip_and_stability():
 
 def test_integer_form_is_the_scaled_table():
     # over Q the constants and unit times the lcm of their denominators,
-    # over F_p the residues themselves; for the standard algebras, their
+    # over F_p the very same lists; for the standard algebras, their
     # transports and transports of those (Fraction constants over Q)
     rng = random.Random(97)
     scales = set()
@@ -430,8 +430,8 @@ def test_integer_form_is_the_scaled_table():
                 assert all(type(x) is int for x in ints + case.int_unit)
                 if p:
                     assert case.scale == 1
-                    assert case.int_table == case.table
-                    assert case.int_unit == case.unit
+                    assert case.int_table is case.table
+                    assert case.int_unit is case.unit
                     assert all(0 <= x < p for x in ints + case.int_unit)
                     continue
                 assert case.scale == math.lcm(

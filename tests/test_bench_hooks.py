@@ -3,8 +3,13 @@
 ``twistbench/tracer.py`` patches named twistlab functions from outside and
 reads their arguments and results (the columns ``sparse_rank`` gets, the
 ``int`` it returns, an ``RszComplexLayer``'s bases). This test loads it
-read-only, traces a tiny ``hh_rsz`` and ``hh_bar``, and checks that every
-traced name resolved and every count it reads is nonzero.
+read-only, traces a tiny ``hh_rsz``, ``hh_bar`` and ``is_separable``, and
+checks that every traced name resolved and every count it reads is nonzero.
+
+The cochain ranks of ``complex_dims`` go through ``sparse_echelon``, which
+the tracer does not wrap: its ``sparse_rank`` spans come from
+``is_separable`` (through ``integer_rank``), not from the three routes, and
+the cochain rank time lands in the routes' own spans.
 """
 
 import importlib.util
@@ -30,24 +35,33 @@ def load_tracer():
 def test_tracer_hooks_resolve_and_count():
     tracer_mod = load_tracer()
     tracer = tracer_mod.Tracer()
-    original = twistlab.hochschild.sparse_rank
+    original = twistlab.algebra.sparse_rank
+    assert not hasattr(twistlab.hochschild, "sparse_rank")
     tracer.install()
     try:
-        assert twistlab.hochschild.sparse_rank is not original
+        assert twistlab.algebra.sparse_rank is not original
         rsz = twistlab.hochschild.hh_rsz(standard_quiver("roundtrip"), QQ, 3)
         bar = twistlab.hochschild.hh_bar(
             standard_algebra("group_algebra_z2", QQ), 2)
+        separable = twistlab.algebra.is_separable(
+            standard_algebra("group_algebra_z2", QQ))
     finally:
         tracer.uninstall()
-    assert twistlab.hochschild.sparse_rank is original
+    assert twistlab.algebra.sparse_rank is original
     # _fast_candidate_ok was deleted with the brute-force census; its count
     # hook is the one known stale name
     assert tracer.missing == ["twisting._fast_candidate_ok"]
     assert rsz.dims == hh_rsz(standard_quiver("roundtrip"), QQ, 3).dims
     assert bar.dims == hh_bar(standard_algebra("group_algebra_z2", QQ), 2).dims
+    assert separable
     counts = tracer.counts
     for name in ("bar.nnz", "sparse_rank.rank_sum", "rsz.cochain_dim_sum"):
         assert counts[name] > 0, name
     names = {span[2] for span in tracer.spans}
     assert {"hh_rsz", "rsz_layer", "hh_bar", "bar_coboundary_columns",
             "sparse_rank", "sparse_compose_zero"} <= names
+    # every sparse_rank span sits under is_separable, none under a route
+    by_id = {span[0]: span for span in tracer.spans}
+    parents = {by_id[span[1]][2] for span in tracer.spans
+               if span[2] == "sparse_rank"}
+    assert parents == {"is_separable"}

@@ -216,8 +216,7 @@ def test_reproduce_paper_passes(capsys):
 
 
 def test_reproduce_paper_structured_and_stability(capsys):
-    code, out1, _ = run(capsys, "reproduce-paper", "--format", "structured",
-                        "--skip-bar")
+    code, out1, _ = run(capsys, "reproduce-paper", "--format", "structured")
     assert code == 0
     doc = json.loads(out1)
     assert doc["ok"] is True
@@ -228,15 +227,14 @@ def test_reproduce_paper_structured_and_stability(capsys):
         "isolated-vertex-hh0",
     ]
     routes = [c for c in doc["checks"] if c["id"].startswith("hh-three-routes")]
-    assert all("bar" not in c["detail"] for c in routes)
-    code, out2, _ = run(capsys, "reproduce-paper", "--format", "structured",
-                        "--skip-bar")
+    assert [c["detail"] for c in routes] == [
+        "rsz = bar = e-complex on roundtrip and qtilde"] * 3
+    code, out2, _ = run(capsys, "reproduce-paper", "--format", "structured")
     assert out1 == out2
 
 
 def test_reproduce_paper_extra_field_f7(capsys):
-    code, out, _ = run(capsys, "reproduce-paper", "--field", "F7",
-                       "--skip-bar")
+    code, out, _ = run(capsys, "reproduce-paper", "--field", "F7")
     assert code == 0
     assert "census-count-F7: 12 rows" in out
     assert "summary: 37/37" in out

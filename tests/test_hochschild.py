@@ -292,9 +292,12 @@ def test_bar_a_q_presentations():
 
 
 def test_bar_budget_guard(monkeypatch):
+    # the budget caps d (d-1)^(N+1): under the char-0 default of 4096,
+    # dim 4 reaches N = 5 (2916) but not N = 6 (8748)
     alg = standard_algebra("k_n", QQ, n=4)
+    assert hh_bar(alg, 5).dims == [4, 0, 0, 0, 0, 0]
     with pytest.raises(ValueError):
-        hh_bar(alg, 5)
+        hh_bar(alg, 6)
     monkeypatch.setenv("TWISTLAB_BUDGET", "100")
     hh_bar(alg, 1)
     with pytest.raises(ValueError):
@@ -304,10 +307,11 @@ def test_bar_budget_guard(monkeypatch):
 
 
 def test_bar_budget_edge_and_malformed_budget(monkeypatch):
+    # dim 4 at degree 2 builds 4 * 3^3 = 108 rows in its top coboundary
     alg = standard_algebra("k_n", QQ, n=4)
-    monkeypatch.setenv("TWISTLAB_BUDGET", "256")
+    monkeypatch.setenv("TWISTLAB_BUDGET", "108")
     assert hh_bar(alg, 2).dims == [4, 0, 0]
-    monkeypatch.setenv("TWISTLAB_BUDGET", "255")
+    monkeypatch.setenv("TWISTLAB_BUDGET", "107")
     with pytest.raises(ValueError, match="budget"):
         hh_bar(alg, 2)
     for bad in ("abc", "0", "-5"):
@@ -475,7 +479,7 @@ def test_routes_agree_on_random_quivers():
         idems = [alg.basis_element(v) for v in range(vertices)]
         assert hh_e_complex(alg, idems, 3).dims == rsz, (field.name, arrows)
         n_bar = 3
-        while alg.dim ** (n_bar + 2) > bar_budget(field):
+        while alg.dim * (alg.dim - 1) ** (n_bar + 1) > bar_budget(field):
             n_bar -= 1
         assert hh_bar(alg, n_bar).dims == rsz[: n_bar + 1], (field.name, arrows)
         crown = is_crown(q)
