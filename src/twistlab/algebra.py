@@ -97,19 +97,6 @@ class Algebra:
             out = [v % p for v in out]
         return out
 
-    def _basis_coords(self, i: int) -> list:
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
-        return coords
-
-    def trace_of_left_mult(self, x: list):
-        f = self.field
-        acc = f.zero
-        for l in range(self.dim):
-            prod = self.multiply_coords(x, self._basis_coords(l))
-            acc = f.add(acc, prod[l])
-        return acc
-
     # serialization
 
     def to_doc(self) -> dict:
@@ -131,6 +118,7 @@ class Algebra:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Algebra":
+        require_keys(doc, ("field", "dim", "basis", "table", "unit"), "algebra")
         field = field_from_name(doc["field"])
         alg = cls(field, doc["basis"], doc["table"], doc["unit"], check=True)
         if alg.dim != doc["dim"]:
@@ -140,6 +128,15 @@ class Algebra:
     @classmethod
     def from_json(cls, text: str) -> "Algebra":
         return cls.from_doc(json.loads(text))
+
+
+def require_keys(doc, keys: tuple, what: str) -> None:
+    """A ValueError unless doc is a JSON object holding every key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} JSON must be an object, not {type(doc).__name__}")
+    for k in keys:
+        if k not in doc:
+            raise ValueError(f"{what} JSON lacks the key {k!r}")
 
 
 class Element:

@@ -21,7 +21,6 @@ from .algebra import (
     integer_rank,
     is_algebra_map,
     is_commutative,
-    is_separable,
     radical_power_dims,
     standard_algebra,
 )
@@ -69,18 +68,19 @@ REFERENCE_FINGERPRINTS = {
 
 
 def fingerprint(a: Algebra) -> Fingerprint:
-    """The invariants from the integer table.  A separable algebra has
-    J = 0 with no kernel taken; only a non-separable one goes through the
-    kernel, ideal and nilpotency checks of ``radical_powers``.  The center
-    has dimension d minus the rank of ``commutator_rows``."""
+    """The invariants from the integer table.  The trace form is built
+    once, in ``radical_powers``: the algebra is separable exactly when its
+    kernel is empty (rank d), so exactly when the radical dims are [], and
+    only a nonzero kernel goes on to the ideal and nilpotency checks.  The
+    center has dimension d minus the rank of ``commutator_rows``."""
     d = a.dim
-    separable = is_separable(a)
+    dims = radical_power_dims(a)
     return Fingerprint(
         d,
         is_commutative(a),
         d - integer_rank(commutator_rows(a.int_table), a.field.characteristic),
-        () if separable else tuple(radical_power_dims(a)),
-        separable,
+        tuple(dims),
+        not dims,
     )
 
 
@@ -312,14 +312,3 @@ def orbit_tsv(report: OrbitReport) -> str:
             "yes" if e.invertible else "no", e.label,
         ]))
     return "\n".join(lines) + "\n"
-
-
-def parse_orbit_tsv(text: str) -> list:
-    lines = [l for l in text.strip().split("\n") if l]
-    if lines[0] != ORBIT_TSV_HEADER:
-        raise ValueError("bad orbit header")
-    entries = []
-    for line in lines[1:]:
-        fam, par, pv, qv, rv, sv, inv, label = line.split("\t")
-        entries.append(OrbitEntry(fam, par, pv, qv, rv, sv, inv == "yes", label))
-    return entries

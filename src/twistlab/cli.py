@@ -13,7 +13,7 @@ import os
 import sys
 
 from .fields import QQ, GF, field_from_name
-from .algebra import Algebra, standard_algebra
+from .algebra import Algebra, CriterionInapplicable, standard_algebra
 from .quivers import Quiver, standard_quiver, truncated_path_algebra
 from .twisting import (
     CENSUS_ERRATA,
@@ -201,19 +201,6 @@ def run_hh(args) -> int:
     for e in notes:
         _note(_erratum_line(e))
     return 0
-
-
-def parse_hh_tsv(text: str) -> list:
-    lines = [l for l in text.strip().split("\n") if l]
-    if lines[0] != HH_TSV_HEADER:
-        raise ValueError("bad hh header")
-    dims = []
-    for n, line in enumerate(lines[1:]):
-        deg, dim = line.split("\t")
-        if int(deg) != n:
-            raise ValueError("degrees out of order")
-        dims.append(int(dim))
-    return dims
 
 
 def run_counterexample(args) -> int:
@@ -445,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, CriterionInapplicable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

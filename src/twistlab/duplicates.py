@@ -29,12 +29,6 @@ class DuplicateDatum:
     delta_matrix: Matrix
 
 
-@dataclass
-class RoundTripParams:
-    a_u: object
-    a_v: object
-
-
 def x_idempotent_algebra(field: Field) -> Algebra:
     """k[X]/(X^2 - X) on basis (1, X)."""
     o, z = field.one, field.zero
@@ -88,7 +82,7 @@ def verify_pair(d: DuplicateDatum) -> dict:
     for i in range(n):
         for j in range(n):
             lhs = dm.apply(base.table[i][j])
-            ei, ej = base._basis_coords(i), base._basis_coords(j)
+            ei, ej = base.basis_element(i).coords, base.basis_element(j).coords
             v1 = [
                 f.add(x, y)
                 for x, y in zip(
@@ -129,7 +123,7 @@ def _duplicate_algebra(d: DuplicateDatum, check: bool) -> Algebra:
     dim = 2 * n
     table = [[[f.zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
-        ei = base._basis_coords(i)
+        ei = base.basis_element(i).coords
         for j in range(n):
             plain = base.table[i][j]
             u = base.multiply_coords(ei, dm.col(j))
@@ -187,13 +181,6 @@ def roundtrip_candidate(field: Field, a_u, a_v) -> Algebra:
     return _duplicate_algebra(roundtrip_datum(field, a_u, a_v), check=False)
 
 
-def roundtrip_duplicate(p: RoundTripParams, field: Field) -> Algebra:
-    au, av = field.scalar(p.a_u), field.scalar(p.a_v)
-    if field.add(field.add(au, av), field.one) != field.zero:
-        raise ValueError("round-trip parameters must satisfy a_u + a_v + 1 = 0")
-    return build_duplicate(roundtrip_datum(field, au, av))
-
-
 def duplicate_to_twisting_map(d: DuplicateDatum) -> TwistingMap:
     """tau: k[X]/(X^2-X) (x) k^n -> k^n (x) k[X]/(X^2-X) from the X*a rule."""
     report = verify_pair(d)
@@ -214,39 +201,3 @@ def duplicate_to_twisting_map(d: DuplicateDatum) -> TwistingMap:
             m.data[k * 2][n + j] = dm.data[k][j]
             m.data[k * 2 + 1][n + j] = fm.data[k][j]
     return TwistingMap(base, b, m)
-
-
-def standard_endomorphisms(field: Field) -> list:
-    """The four algebra endomorphisms of k^2, as coordinate matrices."""
-    return [
-        Matrix.from_rows(field, [[1, 0], [0, 1]]),
-        Matrix.from_rows(field, [[0, 1], [1, 0]]),
-        Matrix.from_rows(field, [[1, 0], [1, 0]]),
-        Matrix.from_rows(field, [[0, 1], [0, 1]]),
-    ]
-
-
-def datum_to_doc(d: DuplicateDatum) -> dict:
-    f = d.base.field
-
-    def rows(m):
-        return [[f.scalar_to_str(x) for x in row] for row in m.data]
-
-    return {
-        "field": f.name,
-        "base_dim": d.base.dim,
-        "f": rows(d.f_matrix),
-        "delta": rows(d.delta_matrix),
-    }
-
-
-def datum_from_doc(doc: dict) -> DuplicateDatum:
-    from .fields import field_from_name
-    from .algebra import standard_algebra
-
-    f = field_from_name(doc["field"])
-    n = doc["base_dim"]
-    base = standard_algebra("k_n", f, n=n)
-    fm = Matrix.from_rows(f, [[f.scalar_from_str(x) for x in row] for row in doc["f"]])
-    dm = Matrix.from_rows(f, [[f.scalar_from_str(x) for x in row] for row in doc["delta"]])
-    return DuplicateDatum(base, fm, dm)

@@ -44,10 +44,6 @@ class Field:
             self.one = 1
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime-field"
-
-    @property
     def name(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
@@ -105,9 +101,6 @@ class Field:
         p = self.characteristic
         return 1 / x if p == 0 else pow(x, -1, p)
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     # enumeration and serialization
 
     def elements(self) -> list:
@@ -117,9 +110,6 @@ class Field:
 
     def scalar_to_str(self, x) -> str:
         return str(x)
-
-    def scalar_from_str(self, s: str):
-        return self.scalar(s)
 
 
 QQ = Field(0)
@@ -136,8 +126,3 @@ def field_from_name(name: str) -> Field:
     if name.startswith("F") and name[1:].isdigit():
         return Field(int(name[1:]))
     raise ValueError(f"unknown field tag {name!r} (expected Q or F<p>)")
-
-
-def enumerate_field_elements(f: Field) -> list:
-    """All elements of a prime field, in the order 0, 1, ..., p-1."""
-    return f.elements()

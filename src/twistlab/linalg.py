@@ -49,10 +49,6 @@ class Matrix:
         return m
 
     @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols)
-
-    @classmethod
     def from_rows(cls, field: Field, rows: list) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -77,9 +73,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         f = self.field
@@ -94,14 +87,6 @@ class Matrix:
         out = Matrix(f, self.rows, self.cols)
         for i in range(self.rows):
             out.data[i] = [f.sub(x, y) for x, y in zip(self.data[i], other.data[i])]
-        return out
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.scalar(c)
-        out = Matrix(f, self.rows, self.cols)
-        for i in range(self.rows):
-            out.data[i] = [f.mul(c, x) for x in self.data[i]]
         return out
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -173,21 +158,6 @@ class Matrix:
             basis.append(v)
         return echelon_basis(f, basis)
 
-    def solve(self, b: list):
-        """One solution of self * x = b, or None when inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length mismatch")
-        f = self.field
-        n = self.cols
-        red = echelon_basis(f, [row + [f.scalar(bv)] for row, bv in zip(self.data, b)])
-        x = [f.zero] * n
-        for row in red:
-            pc = _leading(row)
-            if pc == n:
-                return None
-            x[pc] = row[n]
-        return x
-
     def inverse(self):
         """Inverse matrix, or None when singular."""
         if self.rows != self.cols:
@@ -203,9 +173,6 @@ class Matrix:
         out = Matrix(f, n, n)
         out.data = [row[n:] for row in red]
         return out
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor product: out[(i*rb+k),(j*cb+l)] = self[i,j]*other[k,l]."""
@@ -289,26 +256,6 @@ def echelon_basis(field: Field, vectors: list) -> list:
             vec[top - c] = x if p else Fraction(x, piv)
         out.append(vec)
     return out
-
-
-def coords_in_echelon_basis(field: Field, basis: list, v: list):
-    """Coordinates of v in an echelon-normalized basis, or None if outside.
-
-    Each basis vector's coefficient is read off at its pivot position,
-    then the remainder is checked to be zero.
-    """
-    if not basis:
-        return None if any(v) else []
-    w = list(v)
-    coords = []
-    for b in basis:
-        c = w[_leading(b)]
-        coords.append(c)
-        if c:
-            w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, b)]
-    if any(w):
-        return None
-    return coords
 
 
 # the elimination kernel

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .fields import Field
-from .algebra import Algebra
+from .algebra import Algebra, require_keys
 
 PATH_LENGTH_BOUND = 32
 
@@ -40,9 +40,6 @@ class Quiver:
     def arrows_from(self, v: int) -> list:
         return [i for i, (s, _) in enumerate(self.arrows) if s == v]
 
-    def arrows_into(self, v: int) -> list:
-        return [i for i, (_, t) in enumerate(self.arrows) if t == v]
-
     def to_doc(self) -> dict:
         return {
             "vertex_count": self.vertex_count,
@@ -54,6 +51,7 @@ class Quiver:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Quiver":
+        require_keys(doc, ("vertex_count", "arrows"), "quiver")
         return cls(doc["vertex_count"], doc["arrows"])
 
     @classmethod

@@ -335,9 +335,6 @@ class TwistFamilyDescriptor:
     family_id: str
     parameter: object = None
 
-    def with_parameter(self, value) -> "TwistFamilyDescriptor":
-        return TwistFamilyDescriptor(self.family_id, value)
-
 
 LINE_FAMILIES = {"line_char_ne_2", "char2_line_i", "char2_line_ii"}
 
@@ -516,25 +513,3 @@ def census_tsv(rows, field: Field) -> str:
             s(r["s"]), "yes" if r["invertible"] else "no",
         ]))
     return "\n".join(lines) + "\n"
-
-
-def parse_census_tsv(text: str, field: Field) -> list:
-    lines = [l for l in text.strip().split("\n") if l]
-    if lines[0] != CENSUS_TSV_HEADER:
-        raise ValueError("bad census header")
-    rows = []
-    for line in lines[1:]:
-        fam, par, pv, qv, rv, sv, inv = line.split("\t")
-
-        def s(x):
-            if x == "-":
-                return None
-            if x == "alpha":
-                return x
-            return field.scalar_from_str(x)
-
-        rows.append({
-            "family": fam, "parameter": s(par), "p": s(pv), "q": s(qv),
-            "r": s(rv), "s": s(sv), "invertible": inv == "yes",
-        })
-    return rows

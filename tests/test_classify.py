@@ -12,29 +12,53 @@ from twistlab.algebra import (
     CriterionInapplicable,
     center,
     change_of_basis,
+    commutator_rows,
+    integer_rank,
     is_commutative,
+    is_separable,
+    radical_power_dims,
     standard_algebra,
 )
 from twistlab.quivers import Quiver, truncated_path_algebra
 
+from test_algebra import trace_of_left_mult
 from test_linalg import (
     gauss_jordan_rref,
     reference_echelon_basis,
     reference_kernel_basis,
 )
-from twistlab.twisting import TwistFamilyDescriptor, family_member, twisted_product
+from twistlab.twisting import (
+    TwistFamilyDescriptor,
+    census_rows,
+    census_rows_char0,
+    family_member,
+    twisted_product,
+)
 from twistlab.classify import (
     CHAR2_NOTE,
+    ORBIT_TSV_HEADER,
     REFERENCE_FINGERPRINTS,
     Fingerprint,
+    OrbitEntry,
     classify_4dim,
     fingerprint,
     is_isomorphism,
     orbit_report,
     orbit_tsv,
-    parse_orbit_tsv,
     reference_isomorphism,
 )
+
+
+def parse_orbit_tsv(text: str) -> list:
+    """Reference reader of ``orbit_tsv``: one OrbitEntry per row."""
+    lines = [l for l in text.strip().split("\n") if l]
+    if lines[0] != ORBIT_TSV_HEADER:
+        raise ValueError("bad orbit header")
+    entries = []
+    for line in lines[1:]:
+        fam, par, pv, qv, rv, sv, inv, label = line.split("\t")
+        entries.append(OrbitEntry(fam, par, pv, qv, rv, sv, inv == "yes", label))
+    return entries
 
 
 def z2_pair(field):
@@ -114,7 +138,7 @@ def fraction_gram(a) -> Matrix:
     algebra's own scalars."""
     f = a.field
     d = a.dim
-    traces = [a.trace_of_left_mult(a._basis_coords(m)) for m in range(d)]
+    traces = [trace_of_left_mult(a, a.basis_element(m).coords) for m in range(d)]
     g = Matrix(f, d, d)
     for i in range(d):
         for j in range(d):
@@ -135,7 +159,7 @@ def fraction_span_product(a, basis1, basis2) -> list:
 
 def fraction_is_ideal(a, basis) -> bool:
     """Reference: basis and every e_i v and v e_i span no more than basis."""
-    units = [a._basis_coords(i) for i in range(a.dim)]
+    units = [a.basis_element(i).coords for i in range(a.dim)]
     prods = [a.multiply_coords(e, v) for v in basis for e in units]
     prods += [a.multiply_coords(v, e) for v in basis for e in units]
     return len(reference_echelon_basis(a.field, basis + prods)) == len(basis)
@@ -238,6 +262,50 @@ def test_fingerprint_matches_fraction_reference():
     assert refused >= 6
     with pytest.raises(CriterionInapplicable):
         fingerprint(standard_algebra("group_algebra_z2", GF(2)))
+
+
+def two_pass_fingerprint(a) -> Fingerprint:
+    """Reference: the fingerprint with the trace form built twice, once
+    for ``is_separable`` and again, on a non-separable algebra, for
+    ``radical_power_dims``."""
+    d = a.dim
+    separable = is_separable(a)
+    return Fingerprint(
+        d,
+        is_commutative(a),
+        d - integer_rank(commutator_rows(a.int_table), a.field.characteristic),
+        () if separable else tuple(radical_power_dims(a)),
+        separable,
+    )
+
+
+def census_products(field):
+    if field.characteristic == 0:
+        products = [twisted_product(r["map"]) for r in census_rows_char0() if r["map"]]
+        return products + [line_product(field, alpha) for alpha in (2, -2, 3)]
+    return [twisted_product(r["map"]) for r in census_rows(field)]
+
+
+def test_fingerprint_matches_two_pass_reference():
+    # 200 seeded base changes of the census products, 40 per field; over
+    # GF(2) every one is refused, with the same message both ways
+    rng = random.Random(12)
+    outcomes = []
+    for field in (QQ, GF(2), GF(3), GF(7), GF(13)):
+        products = census_products(field)
+        for k in range(40):
+            alg = products[k % len(products)]
+            p = random_invertible(field, alg.dim, rng)
+            if field.characteristic == 0:
+                p = Matrix(field, alg.dim, alg.dim, [
+                    [Fraction(x, rng.randint(1, 3)) for x in row] for row in p.data])
+            moved = change_of_basis(alg, p)
+            want = fingerprint_outcome(two_pass_fingerprint, moved)
+            assert fingerprint_outcome(fingerprint, moved) == want, (field, k)
+            outcomes.append(want)
+    refusals = [o for o in outcomes if isinstance(o, str)]
+    assert refusals and all(o.startswith("criterion-inapplicable") for o in refusals)
+    assert {o.separable for o in outcomes if not isinstance(o, str)} == {True, False}
 
 
 def test_fingerprint_invariant_under_basis_change():

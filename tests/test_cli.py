@@ -6,20 +6,36 @@ from pathlib import Path
 
 import pytest
 
-from twistlab.cli import main, parse_hh_tsv
+from twistlab.cli import HH_TSV_HEADER, main
 from twistlab.fields import GF, QQ
 from twistlab.twisting import (
     LINE_FAMILIES,
+    TwistFamilyDescriptor,
     descriptor_scalars,
-    parse_census_tsv,
     solve_2dim_twist,
 )
-from twistlab.classify import parse_orbit_tsv
 from twistlab.quivers import standard_quiver
 from twistlab.algebra import standard_algebra
 
+from test_classify import parse_orbit_tsv
+from test_twisting import parse_census_tsv
+
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def parse_hh_tsv(text: str) -> list:
+    """Reference reader of ``hh --format tsv``: the dims in degree order."""
+    lines = [l for l in text.strip().split("\n") if l]
+    if lines[0] != HH_TSV_HEADER:
+        raise ValueError("bad hh header")
+    dims = []
+    for n, line in enumerate(lines[1:]):
+        deg, dim = line.split("\t")
+        if int(deg) != n:
+            raise ValueError("degrees out of order")
+        dims.append(int(dim))
+    return dims
 
 
 def run(capsys, *argv):
@@ -83,7 +99,7 @@ def test_census_at_the_search_space_edge(capsys):
     for desc in solve_2dim_twist(f):
         params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
         for x in params:
-            closed_form.add(descriptor_scalars(desc.with_parameter(x), f))
+            closed_form.add(descriptor_scalars(TwistFamilyDescriptor(desc.family_id, x), f))
     assert {(r["p"], r["q"], r["r"], r["s"]) for r in rows} == closed_form
     code, _, err = run(capsys, "census", "--field", "F1031")
     assert code == 2
@@ -174,6 +190,33 @@ def test_hh_input_validation(capsys):
     code, _, err = run(capsys, "hh", "--algebra", "matrix2", "--N", "3",
                        "--method", "rsz")
     assert code == 2 and "needs a quiver" in err
+
+
+def test_hh_malformed_json_inputs(tmp_path, capsys):
+    # a missing key or a non-object document used to end in a traceback
+    cases = (
+        ("--quiver", {"vertex_count": 2}, "quiver JSON lacks the key 'arrows'"),
+        ("--quiver", [[0, 1]], "quiver JSON must be an object, not list"),
+        ("--algebra", {"field": "Q", "dim": 1, "basis": ["1"], "unit": ["1"]},
+         "algebra JSON lacks the key 'table'"),
+        ("--algebra", [], "algebra JSON must be an object, not list"),
+    )
+    for i, (flag, doc, message) in enumerate(cases):
+        path = tmp_path / f"input{i}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "hh", flag, str(path), "--N", "2")
+        assert code == 2 and out == "", message
+        assert err == f"error: {message}\n"
+
+
+def test_hh_criterion_inapplicable_exits_2(capsys):
+    # over GF(2) the trace-form radical of these inputs is not certified
+    for flag, spec in (("--quiver", "roundtrip"),
+                       ("--algebra", "group_algebra_z2")):
+        code, out, err = run(capsys, "hh", flag, spec, "--N", "2",
+                             "--method", "e-complex", "--field", "F2")
+        assert code == 2 and out == "", spec
+        assert err.startswith("error: criterion-inapplicable: char 2 <= dim "), spec
 
 
 def test_hh_budget_error_surfaces(capsys, monkeypatch):

@@ -17,15 +17,10 @@ from twistlab.algebra import (
 from twistlab.linalg import Matrix
 from twistlab.duplicates import (
     DuplicateDatum,
-    RoundTripParams,
     build_duplicate,
-    datum_from_doc,
-    datum_to_doc,
     duplicate_to_twisting_map,
     roundtrip_candidate,
     roundtrip_datum,
-    roundtrip_duplicate,
-    standard_endomorphisms,
     verify_pair,
     x_idempotent_algebra,
 )
@@ -119,7 +114,7 @@ def test_associativity_scan_over_f5():
 def test_roundtrip_table_entries():
     # basis order (u, uX, v, vX); rule X*a = delta(a) + f(a)*X
     for field, au, av in ((QQ, 1, -2), (QQ, 0, -1), (GF(5), 2, 2)):
-        alg = roundtrip_duplicate(RoundTripParams(au, av), field)
+        alg = build_duplicate(roundtrip_datum(field, au, av))
         assert alg.basis_labels == ["u", "uX", "v", "vX"]
         auv, avv = field.scalar(au), field.scalar(av)
         z, o = field.zero, field.one
@@ -138,7 +133,7 @@ def test_roundtrip_table_entries():
 
 def test_roundtrip_displayed_product_pair():
     for field, au, av in ((QQ, 1, -2), (GF(5), 2, 2)):
-        alg = roundtrip_duplicate(RoundTripParams(au, av), field)
+        alg = build_duplicate(roundtrip_datum(field, au, av))
         u, ux, v, vx = (alg.basis_element(i) for i in range(4))
         prod = field.mul(field.scalar(au), field.scalar(av))
         assert (vx * u) * (ux * v) == v.scale(prod)
@@ -147,12 +142,12 @@ def test_roundtrip_displayed_product_pair():
 
 def test_roundtrip_constraint_gate():
     with pytest.raises(ValueError):
-        roundtrip_duplicate(RoundTripParams(1, 1), QQ)
-    roundtrip_duplicate(RoundTripParams(3, -4), QQ)
+        build_duplicate(roundtrip_datum(QQ, 1, 1))
+    build_duplicate(roundtrip_datum(QQ, 3, -4))
 
 
 def test_roundtrip_zero_product_case_is_nilpotent_type():
-    alg = roundtrip_duplicate(RoundTripParams(0, -1), QQ)
+    alg = build_duplicate(roundtrip_datum(QQ, 0, -1))
     assert not is_commutative(alg)
     assert len(center(alg)) == 1
     assert radical_power_dims(alg) == [2, 0]
@@ -160,7 +155,7 @@ def test_roundtrip_zero_product_case_is_nilpotent_type():
 
 
 def test_roundtrip_nonzero_product_case_is_separable_type():
-    alg = roundtrip_duplicate(RoundTripParams(1, -2), QQ)
+    alg = build_duplicate(roundtrip_datum(QQ, 1, -2))
     assert not is_commutative(alg)
     assert len(center(alg)) == 1
     assert jacobson_radical(alg) == []
@@ -189,27 +184,3 @@ def test_duplicate_to_twisting_map_rejects_invalid_pair():
     fm = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         duplicate_to_twisting_map(DuplicateDatum(base, fm, Matrix(QQ, 2, 2)))
-
-
-def test_standard_endomorphisms():
-    f1, f2, f3, f4 = standard_endomorphisms(QQ)
-    base = standard_algebra("k_n", QQ, n=2)
-    for fm in (f1, f2, f3, f4):
-        report = verify_pair(DuplicateDatum(base, fm, Matrix(QQ, 2, 2)))
-        assert report["endomorphism"]
-    assert f2.apply([QQ.one, QQ.zero]) == [QQ.zero, QQ.one]
-    assert f3.apply([QQ.one, QQ.zero]) == [QQ.one, QQ.one]
-    assert f3.apply([QQ.zero, QQ.one]) == [QQ.zero, QQ.zero]
-    assert f1 * f1 == f1
-    assert f2 * f2 == f1
-    assert f3 * f3 == f3
-    assert f4 * f4 == f4
-
-
-def test_datum_doc_roundtrip():
-    d = roundtrip_datum(GF(5), 2, 2)
-    doc = datum_to_doc(d)
-    back = datum_from_doc(doc)
-    assert back.f_matrix == d.f_matrix
-    assert back.delta_matrix == d.delta_matrix
-    assert back.base.table == d.base.table

@@ -234,7 +234,7 @@ def fraction_bar_tables(a) -> tuple:
     c = a.table
     cbar = [
         [
-            [f.sub(c[x][y][m], f.mul(c[x][y][j], f.div(u[m], u[j]))) for m in range(d)]
+            [f.sub(c[x][y][m], f.mul(c[x][y][j], f.mul(u[m], f.inv(u[j])))) for m in range(d)]
             for y in range(d)
         ]
         for x in range(d)

@@ -62,7 +62,7 @@ def reference_layer(q, p, n):
             x = Path(q, gamma.arrow_indices + (a,))
             row = index[x.key(), Path(q, (a,)).key()]
             col[row] = col.get(row, 0) + 1
-        for a in q.arrows_into(v):
+        for a in (i for i, (_, t) in enumerate(q.arrows) if t == v):
             x = Path(q, (a,) + gamma.arrow_indices)
             row = index[x.key(), Path(q, (a,)).key()]
             col[row] = col.get(row, 0) + sign

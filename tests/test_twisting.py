@@ -23,6 +23,7 @@ from twistlab.duplicates import x_idempotent_algebra
 from twistlab.linalg import Matrix
 from twistlab.twisting import (
     CENSUS_ERRATA,
+    CENSUS_TSV_HEADER,
     ENUM_BITS_BOUND,
     LINE_FAMILIES,
     TwistFamilyDescriptor,
@@ -37,13 +38,34 @@ from twistlab.twisting import (
     identify_family,
     inclusion_maps_are_morphisms,
     is_invertible,
-    parse_census_tsv,
     scalars_of_map,
     solve_2dim_twist,
     twisted_product,
     verify_twisting,
     _search_space_bits,
 )
+
+
+def parse_census_tsv(text: str, field) -> list:
+    """Reference reader of ``census_tsv``: one dict per row, scalars in
+    the field, "-" as None and "alpha" kept as text."""
+    lines = [l for l in text.strip().split("\n") if l]
+    if lines[0] != CENSUS_TSV_HEADER:
+        raise ValueError("bad census header")
+
+    def s(x):
+        if x == "-":
+            return None
+        return x if x == "alpha" else field.scalar(x)
+
+    rows = []
+    for line in lines[1:]:
+        fam, par, pv, qv, rv, sv, inv = line.split("\t")
+        rows.append({
+            "family": fam, "parameter": s(par), "p": s(pv), "q": s(qv),
+            "r": s(rv), "s": s(sv), "invertible": inv == "yes",
+        })
+    return rows
 
 
 def z2_pair(field):
@@ -308,7 +330,7 @@ def test_solve_matches_enumeration_pointwise():
         solved = set()
         for desc in solve_2dim_twist(f):
             if desc.family_id in ("line_char_ne_2", "char2_line_i", "char2_line_ii"):
-                members = [desc.with_parameter(x) for x in f.elements()]
+                members = [TwistFamilyDescriptor(desc.family_id, x) for x in f.elements()]
             else:
                 members = [desc]
             for d in members:
@@ -499,7 +521,7 @@ def test_census_matches_closed_form_at_every_prime_below_200():
         for desc in solve_2dim_twist(f):
             params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
             for x in params:
-                closed_form.add(descriptor_scalars(desc.with_parameter(x), f))
+                closed_form.add(descriptor_scalars(TwistFamilyDescriptor(desc.family_id, x), f))
         assert len(got) == len(set(got)) == (3 if p == 2 else p + 5), p
         assert set(got) == closed_form, p
         for r, pqrs in zip(rows, got):
@@ -538,7 +560,7 @@ def test_verifier_census_and_closed_form_agree_on_random_pqrs():
         for desc in solve_2dim_twist(f):
             params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
             for x in params:
-                closed_form.add(descriptor_scalars(desc.with_parameter(x), f))
+                closed_form.add(descriptor_scalars(TwistFamilyDescriptor(desc.family_id, x), f))
         # every claimed solution, one random coordinate changed in each,
         # and uniform draws
         solutions = sorted(census | closed_form)
