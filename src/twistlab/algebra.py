@@ -118,7 +118,9 @@ class Algebra:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Algebra":
-        require_keys(doc, ("field", "dim", "basis", "table", "unit"), "algebra")
+        scalar = (int, str)
+        require_fields(doc, {"field": str, "dim": int, "basis": [scalar],
+                             "table": [[[scalar]]], "unit": [scalar]}, "algebra")
         field = field_from_name(doc["field"])
         alg = cls(field, doc["basis"], doc["table"], doc["unit"], check=True)
         if alg.dim != doc["dim"]:
@@ -130,13 +132,33 @@ class Algebra:
         return cls.from_doc(json.loads(text))
 
 
-def require_keys(doc, keys: tuple, what: str) -> None:
-    """A ValueError unless doc is a JSON object holding every key."""
+def require_fields(doc, shapes: dict, what: str) -> None:
+    """A ValueError unless doc is a JSON object holding every key of shapes
+    with a value of its shape: a type or tuple of types (bool is not an
+    int here), or [shape] for an array of values of that shape."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} JSON must be an object, not {type(doc).__name__}")
-    for k in keys:
+    for k, shape in shapes.items():
         if k not in doc:
             raise ValueError(f"{what} JSON lacks the key {k!r}")
+        if not _has_shape(doc[k], shape):
+            raise ValueError(f"{what} JSON {k!r} must be {_shape_name(shape)}")
+
+
+def _has_shape(value, shape) -> bool:
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_has_shape(x, shape[0]) for x in value)
+    return isinstance(value, shape) and not isinstance(value, bool)
+
+
+_NOUNS = {int: ("an integer", "integers"), str: ("a string", "strings")}
+
+
+def _shape_name(shape, plural: bool = False) -> str:
+    if isinstance(shape, list):
+        return ("arrays of " if plural else "an array of ") + _shape_name(shape[0], True)
+    kinds = shape if isinstance(shape, tuple) else (shape,)
+    return " or ".join(_NOUNS[k][plural] for k in kinds)
 
 
 class Element:

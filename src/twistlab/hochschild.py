@@ -109,13 +109,14 @@ def complex_dims(deltas: list, p: int) -> list:
     dim H^n = dim C^n - rank d^n - rank d^(n-1).
 
     Clearing: rank d^(n+1) is the rank of its columns j that are not
-    pivots of d^n, so only those are eliminated. ``sparse_echelon`` keeps
-    each row of d^n nonzero at its pivot i (its largest index) and zero
-    at every earlier pivot, so a triangular change of basis puts the rows
-    in place of the basis vectors i of C^(n+1); each is a coboundary,
-    which d^(n+1) kills. The rule rests on two premises: d^2 = 0 (checked
-    first), and the row numbering of ``deltas[n]`` equals the column
-    numbering of ``deltas[n+1]``. Only the pivot set is carried over.
+    pivots of d^n, so only those are eliminated. Each row ``sparse_echelon``
+    keeps for d^n has as pivot i its largest index, and no two share one,
+    so the rows are triangular: a change of basis puts them in place of
+    the basis vectors i of C^(n+1). Each is a coboundary, which d^(n+1)
+    kills. The rule rests on these distinct largest indices, on d^2 = 0
+    (checked first), and on the row numbering of ``deltas[n]`` being the
+    column numbering of ``deltas[n+1]``. Only the pivot set is carried
+    over.
     """
     for n in range(len(deltas) - 1):
         if not sparse_compose_zero(deltas[n + 1], deltas[n], p):

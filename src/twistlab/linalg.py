@@ -1,14 +1,15 @@
 """Exact linear algebra on one elimination kernel.
 
 ``sparse_echelon`` is the only elimination: sparse integer rows (residues
-over F_p), each new row reduced against the pivot rows kept so far and
-kept with its largest coordinate as pivot. Every cochain rank
-(``sparse_rank``) is one pass of it. The dense ``Matrix`` serves the
-small structural computations (ranks, kernels, inverses, base changes)
-through ``echelon_basis``, which numbers coordinates from the right so
-that the largest-coordinate pivot is each row's leading column; a second
-pass over the kept rows is the back-substitution. The reduced echelon
-form of a span is unique, so kernel bases are byte-stable across runs.
+over F_p), each new row reduced at its largest coordinate only, for as
+long as that coordinate is the pivot of a row kept so far, and then kept
+with it as pivot. Every cochain rank (``sparse_rank``) is one pass of it.
+The dense ``Matrix`` serves the small structural computations (ranks,
+kernels, inverses, base changes) through ``echelon_basis``, which numbers
+coordinates from the right so that the largest-coordinate pivot is each
+row's leading column, then back-substitutes over the kept rows. The
+reduced echelon form of a span is unique, so kernel bases are byte-stable
+across runs.
 
 ``p`` is the characteristic throughout: 0 for Q, a prime for F_p.
 """
@@ -232,10 +233,11 @@ def echelon_basis(field: Field, vectors: list) -> list:
     Each vector becomes a sparse integer row (over Q scaled by the lcm of
     its own denominators, which does not move the span), with coordinate
     j numbered n - 1 - j so that the pivot ``sparse_echelon`` picks is the
-    row's leading column. A second ``sparse_echelon`` over the kept rows,
-    the last pivot first, clears each pivot from the rows above it (every
-    kept row is zero left of its pivot, so no pivot moves); then each row
-    is divided by its pivot, which over F_p is already 1.
+    row's leading column. Back-substitution then takes the kept rows by
+    ascending pivot and clears each at the other pivots it holds, largest
+    first, with the rows already cleared (each is zero at every pivot but
+    its own, so no pivot moves); then each row is divided by its pivot,
+    which over F_p is already 1.
     """
     p = field.characteristic
     top = len(vectors[0]) - 1 if vectors else 0
@@ -247,7 +249,10 @@ def echelon_basis(field: Field, vectors: list) -> list:
             row = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
         rows.append(row)
     rows = sparse_echelon(rows, p)
-    rows = sparse_echelon([rows[k] for k in sorted(rows)], p)
+    for k in sorted(rows):
+        row = rows[k]
+        for j in sorted((j for j in row if j != k and j in rows), reverse=True):
+            _eliminate(row, rows[j], j, p)
     out = []
     for k in sorted(rows, reverse=True):
         row, piv = rows[k], rows[k][k]
@@ -267,11 +272,15 @@ def sparse_echelon(vectors: list, p: int = 0) -> dict:
 
     Each vector is a dict {coordinate: int}.  Over Q the entries must be
     integers (scale each vector beforehand; scaling does not change the
-    span).  Insertion-style elimination: each vector is reduced against
-    the rows kept so far and, if nonzero, kept with its largest coordinate
-    as pivot.  Over Q a kept row is gcd-reduced, which keeps the integers
-    small on the incidence-like matrices this is used for; over F_p it is
-    scaled to pivot 1.  Each kept row is zero at every earlier pivot.
+    span).  Standard column reduction (Edelsbrunner-Letscher-Zomorodian
+    2002): while the largest coordinate of a vector is the pivot of a kept
+    row, that row clears it; a vector left nonzero is kept with its
+    largest coordinate as pivot.  Only the leading entry is reduced, so a
+    kept row may be nonzero at smaller pivots; rows with distinct largest
+    coordinates are triangular all the same, and the pivot set is that of
+    full reduction.  Over Q a kept row is gcd-reduced, which keeps the
+    integers small on the incidence-like matrices this is used for; over
+    F_p it is scaled to pivot 1.
     """
     pivots = {}
     for vec in vectors:
@@ -284,55 +293,58 @@ def sparse_echelon(vectors: list, p: int = 0) -> dict:
                 if x:
                     v[k] = x
         while v:
-            hit = None
-            for k in v:
-                if k in pivots:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            piv = pivots[hit]
-            if not p:
-                a, b = piv[hit], v[hit]
-                g = gcd(a, b)
-                ca, cb = a // g, b // g
-                if ca != 1:
-                    for k in v:
-                        v[k] *= ca
-                for k, x in piv.items():
-                    y = v.get(k, 0) - cb * x
-                    if y:
-                        v[k] = y
-                    else:
-                        v.pop(k, None)
-                if v:
-                    g = 0
-                    for x in v.values():
-                        g = gcd(g, x)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for k in v:
-                            v[k] //= g
-            else:
-                c = v[hit]
-                for k, x in piv.items():
-                    y = (v.get(k, 0) - c * x) % p
-                    if y:
-                        v[k] = y
-                    else:
-                        v.pop(k, None)
-        if v:
             # max coordinate: cochain scatter puts near-unique high row
             # indices in each column, so these pivots rarely collide and
             # the elimination stays sparse
-            pivot = max(v)
-            if p:
-                inv = pow(v[pivot], -1, p)
-                if inv != 1:
-                    v = {k: (x * inv) % p for k, x in v.items()}
-            pivots[pivot] = v
+            lead = max(v)
+            piv = pivots.get(lead)
+            if piv is None:
+                if p:
+                    inv = pow(v[lead], -1, p)
+                    if inv != 1:
+                        v = {k: (x * inv) % p for k, x in v.items()}
+                pivots[lead] = v
+                break
+            _eliminate(v, piv, lead, p)
     return pivots
+
+
+def _eliminate(v: dict, piv: dict, k: int, p: int) -> None:
+    """Clear coordinate k of v, in place, with the row piv (nonzero at k).
+
+    Over F_p piv[k] is 1.  Over Q v is scaled by piv[k] / gcd before the
+    subtraction and divided by the gcd of its entries after it.
+    """
+    if p:
+        c = v[k]
+        for j, x in piv.items():
+            y = (v.get(j, 0) - c * x) % p
+            if y:
+                v[j] = y
+            else:
+                v.pop(j, None)
+        return
+    a, b = piv[k], v[k]
+    g = gcd(a, b)
+    ca, cb = a // g, b // g
+    if ca != 1:
+        for j in v:
+            v[j] *= ca
+    for j, x in piv.items():
+        y = v.get(j, 0) - cb * x
+        if y:
+            v[j] = y
+        else:
+            v.pop(j, None)
+    if v:
+        g = 0
+        for x in v.values():
+            g = gcd(g, x)
+            if g == 1:
+                break
+        if g > 1:
+            for j in v:
+                v[j] //= g
 
 
 def sparse_rank(vectors: list, p: int = 0) -> int:

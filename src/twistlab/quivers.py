@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .fields import Field
-from .algebra import Algebra, require_keys
+from .algebra import Algebra, require_fields
 
 PATH_LENGTH_BOUND = 32
 
@@ -51,7 +51,7 @@ class Quiver:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Quiver":
-        require_keys(doc, ("vertex_count", "arrows"), "quiver")
+        require_fields(doc, {"vertex_count": int, "arrows": [[int]]}, "quiver")
         return cls(doc["vertex_count"], doc["arrows"])
 
     @classmethod

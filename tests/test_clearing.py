@@ -1,11 +1,14 @@
 """Clearing in ``complex_dims`` against the un-cleared elimination.
 
 The reference takes the rank of every column of every coboundary, with
-no column skipped. Seeded inputs on all three routes must give the same
-dims both ways, over Q, GF(3) and GF(7): census products and their
-transports to a random basis through ``bar_coboundary_columns``, random
-quivers through ``rsz_layer``, and truncated path algebras through the
-columns ``hh_e_complex`` hands to ``complex_dims``.
+no column skipped, by the full-reduction kernel of test_linalg, so it
+shares no elimination code with ``complex_dims``; on the way it checks
+that ``sparse_echelon`` keeps the reference's pivot set on each d^n.
+Seeded inputs on all three routes must give the same dims both ways, over
+Q, GF(2), GF(3) and GF(7): census products and their transports to a
+random basis through ``bar_coboundary_columns``, random quivers through
+``rsz_layer``, and truncated path algebras through the columns
+``hh_e_complex`` hands to ``complex_dims``.
 """
 
 import random
@@ -19,7 +22,6 @@ from twistlab.hochschild import (
     rsz_layer,
     rsz_pairs,
 )
-from twistlab.linalg import sparse_rank
 from twistlab.quivers import Quiver, truncated_path_algebra
 from twistlab.twisting import (
     TwistFamilyDescriptor,
@@ -30,13 +32,14 @@ from twistlab.twisting import (
 )
 
 from test_hochschild import random_invertible
+from test_linalg import reference_pivots
 
-FIELDS = (QQ, GF(3), GF(7))
+FIELDS = (QQ, GF(2), GF(3), GF(7))
 
 
 def reference_dims(deltas, p):
     """dim H^n from the ranks of all columns of every d^n."""
-    ranks = [sparse_rank(cols, p) for cols in deltas]
+    ranks = [len(reference_pivots(cols, p)) for cols in deltas]
     return [len(cols) - ranks[n] - (ranks[n - 1] if n else 0)
             for n, cols in enumerate(deltas)]
 
@@ -85,7 +88,7 @@ def test_clearing_matches_reference_on_bar_complex():
 def test_clearing_matches_reference_on_rsz_complex():
     rng = random.Random(43)
     for trial in range(24):
-        field = FIELDS[trial % 3]
+        field = FIELDS[trial % len(FIELDS)]
         p = field.characteristic
         q = random_quiver(rng, 0)
         N = 5
@@ -105,7 +108,7 @@ def test_clearing_matches_reference_on_e_complex(monkeypatch):
 
     monkeypatch.setattr(hochschild, "complex_dims", spy)
     for trial in range(24):
-        field = FIELDS[trial % 3]
+        field = FIELDS[trial % len(FIELDS)]
         q = random_quiver(rng, field.characteristic)
         alg = truncated_path_algebra(q, field)
         idems = [alg.basis_element(v) for v in range(q.vertex_count)]
@@ -113,3 +116,4 @@ def test_clearing_matches_reference_on_e_complex(monkeypatch):
     assert len(seen) == 24
     for deltas, p in seen:
         assert complex_dims(deltas, p) == reference_dims(deltas, p)
+

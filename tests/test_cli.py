@@ -209,6 +209,23 @@ def test_hh_malformed_json_inputs(tmp_path, capsys):
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag, doc, message", [
+    ("--quiver", {"vertex_count": 2, "arrows": 5},
+     "quiver JSON 'arrows' must be an array of arrays of integers"),
+    ("--quiver", {"vertex_count": "2", "arrows": []},
+     "quiver JSON 'vertex_count' must be an integer"),
+    ("--algebra", dict(standard_algebra("group_algebra_z2", QQ).to_doc(), table=5),
+     "algebra JSON 'table' must be an array of arrays of arrays of "
+     "integers or strings"),
+], ids=["arrows", "vertex_count", "table"])
+def test_hh_json_values_of_wrong_type(tmp_path, capsys, flag, doc, message):
+    # every key present, one value of the wrong type: exit 2 naming the key
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "hh", flag, str(path), "--N", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_hh_criterion_inapplicable_exits_2(capsys):
     # over GF(2) the trace-form radical of these inputs is not certified
     for flag, spec in (("--quiver", "roundtrip"),

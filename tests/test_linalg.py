@@ -1,9 +1,11 @@
 """Exact linear algebra: frozen examples plus randomized cross-checks."""
 
+import copy
 import gc
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,6 +21,7 @@ from twistlab.linalg import (
     echelon_basis,
     scale_to_integers,
     sparse_compose_zero,
+    sparse_echelon,
     sparse_rank,
 )
 
@@ -48,6 +51,46 @@ def gauss_jordan_rref(m: Matrix) -> tuple:
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def reference_sparse_echelon(vectors: list, p: int = 0) -> dict:
+    """Reference: full reduction. Each vector is cleared at every pivot it
+    holds, in dict order, until it holds none, and kept with its largest
+    coordinate as pivot; each kept row is zero at every earlier pivot."""
+    pivots = {}
+    for vec in vectors:
+        v = {k: x % p if p else x for k, x in vec.items()}
+        v = {k: x for k, x in v.items() if x}
+        while v:
+            hit = next((k for k in v if k in pivots), None)
+            if hit is None:
+                break
+            piv = pivots[hit]
+            if not p:
+                a, b = piv[hit], v[hit]
+                g = gcd(a, b)
+                ca, cb = a // g, b // g
+                v = {k: ca * x for k, x in v.items()}
+                for k, x in piv.items():
+                    v[k] = v.get(k, 0) - cb * x
+                v = {k: x for k, x in v.items() if x}
+                g = 0
+                for x in v.values():
+                    g = gcd(g, x)
+                if g > 1:
+                    v = {k: x // g for k, x in v.items()}
+            else:
+                c = v[hit]
+                for k, x in piv.items():
+                    v[k] = (v.get(k, 0) - c * x) % p
+                v = {k: x for k, x in v.items() if x}
+        if v:
+            pivot = max(v)
+            if p:
+                inv = pow(v[pivot], -1, p)
+                v = {k: (x * inv) % p for k, x in v.items()}
+            pivots[pivot] = v
+    return pivots
 
 
 def reference_echelon_basis(field, vectors: list) -> list:
@@ -264,6 +307,64 @@ def test_sparse_rank_matches_dense():
                 for row in rows
             ]
             assert sparse_rank(sparse, p) == len(gauss_jordan_rref(dense)[1])
+
+
+KERNEL_FIELDS = (QQ, GF(2), GF(3), GF(7))
+
+
+def _sparse_family(rng, p: int, width: int) -> list:
+    """Sparse integer vectors with the cases elimination has to get right:
+    zero vectors (empty, or holding explicit zeros), repeated vectors,
+    sums of earlier vectors, entries that are not reduced residues, and
+    over Q entries of 30 digits."""
+    family = []
+    for _ in range(rng.randint(0, 14)):
+        draw = rng.random()
+        if draw < 0.1:
+            family.append({} if rng.random() < 0.5 else {rng.randrange(width): 0})
+        elif draw < 0.25 and family:
+            family.append(dict(rng.choice(family)))
+        elif draw < 0.4 and len(family) >= 2:
+            u, w = rng.sample(family, 2)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            family.append({k: s * u.get(k, 0) + t * w.get(k, 0)
+                           for k in set(u) | set(w)})
+        else:
+            big = not p and rng.random() < 0.3
+            family.append({
+                k: rng.randint(-10**30, 10**30) if big else rng.randint(-9, 9)
+                for k in rng.sample(range(width), rng.randint(1, width))
+            })
+    return family
+
+
+def reference_pivots(family: list, p: int) -> dict:
+    """The pivot rows of full reduction, once sparse_echelon is checked to
+    keep the same pivot set, each kept row led by its pivot (1 over F_p),
+    and to leave its input unchanged."""
+    before = copy.deepcopy(family)
+    got = sparse_echelon(family, p)
+    want = reference_sparse_echelon(family, p)
+    assert family == before
+    assert sorted(got) == sorted(want)
+    for pivot, row in got.items():
+        assert max(row) == pivot and all(row.values())
+        assert not p or row[pivot] == 1
+    return want
+
+
+def test_sparse_echelon_matches_full_reduction():
+    rng = random.Random(53)
+    for field in KERNEL_FIELDS:
+        p = field.characteristic
+        for trial in range(120):
+            width = rng.randint(1, 12)
+            family = _sparse_family(rng, p, width)
+            reference_pivots(family, p)
+            dense = [[field.scalar(v.get(width - 1 - j, 0)) for j in range(width)]
+                     for v in family]
+            assert echelon_basis(field, dense) == reference_echelon_basis(field, dense), (
+                field.name, family)
 
 
 def _corpus_scalar(field, rng):
