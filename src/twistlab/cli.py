@@ -166,27 +166,20 @@ def run_hh(args) -> int:
         method = "rsz" if args.method == "auto" else args.method
         if _is_three_vertex_one_arrow(q):
             notes.extend(HH_ERRATA)
-        if method == "rsz":
-            prof = hh_rsz(q, f, args.N)
-        elif method == "bar":
-            prof = hh_bar(truncated_path_algebra(q, f), args.N)
-        elif method == "e-complex":
-            alg = truncated_path_algebra(q, f)
-            idems = [alg.basis_element(v) for v in range(q.vertex_count)]
-            prof = hh_e_complex(alg, idems, args.N)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        alg = None if method == "rsz" else truncated_path_algebra(q, f)
     else:
         alg = _load_algebra(args.algebra, f)
         method = "bar" if args.method == "auto" else args.method
         if method == "rsz":
             raise ValueError("the rsz method needs a quiver input")
-        if method == "bar":
-            prof = hh_bar(alg, args.N)
-        elif method == "e-complex":
-            prof = hh_e_complex(alg, _basis_idempotent_split(alg), args.N)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    if method == "rsz":
+        prof = hh_rsz(q, f, args.N)
+    elif method == "bar":
+        prof = hh_bar(alg, args.N)
+    elif method == "e-complex":
+        prof = hh_e_complex(alg, _basis_idempotent_split(alg), args.N)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     if args.format == "tsv":
         lines = [HH_TSV_HEADER]
         lines.extend(f"{n}\t{d}" for n, d in enumerate(prof.dims))
@@ -302,8 +295,7 @@ def _check_hh_routes(f) -> tuple:
         q = standard_quiver(name)
         rsz = hh_rsz(q, f, 4).dims
         alg = truncated_path_algebra(q, f)
-        idems = [alg.basis_element(v) for v in range(q.vertex_count)]
-        if hh_e_complex(alg, idems, 4).dims != rsz:
+        if hh_e_complex(alg, _basis_idempotent_split(alg), 4).dims != rsz:
             return False, f"e-complex disagrees on {name}"
         if hh_bar(alg, 4).dims != rsz:
             return False, f"bar disagrees on {name}"

@@ -36,7 +36,7 @@ from .algebra import (
     radical_power_dims,
 )
 from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_echelon
-from .quivers import Quiver, standard_quiver, walks
+from .quivers import Quiver, is_connected, is_crown, standard_quiver, walks
 
 RSZ_DEGREE_BOUND = 32
 DEFAULT_BUDGET_CHAR0 = 4096
@@ -436,19 +436,21 @@ def thm_formula(q: Quiver, n: int):
     """Closed form for connected non-crown quivers; None off-hypothesis.
 
     Degree 0: #(Q_1 || Q_0) + 1. Degree 1: #(Q_1 || Q_1) - #Q_0 + 1.
-    Degree n >= 2: #(Q_n || Q_1) - #(Q_{n-1} || Q_0).
+    Degree n >= 2: #(Q_n || Q_1) - #(Q_{n-1} || Q_0). The counts come from
+    one ``rsz_pairs`` pass; n is bounded by RSZ_DEGREE_BOUND, as in hh_rsz.
     """
-    from .quivers import is_connected, is_crown, parallel_count
-
     if n < 0:
         raise ValueError("degree must be >= 0")
     if not is_connected(q) or is_crown(q) is not None:
         return None
+    if n > RSZ_DEGREE_BOUND:
+        raise ValueError(f"degree {n} exceeds bound {RSZ_DEGREE_BOUND}")
+    p0, p1 = rsz_pairs(q, max(n, 1))
     if n == 0:
-        return parallel_count(q, 1, 0) + 1
+        return len(p0[1]) + 1
     if n == 1:
-        return parallel_count(q, 1, 1) - q.vertex_count + 1
-    return parallel_count(q, n, 1) - parallel_count(q, n - 1, 0)
+        return len(p1[1]) - q.vertex_count + 1
+    return len(p1[n]) - len(p0[n - 1])
 
 
 def crown_formula(c: int, n: int, characteristic: int = 0) -> int:

@@ -1,7 +1,8 @@
-"""Quivers, paths, parallel-path counting, and (truncated) path algebras.
+"""Quivers, their paths (``walks``), and (truncated) path algebras.
 
-Path composition is diagrammatic: a path (a_1, ..., a_n) requires
-target(a_i) = source(a_{i+1}), and p*q traverses p first.
+A path is the tuple (source, target, arrow indices). Composition is
+diagrammatic: a path (a_1, ..., a_n) requires target(a_i) =
+source(a_{i+1}), and p*q traverses p first.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import json
 from .fields import Field
 from .algebra import Algebra, require_fields
 
-PATH_LENGTH_BOUND = 32
-
 
 class Quiver:
     __slots__ = ("vertex_count", "arrows")
@@ -20,6 +19,10 @@ class Quiver:
     def __init__(self, vertex_count: int, arrows):
         if vertex_count < 1:
             raise ValueError("a quiver needs at least one vertex")
+        arrows = list(arrows)
+        for i, arrow in enumerate(arrows):
+            if len(arrow) != 2:
+                raise ValueError(f"arrow {i} is {list(arrow)}, not [source, target]")
         arrows = [(int(s), int(t)) for s, t in arrows]
         for s, t in arrows:
             if not (0 <= s < vertex_count and 0 <= t < vertex_count):
@@ -59,55 +62,6 @@ class Quiver:
         return cls.from_doc(json.loads(text))
 
 
-class Path:
-    """A composable arrow sequence; empty paths sit at base_vertex."""
-
-    __slots__ = ("quiver", "arrow_indices", "base_vertex")
-
-    def __init__(self, quiver: Quiver, arrow_indices, base_vertex: int = None):
-        self.quiver = quiver
-        self.arrow_indices = tuple(arrow_indices)
-        if not self.arrow_indices:
-            if base_vertex is None:
-                raise ValueError("an empty path needs a base vertex")
-            self.base_vertex = base_vertex
-        else:
-            for a, b in zip(self.arrow_indices, self.arrow_indices[1:]):
-                if quiver.arrows[a][1] != quiver.arrows[b][0]:
-                    raise ValueError("arrows do not compose")
-            self.base_vertex = quiver.arrows[self.arrow_indices[0]][0]
-
-    @property
-    def length(self) -> int:
-        return len(self.arrow_indices)
-
-    @property
-    def source(self) -> int:
-        if not self.arrow_indices:
-            return self.base_vertex
-        return self.quiver.arrows[self.arrow_indices[0]][0]
-
-    @property
-    def target(self) -> int:
-        if not self.arrow_indices:
-            return self.base_vertex
-        return self.quiver.arrows[self.arrow_indices[-1]][1]
-
-    def key(self) -> tuple:
-        return (self.arrow_indices, self.base_vertex if not self.arrow_indices else None)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Path) and other.key() == self.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        if not self.arrow_indices:
-            return f"Path(vertex {self.base_vertex})"
-        return f"Path({'.'.join(str(i) for i in self.arrow_indices)})"
-
-
 def walks(q: Quiver, top: int) -> list:
     """[Q_0, ..., Q_top] in one pass, each path as (source, target, arrows).
 
@@ -124,33 +78,6 @@ def walks(q: Quiver, top: int) -> list:
         layers.append([(s, q.arrows[a][1], arrows + (a,))
                        for s, t, arrows in layers[-1] for a in out[t]])
     return layers[: top + 1]
-
-
-def paths_of_length(q: Quiver, n: int) -> list:
-    """All length-n paths in lexicographic arrow order."""
-    if n < 0:
-        raise ValueError("negative path length")
-    if n > PATH_LENGTH_BOUND:
-        raise ValueError(f"path length {n} exceeds bound {PATH_LENGTH_BOUND}")
-    return [Path(q, arrows, s) for s, _, arrows in walks(q, n)[n]]
-
-
-def parallel_pairs(q: Quiver, n: int, m: int) -> list:
-    """All pairs (x, y) in Q_n x Q_m sharing source and target."""
-    xs = paths_of_length(q, n)
-    ys = paths_of_length(q, m)
-    by_ends = {}
-    for y in ys:
-        by_ends.setdefault((y.source, y.target), []).append(y)
-    pairs = []
-    for x in xs:
-        for y in by_ends.get((x.source, x.target), ()):
-            pairs.append((x, y))
-    return pairs
-
-
-def parallel_count(q: Quiver, n: int, m: int) -> int:
-    return len(parallel_pairs(q, n, m))
 
 
 def is_crown(q: Quiver):

@@ -425,23 +425,19 @@ def scalars_of_map(t: TwistingMap) -> tuple:
 
 
 def identify_family(t: TwistingMap) -> TwistFamilyDescriptor:
-    """Match a 2-dim census member to its family, parameter included."""
+    """Match a 2-dim census member to its family, parameter included.
+
+    The first family of ``solve_2dim_twist`` whose ``descriptor_scalars``
+    equal the map's wins; a line family takes p as its parameter. Over
+    GF(2) at p = 0 both char-2 lines hold the map, and family (i) wins.
+    """
     f = t.matrix.field
-    pv, qv, rv, sv = scalars_of_map(t)
-    if f.characteristic == 2:
-        if qv == rv == f.zero and sv == f.one:
-            return TwistFamilyDescriptor("char2_line_i", pv)
-        if qv == rv == pv and sv == f.add(pv, f.one):
-            return TwistFamilyDescriptor("char2_line_ii", pv)
-        raise ValueError("map does not match any char-2 family")
-    if (pv, qv, rv, sv) == (f.zero, f.zero, f.zero, f.one):
-        return TwistFamilyDescriptor("flip")
-    if qv == rv == f.zero and sv == f.neg(f.one):
-        return TwistFamilyDescriptor("line_char_ne_2", pv)
-    if sv == f.zero:
-        for fam, (q, r) in _ISOLATED_QR.items():
-            if qv == f.scalar(q) and rv == f.scalar(r) and pv == f.neg(f.mul(qv, rv)):
-                return TwistFamilyDescriptor(fam)
+    scalars = scalars_of_map(t)
+    for desc in solve_2dim_twist(f):
+        if desc.family_id in LINE_FAMILIES:
+            desc = TwistFamilyDescriptor(desc.family_id, scalars[0])
+        if descriptor_scalars(desc, f) == scalars:
+            return desc
     raise ValueError("map does not match any census family")
 
 

@@ -48,9 +48,10 @@ def test_tracer_hooks_resolve_and_count():
     finally:
         tracer.uninstall()
     assert twistlab.algebra.sparse_rank is original
-    # _fast_candidate_ok was deleted with the brute-force census; its count
-    # hook is the one known stale name
-    assert tracer.missing == ["twisting._fast_candidate_ok"]
+    # parallel_pairs was deleted when walks became the only path enumerator,
+    # and _fast_candidate_ok with the brute-force census; these are the two
+    # known stale names
+    assert tracer.missing == ["quivers.parallel_pairs", "twisting._fast_candidate_ok"]
     assert rsz.dims == hh_rsz(standard_quiver("roundtrip"), QQ, 3).dims
     assert bar.dims == hh_bar(standard_algebra("group_algebra_z2", QQ), 2).dims
     assert separable

@@ -226,6 +226,16 @@ def test_hh_json_values_of_wrong_type(tmp_path, capsys, flag, doc, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("arrow", [[0], [0, 1, 1]], ids=["short", "long"])
+def test_hh_quiver_arrow_not_a_pair(tmp_path, capsys, arrow):
+    # the message names the arrow by its index and value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"vertex_count": 2, "arrows": [[0, 1], arrow]}))
+    code, out, err = run(capsys, "hh", "--quiver", str(path), "--N", "2")
+    assert (code, out, err) == (
+        2, "", f"error: arrow 1 is {arrow}, not [source, target]\n")
+
+
 def test_hh_criterion_inapplicable_exits_2(capsys):
     # over GF(2) the trace-form radical of these inputs is not certified
     for flag, spec in (("--quiver", "roundtrip"),

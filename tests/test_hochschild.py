@@ -540,6 +540,19 @@ def test_thm_formula_values_and_hypotheses():
         thm_formula(kron, -1)
 
 
+def test_thm_formula_degree_bound():
+    # the same bound as hh_rsz: an answer at 32, a ValueError at 33, and
+    # None off-hypothesis at any degree
+    kron = standard_quiver("kronecker")
+    assert thm_formula(kron, 32) == 0
+    tailed_loop = Quiver(2, [(0, 0), (0, 1)])
+    assert thm_formula(tailed_loop, 32) == hh_rsz(tailed_loop, QQ, 32).dims[32]
+    with pytest.raises(ValueError):
+        thm_formula(kron, 33)
+    for name in ("roundtrip", "crown(3)", "qtilde"):
+        assert thm_formula(standard_quiver(name), 33) is None
+
+
 def test_thm_formula_matches_rsz_on_connected_non_crowns():
     for q in (standard_quiver("kronecker"), TWO_LOOPS, L3, ONE_ARROW):
         dims = hh_rsz(q, QQ, 6).dims

@@ -1,5 +1,7 @@
 """Quivers, paths, crowns, and path algebras."""
 
+from collections import Counter
+
 import pytest
 
 from twistlab.fields import GF, QQ
@@ -10,21 +12,18 @@ from twistlab.algebra import (
     standard_algebra,
     verify_axioms,
 )
+from twistlab.hochschild import rsz_pairs
 from twistlab.linalg import Matrix
 from twistlab.quivers import (
-    PATH_LENGTH_BOUND,
-    Path,
     Quiver,
     has_oriented_cycle,
     is_connected,
     is_crown,
     longest_path_length,
-    parallel_count,
-    parallel_pairs,
     path_algebra_acyclic,
-    paths_of_length,
     standard_quiver,
     truncated_path_algebra,
+    walks,
 )
 
 
@@ -40,66 +39,62 @@ def test_standard_layouts():
         standard_quiver("pentagon")
 
 
-def test_path_composition_rules():
-    q = standard_quiver("roundtrip")
-    p = Path(q, (0, 1))
-    assert p.source == 0 and p.target == 0 and p.length == 2
-    with pytest.raises(ValueError):
-        Path(q, (0, 0))
-    vertex = Path(q, (), 1)
-    assert vertex.source == vertex.target == 1 and vertex.length == 0
-
-
 def test_paths_of_length_examples():
     rt = standard_quiver("roundtrip")
-    assert len(paths_of_length(rt, 3)) == 2
-    assert len(paths_of_length(standard_quiver("qtilde"), 2)) == 0
-    assert len(paths_of_length(standard_quiver("crown", 3), 3)) == 3
-    assert len(paths_of_length(rt, 0)) == 2
-    loop = standard_quiver("loop")
-    assert PATH_LENGTH_BOUND == 32
-    assert [p.length for p in paths_of_length(loop, 32)] == [32]
-    with pytest.raises(ValueError):
-        paths_of_length(loop, 33)
+    assert len(walks(rt, 3)[3]) == 2
+    assert len(walks(standard_quiver("qtilde"), 2)[2]) == 0
+    assert len(walks(standard_quiver("crown", 3), 3)[3]) == 3
+    assert len(walks(rt, 0)[0]) == 2
+    # walks has no length bound of its own; hh_rsz and thm_formula bound n
+    assert walks(standard_quiver("loop"), 32)[32] == [(0, 0, (0,) * 32)]
 
 
 def test_crown_path_count_invariant():
     for c in (1, 2, 3, 4):
         q = standard_quiver("crown", c)
-        for n in range(8):
-            assert len(paths_of_length(q, n)) == c
+        assert [len(layer) for layer in walks(q, 7)] == [c] * 8
 
 
 def test_paths_lexicographic_order():
     q = standard_quiver("kronecker")
-    assert [p.arrow_indices for p in paths_of_length(q, 1)] == [(0,), (1,)]
+    assert [x for _, _, x in walks(q, 1)[1]] == [(0,), (1,)]
     two = Quiver(1, [(0, 0), (0, 0)])
-    assert [p.arrow_indices for p in paths_of_length(two, 2)] == [
+    assert [x for _, _, x in walks(two, 2)[2]] == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_parallel_count_examples():
-    rt = standard_quiver("roundtrip")
+    # P0[n] lists Q_n || Q_0, P1[n] lists Q_n || Q_1
+    p0, p1 = rsz_pairs(standard_quiver("roundtrip"), 6)
     for n in (2, 4, 6):
-        assert parallel_count(rt, n, 0) == 2
+        assert len(p0[n]) == 2
     for n in (1, 3, 5):
-        assert parallel_count(rt, n, 0) == 0
-        assert parallel_count(rt, n + 1, 1) == 0
-    assert parallel_count(standard_quiver("kronecker"), 1, 1) == 4
+        assert len(p0[n]) == 0
+        assert len(p1[n + 1]) == 0
+    assert len(rsz_pairs(standard_quiver("kronecker"), 1)[1][1]) == 4
 
 
 def test_parallel_count_symmetry():
+    # #(Q_n || Q_m) = #(Q_m || Q_n): counted from the Q_m side through
+    # the walks' endpoints, it matches rsz_pairs' count from the Q_n side
     for name in ("roundtrip", "qtilde", "kronecker", "loop"):
         q = standard_quiver(name)
+        layers = walks(q, 3)
+        pairs = rsz_pairs(q, 3)
         for n in range(4):
-            for m in range(4):
-                assert parallel_count(q, n, m) == parallel_count(q, m, n)
+            ends = Counter((s, t) for s, t, _ in layers[n])
+            for m in (0, 1):
+                assert sum(ends[s, t] for s, t, _ in layers[m]) == len(pairs[m][n])
 
 
 def test_parallel_pairs_share_endpoints():
     q = standard_quiver("crown", 3)
-    for x, y in parallel_pairs(q, 3, 0):
-        assert x.source == y.source and x.target == y.target
+    p0, p1 = rsz_pairs(q, 3)
+    for x, v in p0[3]:
+        assert q.arrows[x[0]][0] == v == q.arrows[x[-1]][1]
+    kron = standard_quiver("kronecker")
+    for (x,), a in rsz_pairs(kron, 1)[1][1]:
+        assert kron.arrows[x] == kron.arrows[a]
 
 
 def test_is_crown():
@@ -187,10 +182,10 @@ def test_path_algebra_rejects_cycles():
 def test_truncation_equals_path_algebra_without_length_two_paths():
     for q in (standard_quiver("qtilde"), standard_quiver("kronecker"),
               standard_quiver("four_points")):
-        assert not paths_of_length(q, 2)
+        assert not walks(q, 2)[2]
         assert truncated_path_algebra(q, QQ).dim == path_algebra_acyclic(q, QQ).dim
     line3 = Quiver(3, [(0, 1), (1, 2)])
-    assert paths_of_length(line3, 2)
+    assert walks(line3, 2)[2]
     assert truncated_path_algebra(line3, QQ).dim != path_algebra_acyclic(line3, QQ).dim
 
 
@@ -207,3 +202,6 @@ def test_quiver_validation():
         Quiver(2, [(0, 5)])
     with pytest.raises(ValueError):
         Quiver(0, [])
+    for arrow in ((0,), (0, 1, 1)):
+        with pytest.raises(ValueError, match=r"arrow 1 is \[0"):
+            Quiver(2, [(0, 1), arrow])

@@ -5,7 +5,9 @@ making one ``Path`` per path, parallel pairs of ``Path`` objects, the
 coboundary D as columns over those pairs, and the block map (0 0; D 0)
 assembled from D in a second step. ``walks``, ``rsz_pairs`` and
 ``rsz_layer`` must reproduce it exactly: the same paths in the same
-order, the same layers, the same columns and the same dimensions.
+order, the same layers, the same columns and the same dimensions. The
+closed form ``thm_formula`` must give the same values from its
+``rsz_pairs`` counts as from the reference pairs.
 """
 
 import random
@@ -13,8 +15,45 @@ import random
 import pytest
 
 from twistlab.fields import GF, QQ
-from twistlab.hochschild import complex_dims, hh_rsz, rsz_layer, rsz_pairs
-from twistlab.quivers import Path, Quiver, paths_of_length, standard_quiver, walks
+from twistlab.hochschild import (
+    complex_dims,
+    hh_rsz,
+    rsz_layer,
+    rsz_pairs,
+    thm_formula,
+)
+from twistlab.quivers import Quiver, is_connected, is_crown, standard_quiver, walks
+
+
+class Path:
+    """A composable arrow sequence; an empty path sits at base_vertex."""
+
+    __slots__ = ("quiver", "arrow_indices", "base_vertex")
+
+    def __init__(self, quiver, arrow_indices, base_vertex=None):
+        self.quiver = quiver
+        self.arrow_indices = tuple(arrow_indices)
+        if self.arrow_indices:
+            for a, b in zip(self.arrow_indices, self.arrow_indices[1:]):
+                if quiver.arrows[a][1] != quiver.arrows[b][0]:
+                    raise ValueError("arrows do not compose")
+            base_vertex = quiver.arrows[self.arrow_indices[0]][0]
+        elif base_vertex is None:
+            raise ValueError("an empty path needs a base vertex")
+        self.base_vertex = base_vertex
+
+    @property
+    def source(self):
+        return self.base_vertex
+
+    @property
+    def target(self):
+        if not self.arrow_indices:
+            return self.base_vertex
+        return self.quiver.arrows[self.arrow_indices[-1]][1]
+
+    def key(self):
+        return (self.arrow_indices, None if self.arrow_indices else self.base_vertex)
 
 
 def reference_paths(q, n):
@@ -90,6 +129,17 @@ def reference_hh_rsz(q, field, n_top):
     return complex_dims(deltas, p)
 
 
+def reference_thm_formula(q, n):
+    """The closed form with its counts taken from the reference pairs."""
+    if not is_connected(q) or is_crown(q) is not None:
+        return None
+    if n == 0:
+        return len(reference_pairs(q, 1, 0)) + 1
+    if n == 1:
+        return len(reference_pairs(q, 1, 1)) - q.vertex_count + 1
+    return len(reference_pairs(q, n, 1)) - len(reference_pairs(q, n - 1, 0))
+
+
 def random_quiver(rng):
     """1-3 vertices and 0 to v+2 arrows: loops, multiple arrows and
     isolated vertices all occur."""
@@ -118,12 +168,31 @@ def test_walks_layers():
     assert walks(standard_quiver("qtilde"), 3)[2:] == [[], []]
 
 
-def test_paths_of_length_matches_recursive_enumerator():
+def test_walks_match_recursive_enumerator():
     rng = random.Random(41)
     quivers = FIXED + [random_quiver(rng) for _ in range(30)]
     for q in quivers:
+        layers = walks(q, 5)
         for n in range(6):
-            assert paths_of_length(q, n) == reference_paths(q, n), (q, n)
+            assert layers[n] == [(x.source, x.target, x.arrow_indices)
+                                 for x in reference_paths(q, n)], (q, n)
+
+
+def test_thm_formula_matches_reference_counts():
+    # 400 seeded random quivers at n <= 6, then every standard quiver at
+    # n <= 7; off-hypothesis quivers must give None on both sides
+    rng = random.Random(53)
+    quivers = [random_quiver(rng) for _ in range(400)]
+    cases = [(q, n) for q in quivers for n in range(7)]
+    for name in ("roundtrip", "qtilde", "four_points", "loop", "kronecker",
+                 "crown(2)", "crown(3)"):
+        cases.extend((standard_quiver(name), n) for n in range(8))
+    answered = 0
+    for q, n in cases:
+        want = reference_thm_formula(q, n)
+        assert thm_formula(q, n) == want, (q, n)
+        answered += want is not None
+    assert answered > 1000
 
 
 def test_rsz_layers_match_reference():

@@ -402,6 +402,18 @@ def test_identify_family_roundtrip():
             assert again.matrix == t.matrix
 
 
+def test_identify_family_order_and_non_member():
+    # over GF(2) at p = 0 both char-2 lines hold the flip; family (i) wins
+    a, b = z2_pair(GF(2))
+    assert identify_family(flip(a, b)) == TwistFamilyDescriptor("char2_line_i", 0)
+    # scalars outside every family: not a twisting map, so built unchecked
+    for f in (GF(2), GF(3), QQ):
+        t = object.__new__(TwistingMap)
+        t.matrix = pqrs_matrix(f, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="census family"):
+            identify_family(t)
+
+
 def test_inclusions_are_algebra_maps():
     a, b = z2_pair(QQ)
     for t in (
