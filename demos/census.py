@@ -5,7 +5,6 @@ from twistlab import (
     GF,
     QQ,
     census_rows,
-    census_rows_char0,
     census_tsv,
     standard_algebra,
     twisted_product,
@@ -25,7 +24,7 @@ def main() -> None:
     print(census_tsv(census_rows(GF(5)), GF(5)))
 
     print("symbolic table over Q (lines left parametric):")
-    print(census_tsv(census_rows_char0(), QQ))
+    print(census_tsv(census_rows(QQ), QQ))
 
     # each member really is a twisting map and its product associative
     f = GF(5)

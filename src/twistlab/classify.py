@@ -9,6 +9,7 @@ Four reference classes over a field of characteristic != 2:
 
 Each class is pinned by a basis-independent fingerprint, so membership is
 decided by computing invariants, never by searching for an isomorphism.
+`orbit_report` labels every row of `census_rows`, over F_p and Q alike.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .algebra import (
 )
 from .twisting import (
     TwistFamilyDescriptor,
+    census_row_strings,
     census_rows,
     family_member,
     twisted_product,
@@ -107,15 +109,6 @@ def is_isomorphism(p: Matrix, a: Algebra, b: Algebra) -> bool:
     return p.rank() == a.dim and is_algebra_map(p, a, b)
 
 
-def _from_columns(f: Field, cols: list) -> Matrix:
-    d = len(cols)
-    m = Matrix(f, d, d)
-    for c, col in enumerate(cols):
-        for r, x in enumerate(col):
-            m.data[r][c] = x
-    return m
-
-
 def reference_isomorphism(name: str, field: Field, q=None) -> tuple:
     """One of the fixed explicit isomorphisms, as (matrix, source, target).
 
@@ -151,10 +144,9 @@ def reference_isomorphism(name: str, field: Field, q=None) -> tuple:
             [qh, xh, yh, f.neg(qh)],
             [qh, xh, f.neg(yh), qh],
         ]
-        return _from_columns(f, cols), src, tgt
-    if q is not None:
+    elif q is not None:
         raise ValueError(f"{name} takes no parameter")
-    if name == "a_minus2_to_a2":
+    elif name == "a_minus2_to_a2":
         src = standard_algebra("a_q", f, q=-2)
         tgt = standard_algebra("a_q", f, q=2)
         cols = [
@@ -163,8 +155,7 @@ def reference_isomorphism(name: str, field: Field, q=None) -> tuple:
             [z, o, z, z],
             [z, z, z, f.neg(o)],
         ]
-        return _from_columns(f, cols), src, tgt
-    if name == "r_to_a_minus2":
+    elif name == "r_to_a_minus2":
         src = standard_algebra("truncated_roundtrip", f)
         tgt = standard_algebra("a_q", f, q=-2)
         h = half
@@ -175,8 +166,9 @@ def reference_isomorphism(name: str, field: Field, q=None) -> tuple:
             [u, u, u, u],
             [u, f.neg(u), f.neg(u), u],
         ]
-        return _from_columns(f, cols), src, tgt
-    raise ValueError(f"unknown reference isomorphism {name!r}")
+    else:
+        raise ValueError(f"unknown reference isomorphism {name!r}")
+    return Matrix(f, 4, 4, list(zip(*cols))), src, tgt
 
 
 @dataclass(frozen=True)
@@ -231,73 +223,42 @@ def _count_labels(entries: list) -> dict:
     return counts
 
 
-def _char0_report() -> "OrbitReport":
-    from .fields import QQ
-
-    f = QQ
-    z2a = standard_algebra("group_algebra_z2", f)
-    z2b = standard_algebra("group_algebra_z2", f)
-
-    def product_of(family: str, parameter=None) -> Algebra:
-        d = TwistFamilyDescriptor(family, parameter)
-        return twisted_product(family_member(d, z2a, z2b))
-
-    def s(x):
-        return f.scalar_to_str(f.scalar(x))
-
-    entries = [
-        OrbitEntry("flip", "-", s(0), s(0), s(0), s(1), True,
-                   classify_4dim(product_of("flip"))),
-    ]
-    # every alpha with alpha^2 != 4 admits the matrix-units isomorphism,
-    # so spot samples stand in for the whole punctured line
-    generic = {classify_4dim(product_of("line_char_ne_2", alpha))
-               for alpha in (0, 1, 3, -1, 5)}
-    if len(generic) != 1:
-        raise RuntimeError("punctured-line samples disagree on the class")
-    entries.append(OrbitEntry("line_char_ne_2", "alpha^2 != 4", "alpha",
-                              s(0), s(0), s(-1), True, generic.pop()))
-    for alpha in (2, -2):
-        entries.append(OrbitEntry(
-            "line_char_ne_2", s(alpha), s(alpha), s(0), s(0), s(-1), True,
-            classify_4dim(product_of("line_char_ne_2", alpha))))
-    for fam in ("isolated_iii", "isolated_iv", "isolated_v", "isolated_vi"):
-        t = family_member(TwistFamilyDescriptor(fam), z2a, z2b)
-        pv, qv, rv, sv = (t.matrix.data[r][3] for r in range(4))
-        entries.append(OrbitEntry(
-            fam, "-", f.scalar_to_str(pv), f.scalar_to_str(qv),
-            f.scalar_to_str(rv), f.scalar_to_str(sv), False,
-            classify_4dim(twisted_product(t))))
-    return OrbitReport(f.name, 0, entries, _count_labels(entries))
-
-
 def orbit_report(field: Field) -> OrbitReport:
-    """Classify the whole census over the given field.
+    """Classify every row of ``census_rows`` over the given field.
 
-    Finite prime fields up to p = 13 are enumerated exhaustively; over a
-    characteristic-0 field the line family is reported as one generic entry
-    plus its two special points.  Char-2 entries get the label unknown.
+    Prime fields go up to p = 13.  Over Q the symbolic line row becomes one
+    generic entry plus its two special points.  In characteristic 2 every
+    entry is unknown (``classify_4dim``) and the report carries CHAR2_NOTE.
     """
     f = field
-    if f.characteristic == 0:
-        return _char0_report()
     if f.characteristic > 13:
         raise ValueError("orbit report covers prime fields up to p = 13")
-    char2 = f.characteristic == 2
+    z2 = standard_algebra("group_algebra_z2", f)
+
+    def entry(row, label):
+        return OrbitEntry(**census_row_strings(row, f), label=label)
+
+    def line_label(alpha):
+        t = family_member(TwistFamilyDescriptor("line_char_ne_2", alpha), z2, z2)
+        return classify_4dim(twisted_product(t))
+
     entries = []
     for row in census_rows(f):
-        label = "unknown" if char2 else classify_4dim(twisted_product(row["map"]))
-        par = row["parameter"]
-        entries.append(OrbitEntry(
-            row["family"],
-            "-" if par is None else f.scalar_to_str(par),
-            f.scalar_to_str(row["p"]), f.scalar_to_str(row["q"]),
-            f.scalar_to_str(row["r"]), f.scalar_to_str(row["s"]),
-            row["invertible"], label,
-        ))
+        if row["map"] is not None:
+            entries.append(entry(row, classify_4dim(twisted_product(row["map"]))))
+            continue
+        # every alpha with alpha^2 != 4 admits the matrix-units isomorphism,
+        # so spot samples stand in for the whole punctured line
+        generic = {line_label(alpha) for alpha in (0, 1, 3, -1, 5)}
+        if len(generic) != 1:
+            raise RuntimeError("punctured-line samples disagree on the class")
+        entries.append(entry(dict(row, parameter="alpha^2 != 4"), generic.pop()))
+        for alpha in map(f.scalar, (2, -2)):
+            entries.append(entry(dict(row, parameter=alpha, p=alpha),
+                                 line_label(alpha)))
     return OrbitReport(
         f.name, f.characteristic, entries, _count_labels(entries),
-        note=CHAR2_NOTE if char2 else None,
+        note=CHAR2_NOTE if f.characteristic == 2 else None,
     )
 
 

@@ -17,8 +17,8 @@ from .algebra import Algebra, CriterionInapplicable, standard_algebra
 from .quivers import Quiver, standard_quiver, truncated_path_algebra
 from .twisting import (
     CENSUS_ERRATA,
+    census_row_strings,
     census_rows,
-    census_rows_char0,
     census_tsv,
     twisted_product,
 )
@@ -69,26 +69,13 @@ def _erratum_line(e: dict) -> str:
 
 def run_census(args) -> int:
     f = field_from_name(args.field)
-    rows = census_rows_char0() if f.characteristic == 0 else census_rows(f)
-
-    def s(x):
-        if x is None:
-            return "-"
-        return x if isinstance(x, str) else f.scalar_to_str(x)
-
+    rows = census_rows(f)
     if args.format == "tsv":
         body = census_tsv(rows, f)
     else:
         body = json.dumps({
             "field": f.name,
-            "rows": [
-                {
-                    "family": r["family"], "parameter": s(r["parameter"]),
-                    "p": s(r["p"]), "q": s(r["q"]), "r": s(r["r"]),
-                    "s": s(r["s"]), "invertible": r["invertible"],
-                }
-                for r in rows
-            ],
+            "rows": [census_row_strings(r, f) for r in rows],
             "errata": CENSUS_ERRATA,
         }, indent=2) + "\n"
     _emit(body, args.output)
@@ -213,12 +200,9 @@ def _expected_counts(char: int) -> dict:
 
 
 def _check_census(f) -> tuple:
-    if f.characteristic == 0:
-        rows = census_rows_char0()
-        want = 6
-    else:
-        rows = census_rows(f)
-        want = f.characteristic + 5
+    # over Q the line family is one symbolic row
+    rows = census_rows(f)
+    want = f.characteristic + 5 if f.characteristic else 6
     return len(rows) == want, f"{len(rows)} rows (expected {want})"
 
 

@@ -143,7 +143,7 @@ def _duplicate_algebra(d: DuplicateDatum, check: bool) -> Algebra:
     return Algebra(f, labels, table, unit, check=check)
 
 
-def build_duplicate(d: DuplicateDatum) -> Algebra:
+def _require_valid_pair(d: DuplicateDatum) -> None:
     report = verify_pair(d)
     if not (
         report["endomorphism"]
@@ -151,6 +151,10 @@ def build_duplicate(d: DuplicateDatum) -> Algebra:
         and report["compatibility"]
     ):
         raise ValueError(f"invalid (f, delta) pair: {report}")
+
+
+def build_duplicate(d: DuplicateDatum) -> Algebra:
+    _require_valid_pair(d)
     return _duplicate_algebra(d, check=True)
 
 
@@ -183,13 +187,7 @@ def roundtrip_candidate(field: Field, a_u, a_v) -> Algebra:
 
 def duplicate_to_twisting_map(d: DuplicateDatum) -> TwistingMap:
     """tau: k[X]/(X^2-X) (x) k^n -> k^n (x) k[X]/(X^2-X) from the X*a rule."""
-    report = verify_pair(d)
-    if not (
-        report["endomorphism"]
-        and report["idempotent_delta"]
-        and report["compatibility"]
-    ):
-        raise ValueError(f"invalid (f, delta) pair: {report}")
+    _require_valid_pair(d)
     base, fm, dm = d.base, d.f_matrix, d.delta_matrix
     f = base.field
     n = base.dim

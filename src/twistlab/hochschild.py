@@ -191,8 +191,9 @@ def rsz_layer(q: Quiver, pairs: tuple, n: int, p: int) -> RszComplexLayer:
 def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10) -> HHProfile:
     """Cohomology dims of the radical-square-zero algebra of q, degrees 0..N.
 
-    One ``rsz_pairs`` pass enumerates the paths up to length N+1, and
-    ``rsz_layer`` builds each degree's block map from it. The d^2 = 0 check
+    One ``rsz_pairs`` pass enumerates the paths up to length N+1, at most
+    PATH_LAYER_BOUND of each length (``walks``), and ``rsz_layer`` builds
+    each degree's block map from it. The d^2 = 0 check
     that `complex_dims` runs here holds by the block shape (0 0; D 0) for
     any D, so it certifies nothing for this route; the route is
     cross-checked by `hh_e_complex` and the closed forms.
@@ -437,7 +438,8 @@ def thm_formula(q: Quiver, n: int):
 
     Degree 0: #(Q_1 || Q_0) + 1. Degree 1: #(Q_1 || Q_1) - #Q_0 + 1.
     Degree n >= 2: #(Q_n || Q_1) - #(Q_{n-1} || Q_0). The counts come from
-    one ``rsz_pairs`` pass; n is bounded by RSZ_DEGREE_BOUND, as in hh_rsz.
+    one ``rsz_pairs`` pass; n is bounded by RSZ_DEGREE_BOUND, as in hh_rsz,
+    and each path layer by PATH_LAYER_BOUND (``walks``).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")

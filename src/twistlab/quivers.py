@@ -12,6 +12,11 @@ import json
 from .fields import Field
 from .algebra import Algebra, require_fields
 
+# the most paths of one length that ``walks`` builds; a quiver with two
+# loops at a vertex doubles its layers, so a degree bound alone does not
+# bound the work
+PATH_LAYER_BOUND = 1 << 15
+
 
 class Quiver:
     __slots__ = ("vertex_count", "arrows")
@@ -67,14 +72,21 @@ def walks(q: Quiver, top: int) -> list:
 
     Q_0 holds (v, v, ()) and Q_1 the arrows in index order; each longer
     layer extends the one before by the arrows leaving each target, so
-    every layer is in lexicographic arrow order.
+    every layer is in lexicographic arrow order.  A ValueError, before it
+    is built, for a layer of more than PATH_LAYER_BOUND paths.
     """
     out = [q.arrows_from(v) for v in range(q.vertex_count)]
     layers = [
         [(v, v, ()) for v in range(q.vertex_count)],
         [(s, t, (a,)) for a, (s, t) in enumerate(q.arrows)],
     ]
-    for _ in range(top - 1):
+    for n in range(2, top + 1):
+        count = sum(len(out[t]) for _, t, _ in layers[-1])
+        if count > PATH_LAYER_BOUND:
+            raise ValueError(
+                f"{count} paths of length {n} exceed the "
+                f"{PATH_LAYER_BOUND}-path layer bound"
+            )
         layers.append([(s, q.arrows[a][1], arrows + (a,))
                        for s, t, arrows in layers[-1] for a in out[t]])
     return layers[: top + 1]

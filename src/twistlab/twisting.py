@@ -13,6 +13,10 @@ census runs it once, on columns of polynomial variables, over the triples
 with no unit index (once (tw1) makes tau the flip on unit pairs, (tw2) and
 (tw3) hold on any triple with the unit), and solves the equations it
 yields mod p by constraint propagation (`census_search`).
+
+`census_rows` gives the census over any field: the enumerated maps over
+F_p, the closed-form families over Q with the line left symbolic.
+`census_row_strings` is the one place a row becomes text.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field
-from .algebra import Algebra, is_algebra_map
+from .algebra import Algebra, is_algebra_map, standard_algebra
 from .linalg import Matrix
 
 ENUM_BITS_BOUND = 40
@@ -445,67 +449,53 @@ CENSUS_TSV_HEADER = "family\tparameter\tp\tq\tr\ts\tinvertible"
 
 
 def census_rows(field: Field) -> list:
-    """One record per census member over a finite prime field."""
-    from .algebra import standard_algebra
+    """One record per census member, over F_p or over Q.
 
-    z2a = standard_algebra("group_algebra_z2", field)
-    z2b = standard_algebra("group_algebra_z2", field)
+    Over F_p every enumerated map is matched to its family.  Over Q the rows
+    are the families of ``solve_2dim_twist``; the line stays symbolic, with
+    p = "alpha" and no map, and is invertible for every alpha (its tau has
+    determinant 1).
+    """
+    f = field
+    z2 = standard_algebra("group_algebra_z2", f)
+    if f.characteristic:
+        members = [(identify_family(t), t) for t in enumerate_twisting_maps(z2, z2)]
+    else:
+        members = [(d, None if d.family_id in LINE_FAMILIES
+                    else family_member(d, z2, z2)) for d in solve_2dim_twist(f)]
     rows = []
-    for t in enumerate_twisting_maps(z2a, z2b):
-        desc = identify_family(t)
-        pv, qv, rv, sv = scalars_of_map(t)
+    for desc, t in members:
+        if t is None:
+            pv, qv, rv, sv = "alpha", f.zero, f.zero, f.neg(f.one)
+        else:
+            pv, qv, rv, sv = scalars_of_map(t)
         rows.append({
             "family": desc.family_id,
             "parameter": desc.parameter,
             "p": pv, "q": qv, "r": rv, "s": sv,
-            "invertible": is_invertible(t),
+            "invertible": t is None or is_invertible(t),
             "map": t,
         })
     return rows
 
 
-def census_rows_char0() -> list:
-    """Symbolic census over Q: family descriptors, lines left parametric."""
-    from .fields import QQ
-    from .algebra import standard_algebra
-
-    z2a = standard_algebra("group_algebra_z2", QQ)
-    z2b = standard_algebra("group_algebra_z2", QQ)
-    rows = []
-    for desc in solve_2dim_twist(QQ):
-        if desc.family_id in LINE_FAMILIES:
-            rows.append({
-                "family": desc.family_id,
-                "parameter": None,
-                "p": "alpha", "q": QQ.zero, "r": QQ.zero, "s": QQ.neg(QQ.one),
-                "invertible": True,
-                "map": None,
-            })
-        else:
-            t = family_member(desc, z2a, z2b)
-            pv, qv, rv, sv = scalars_of_map(t)
-            rows.append({
-                "family": desc.family_id,
-                "parameter": None,
-                "p": pv, "q": qv, "r": rv, "s": sv,
-                "invertible": is_invertible(t),
-                "map": t,
-            })
-    return rows
-
-
-def census_tsv(rows, field: Field) -> str:
+def census_row_strings(row: dict, field: Field) -> dict:
+    """The row's cells as text, ``invertible`` kept a bool: "-" for no
+    parameter, a symbolic value such as "alpha" kept as it is."""
     def s(x):
         if x is None:
             return "-"
-        if isinstance(x, str):
-            return x
-        return field.scalar_to_str(x)
+        return x if isinstance(x, str) else field.scalar_to_str(x)
 
+    cells = {k: s(row[k]) for k in ("family", "parameter", "p", "q", "r", "s")}
+    cells["invertible"] = row["invertible"]
+    return cells
+
+
+def census_tsv(rows, field: Field) -> str:
     lines = [CENSUS_TSV_HEADER]
     for r in rows:
-        lines.append("\t".join([
-            r["family"], s(r["parameter"]), s(r["p"]), s(r["q"]), s(r["r"]),
-            s(r["s"]), "yes" if r["invertible"] else "no",
-        ]))
+        cells = census_row_strings(r, field)
+        invertible = cells.pop("invertible")
+        lines.append("\t".join([*cells.values(), "yes" if invertible else "no"]))
     return "\n".join(lines) + "\n"

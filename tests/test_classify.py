@@ -30,16 +30,17 @@ from test_linalg import (
 from twistlab.twisting import (
     TwistFamilyDescriptor,
     census_rows,
-    census_rows_char0,
     family_member,
     twisted_product,
 )
 from twistlab.classify import (
     CHAR2_NOTE,
+    CLASS_ORDER,
     ORBIT_TSV_HEADER,
     REFERENCE_FINGERPRINTS,
     Fingerprint,
     OrbitEntry,
+    OrbitReport,
     classify_4dim,
     fingerprint,
     is_isomorphism,
@@ -281,7 +282,7 @@ def two_pass_fingerprint(a) -> Fingerprint:
 
 def census_products(field):
     if field.characteristic == 0:
-        products = [twisted_product(r["map"]) for r in census_rows_char0() if r["map"]]
+        products = [twisted_product(r["map"]) for r in census_rows(QQ) if r["map"]]
         return products + [line_product(field, alpha) for alpha in (2, -2, 3)]
     return [twisted_product(r["map"]) for r in census_rows(field)]
 
@@ -443,6 +444,54 @@ def test_orbit_report_char0_descriptors():
     assert by_label["IIa"][0].parameter == "alpha^2 != 4"
     assert sorted(e.parameter for e in by_label["IIb"]) == ["-2", "2"]
     assert all(e.family.startswith("isolated_") for e in by_label["III"])
+
+
+def reference_char0_report() -> OrbitReport:
+    """The orbit report over Q as its own hand-written table: the second
+    path ``orbit_report`` had before it served every field."""
+    f = QQ
+    z2a = standard_algebra("group_algebra_z2", f)
+    z2b = standard_algebra("group_algebra_z2", f)
+
+    def product_of(family, parameter=None):
+        d = TwistFamilyDescriptor(family, parameter)
+        return twisted_product(family_member(d, z2a, z2b))
+
+    def s(x):
+        return f.scalar_to_str(f.scalar(x))
+
+    entries = [
+        OrbitEntry("flip", "-", s(0), s(0), s(0), s(1), True,
+                   classify_4dim(product_of("flip"))),
+    ]
+    generic = {classify_4dim(product_of("line_char_ne_2", alpha))
+               for alpha in (0, 1, 3, -1, 5)}
+    assert len(generic) == 1
+    entries.append(OrbitEntry("line_char_ne_2", "alpha^2 != 4", "alpha",
+                              s(0), s(0), s(-1), True, generic.pop()))
+    for alpha in (2, -2):
+        entries.append(OrbitEntry(
+            "line_char_ne_2", s(alpha), s(alpha), s(0), s(0), s(-1), True,
+            classify_4dim(product_of("line_char_ne_2", alpha))))
+    for fam in ("isolated_iii", "isolated_iv", "isolated_v", "isolated_vi"):
+        t = family_member(TwistFamilyDescriptor(fam), z2a, z2b)
+        pv, qv, rv, sv = (t.matrix.data[r][3] for r in range(4))
+        entries.append(OrbitEntry(
+            fam, "-", f.scalar_to_str(pv), f.scalar_to_str(qv),
+            f.scalar_to_str(rv), f.scalar_to_str(sv), False,
+            classify_4dim(twisted_product(t))))
+    counts = {}
+    for e in entries:
+        counts[e.label] = counts.get(e.label, 0) + 1
+    return OrbitReport(f.name, 0, entries,
+                       {k: counts[k] for k in CLASS_ORDER if k in counts})
+
+
+def test_orbit_report_over_q_matches_reference():
+    rep = orbit_report(QQ)
+    want = reference_char0_report()
+    assert rep.entries == want.entries
+    assert rep.to_doc() == want.to_doc()
 
 
 def test_orbit_report_rejects_large_prime():

@@ -26,7 +26,6 @@ from twistlab.quivers import Quiver, truncated_path_algebra
 from twistlab.twisting import (
     TwistFamilyDescriptor,
     census_rows,
-    census_rows_char0,
     family_member,
     twisted_product,
 )
@@ -49,7 +48,7 @@ def census_products(field):
     points of the line family."""
     if field.characteristic:
         return [twisted_product(row["map"]) for row in census_rows(field)]
-    maps = [row["map"] for row in census_rows_char0() if row["map"] is not None]
+    maps = [row["map"] for row in census_rows(QQ) if row["map"] is not None]
     z2 = standard_algebra("group_algebra_z2", QQ)
     maps += [family_member(TwistFamilyDescriptor("line_char_ne_2", alpha), z2, z2)
              for alpha in (2, -2, 3)]

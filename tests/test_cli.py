@@ -333,11 +333,21 @@ def test_readme_quickstart_commands_run(capsys):
 
 
 @pytest.mark.parametrize("argv, stdout_file, stderr_file", [
-    (("census", "--field", "F5"), "census-F5.tsv", "census-F5.stderr"),
+    (("census", "--field", "F5"), "census-F5.tsv", "census.stderr"),
+    (("census", "--field", "Q"), "census-Q.tsv", "census.stderr"),
+    (("census", "--field", "Q", "--format", "structured"),
+     "census-Q.json", "census.stderr"),
+    (("census", "--field", "F2"), "census-F2.tsv", "census.stderr"),
     (("classify", "--field", "F13", "--format", "structured"),
      "classify-F13.json", None),
+    (("classify", "--field", "Q"), "classify-Q.tsv", None),
+    (("classify", "--field", "Q", "--format", "structured"),
+     "classify-Q.json", None),
+    (("classify", "--field", "F2"), "classify-F2.tsv", "classify-F2.stderr"),
     (("reproduce-paper", "--format", "structured"), "reproduce-paper.json", None),
-], ids=["census-F5", "classify-F13", "reproduce-paper"])
+], ids=["census-F5", "census-Q", "census-Q-structured", "census-F2",
+        "classify-F13", "classify-Q", "classify-Q-structured", "classify-F2",
+        "reproduce-paper"])
 def test_cli_output_matches_golden_files(capsys, argv, stdout_file, stderr_file):
     # the golden files hold the output of an earlier release; any change to
     # a census row, a class label or a check detail shows up here

@@ -12,9 +12,10 @@ from twistlab.algebra import (
     standard_algebra,
     verify_axioms,
 )
-from twistlab.hochschild import rsz_pairs
+from twistlab.hochschild import hh_rsz, rsz_pairs, thm_formula
 from twistlab.linalg import Matrix
 from twistlab.quivers import (
+    PATH_LAYER_BOUND,
     Quiver,
     has_oriented_cycle,
     is_connected,
@@ -45,8 +46,24 @@ def test_paths_of_length_examples():
     assert len(walks(standard_quiver("qtilde"), 2)[2]) == 0
     assert len(walks(standard_quiver("crown", 3), 3)[3]) == 3
     assert len(walks(rt, 0)[0]) == 2
-    # walks has no length bound of its own; hh_rsz and thm_formula bound n
+    # walks bounds the paths of one length, not the length; hh_rsz and
+    # thm_formula bound n
     assert walks(standard_quiver("loop"), 32)[32] == [(0, 0, (0,) * 32)]
+
+
+def test_path_layer_bound_edge_on_two_loops():
+    # one vertex with two loops has 2^n paths of length n
+    q = Quiver(1, [(0, 0), (0, 0)])
+    edge = PATH_LAYER_BOUND.bit_length() - 1
+    assert 2 ** edge == PATH_LAYER_BOUND
+    # #(Q_n || Q_1) - #(Q_(n-1) || Q_0) = 2^(n+1) - 2^(n-1)
+    assert thm_formula(q, edge) == 3 * 2 ** (edge - 1)
+    past = f"{2 ** (edge + 1)} paths of length {edge + 1} exceed"
+    with pytest.raises(ValueError, match=past):
+        thm_formula(q, edge + 1)
+    # refused at that layer, not after building 2^32 paths
+    with pytest.raises(ValueError, match=past):
+        hh_rsz(q, GF(7), 31)
 
 
 def test_crown_path_count_invariant():

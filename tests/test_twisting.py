@@ -29,7 +29,6 @@ from twistlab.twisting import (
     TwistFamilyDescriptor,
     TwistingMap,
     census_rows,
-    census_rows_char0,
     census_tsv,
     descriptor_scalars,
     enumerate_twisting_maps,
@@ -670,8 +669,54 @@ def test_census_tsv_roundtrip_and_golden_f3():
         assert got["invertible"] == want["invertible"]
 
 
+def reference_census_rows_char0() -> list:
+    """The symbolic census over Q as its own loop over the families: the
+    second path ``census_rows`` had before it served every field."""
+    z2a = standard_algebra("group_algebra_z2", QQ)
+    z2b = standard_algebra("group_algebra_z2", QQ)
+    rows = []
+    for desc in solve_2dim_twist(QQ):
+        if desc.family_id in LINE_FAMILIES:
+            rows.append({
+                "family": desc.family_id,
+                "parameter": None,
+                "p": "alpha", "q": QQ.zero, "r": QQ.zero, "s": QQ.neg(QQ.one),
+                "invertible": True,
+                "map": None,
+            })
+        else:
+            t = family_member(desc, z2a, z2b)
+            pv, qv, rv, sv = scalars_of_map(t)
+            rows.append({
+                "family": desc.family_id,
+                "parameter": None,
+                "p": pv, "q": qv, "r": rv, "s": sv,
+                "invertible": is_invertible(t),
+                "map": t,
+            })
+    return rows
+
+
+def test_census_rows_over_q_match_reference():
+    # dict equality compares the maps with TwistingMap.__eq__
+    rows = census_rows(QQ)
+    want = reference_census_rows_char0()
+    assert len(rows) == len(want) == 6
+    for got, ref in zip(rows, want):
+        assert got == ref
+
+
+def test_symbolic_line_is_invertible_at_sampled_alpha():
+    # the census keeps the line symbolic and calls it invertible: its tau
+    # has determinant 1 whatever alpha is
+    z2 = standard_algebra("group_algebra_z2", QQ)
+    for alpha in (0, 1, 2, -2, Fraction(7, 3)):
+        t = family_member(TwistFamilyDescriptor("line_char_ne_2", alpha), z2, z2)
+        assert is_invertible(t)
+
+
 def test_char0_census_rows():
-    rows = census_rows_char0()
+    rows = census_rows(QQ)
     fams = [r["family"] for r in rows]
     assert fams == [
         "flip", "line_char_ne_2", "isolated_iii", "isolated_iv",
