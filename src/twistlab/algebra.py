@@ -412,6 +412,8 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     with check=True: every transported table goes through
     ``verify_axioms`` again.
     """
+    if p.field != a.field:
+        raise ValueError("field mismatch")
     if p.rows != a.dim or p.cols != a.dim:
         raise ValueError("change of basis must be square of the algebra dimension")
     pinv = p.inverse()

@@ -156,6 +156,7 @@ def run_hh(args) -> int:
         alg = None if method == "rsz" else truncated_path_algebra(q, f)
     else:
         alg = _load_algebra(args.algebra, f)
+        f = alg.field  # a JSON file is over its own field, not the flag's
         method = "bar" if args.method == "auto" else args.method
         if method == "rsz":
             raise ValueError("the rsz method needs a quiver input")

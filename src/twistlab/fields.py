@@ -120,9 +120,12 @@ def GF(p: int) -> Field:
 
 
 def field_from_name(name: str) -> Field:
-    """Parse a field tag: "Q" or "F<p>"."""
+    """Parse a field tag: "Q" or "F<p>", accepted only as the field's own
+    ``name`` spells it (so not "F0" or "F007")."""
     if name == "Q":
         return QQ
     if name.startswith("F") and name[1:].isdigit():
-        return Field(int(name[1:]))
+        field = Field(int(name[1:]))
+        if field.name == name:
+            return field
     raise ValueError(f"unknown field tag {name!r} (expected Q or F<p>)")

@@ -7,12 +7,16 @@ The complete finite-field census is the ground truth here; the
 closed-form solution set is validated against it, and two typos in the
 published census list are carried as erratum records, not reproduced.
 
-(tw2) and (tw3) are decided in one place, `_twist_failures`, an exact scan
-of basis triples.  `verify_twisting` runs it over every triple.  The
-census runs it once, on columns of polynomial variables, over the triples
-with no unit index (once (tw1) makes tau the flip on unit pairs, (tw2) and
-(tw3) hold on any triple with the unit), and solves the equations it
-yields mod p by constraint propagation (`census_search`).
+The product (mu_A (x) mu_B)(A (x) tau (x) B) of A (x)_tau B is written
+once, in `_tau_mul`: `twisted_product` tabulates it, and `_twist_failures`,
+an exact scan of basis triples, checks (tw2) and (tw3) as two identities
+in it, tau(b (x) aa') = tau(b (x) a)(a' (x) 1) and
+tau(bb' (x) a) = (1 (x) b) tau(b' (x) a).  `verify_twisting` runs the scan
+over every triple.  The census runs it once, on columns of polynomial
+variables, over the triples with no unit index (once (tw1) makes tau the
+flip on unit pairs, (tw2) and (tw3) hold on any triple with the unit), and
+solves the equations it yields mod p by constraint propagation
+(`census_search`).
 
 `census_rows` gives the census over any field: the enumerated maps over
 F_p, the closed-form families over Q with the line left symbolic.
@@ -87,76 +91,86 @@ def _combination(coeffs, vecs, d: int) -> list:
 
 
 def _differ(lhs: list, rhs: list, p: int) -> bool:
-    """Exact comparison: residues mod p over F_p, Fractions over Q."""
-    if p:
+    """Exact comparison: residues mod p over F_p (equal lists need no
+    reduction), Fractions over Q."""
+    if p and lhs != rhs:
         return any((x - y) % p for x, y in zip(lhs, rhs))
     return lhs != rhs
+
+
+def _tau_mul(cols, a: Algebra, b: Algebra):
+    """The product (x, y) -> x * y of A (x)_tau B, where ``cols[j*dim_A+k]``
+    is tau(e_j^B (x) e_k^A): the sum of x_(i,j) y_(k,l) a_i tau(b_j (x) a_k)
+    b_l, on raw scalars or `census_search.Poly` values, left unreduced.
+    Every loop runs over nonzero entries only."""
+    da, db, zero = a.dim, b.dim, a.field.zero
+    pos = [divmod(r, db) for r in range(da * db)]
+    taus = [[(m, n, c) for (m, n), c in zip(pos, col) if c] for col in cols]
+    # the integer form at scale 1, so that over Q a product of two
+    # constants makes no Fraction
+    atab, btab = (x.int_table if x.scale == 1 else x.table for x in (a, b))
+    acells = [[(s * db, c) for s, c in enumerate(cell) if c]
+              for plane in atab for cell in plane]
+    bcells = [[(u, c) for u, c in enumerate(cell) if c]
+              for plane in btab for cell in plane]
+
+    def mul(x, y) -> list:
+        out = [zero] * len(pos)
+        for (k, l), cy in zip(pos, y):
+            if cy:
+                for (i, j), cx in zip(pos, x):
+                    if cx:
+                        # unit and basis tensors have coefficients 1
+                        cxy = cx if cy == 1 else cx * cy
+                        for m, n, ct in taus[j * da + k]:
+                            c = cxy * ct
+                            for sdb, ca in acells[i * da + m]:
+                                for u, cb in bcells[n * db + l]:
+                                    out[sdb + u] += c * (ca * cb)
+        return out
+
+    return mul
+
+
+def _unit_tensors(a: Algebra, b: Algebra) -> tuple:
+    """([a_k (x) 1_B for each k], [1_A (x) b_i for each i])."""
+    da, db = a.dim, b.dim
+    one_b = [[0] * (da * db) for _ in range(db)]
+    for i, v in enumerate(one_b):
+        v[i::db] = a.unit
+    return [[0] * (k * db) + b.unit + [0] * ((da - 1 - k) * db)
+            for k in range(da)], one_b
 
 
 def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
     """Yield each basis triple where (tw2) or (tw3) fails, all (tw2) first.
 
     ``cols[i*dim_A+j]`` is tau(e_i^B (x) e_j^A) in the output basis, as raw
-    scalars or `census_search.Poly` values.  (tw2) is tried on
-    e_i^B (x) e_j^A (x) e_k^A and (tw3) on e_i^B (x) e_j^B (x) e_k^A, with
-    B-indices from ``b_idx`` and A-indices from ``a_idx``, each triple in
-    lexicographic order; each failure is yielded as
-    ``("tw2", (i, j, k), residual)`` or ``("tw3", ...)``, with the
-    unreduced coordinates of lhs - rhs as ``residual``.
+    scalars or `census_search.Poly` values.  (tw2) is
+    tau(b_i (x) a_j a_k) = tau(b_i (x) a_j) * (a_k (x) 1_B) and (tw3) is
+    tau(b_i b_j (x) a_k) = (1_A (x) b_i) * tau(b_j (x) a_k), both products
+    in A (x)_tau B (`_tau_mul`).  They are tried with B-indices from
+    ``b_idx`` and A-indices from ``a_idx``, each triple in lexicographic
+    order; each failure is yielded as ``("tw2", (i, j, k), residual)`` or
+    ``("tw3", ...)``, with the unreduced coordinates of lhs - rhs as
+    ``residual``.
     """
     p = a.field.characteristic
-    atab, btab = a.table, b.table
-    da, db = a.dim, b.dim
-    d = da * db
+    da, d = a.dim, a.dim * b.dim
+    mul = _tau_mul(cols, a, b)
+    a_one, one_b = _unit_tensors(a, b)
     for i in b_idx:
         for j in a_idx:
-            col1 = cols[i * da + j]
             for k in a_idx:
-                # tau(b_i (x) a_j a_k) against (mu_A (x) B)(A (x) tau)(tau (x) A)
-                lhs = _combination(atab[j][k], cols[i * da:(i + 1) * da], d)
-                rhs = [0] * d
-                for mm in range(da):
-                    arow = atab[mm]
-                    for nn in range(db):
-                        c1 = col1[mm * db + nn]
-                        if not c1:
-                            continue
-                        col2 = cols[nn * da + k]
-                        for s in range(da):
-                            arow_s = arow[s]
-                            for tt in range(db):
-                                c2 = col2[s * db + tt]
-                                if not c2:
-                                    continue
-                                c = c1 * c2
-                                for u in range(da):
-                                    if arow_s[u]:
-                                        rhs[u * db + tt] += c * arow_s[u]
+                lhs = _combination(a.table[j][k], cols[i * da:(i + 1) * da], d)
+                rhs = mul(cols[i * da + j], a_one[k])
                 if _differ(lhs, rhs, p):
                     yield "tw2", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
     for i in b_idx:
         for j in b_idx:
             for k in a_idx:
-                # tau(b_i b_j (x) a_k) against (A (x) mu_B)(tau (x) B)(B (x) tau)
-                col1 = cols[j * da + k]
-                lhs = _combination(btab[i][j], cols[k::da], d)
-                rhs = [0] * d
-                for mm in range(da):
-                    col2 = cols[i * da + mm]
-                    for nn in range(db):
-                        c1 = col1[mm * db + nn]
-                        if not c1:
-                            continue
-                        for s in range(da):
-                            for tt in range(db):
-                                c2 = col2[s * db + tt]
-                                if not c2:
-                                    continue
-                                c = c1 * c2
-                                brow = btab[tt][nn]
-                                for u in range(db):
-                                    if brow[u]:
-                                        rhs[s * db + u] += c * brow[u]
+                lhs = _combination(b.table[i][j], cols[k::da], d)
+                rhs = mul(one_b[i], cols[j * da + k])
                 if _differ(lhs, rhs, p):
                     yield "tw3", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
 
@@ -179,19 +193,18 @@ def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
     p = a.field.characteristic
     d = da * db
     cols = list(zip(*m.data))
-    ua, ub = a.unit, b.unit
+    a_one, one_b = _unit_tensors(a, b)
 
     failures = {}
     # tw1: tau(b (x) 1) = 1 (x) b and tau(1 (x) a) = a (x) 1
     bad = next((i for i in range(db) if _differ(
-        _combination(ua, cols[i * da:(i + 1) * da], d),
-        [ua[r // db] if r % db == i else 0 for r in range(d)], p)), None)
+        _combination(a.unit, cols[i * da:(i + 1) * da], d), one_b[i], p)),
+        None)
     if bad is not None:
         failures["tw1"] = ("b (x) unit_A", bad)
     else:
         bad = next((j for j in range(da) if _differ(
-            _combination(ub, cols[j::da], d),
-            [ub[r % db] if r // db == j else 0 for r in range(d)], p)), None)
+            _combination(b.unit, cols[j::da], d), a_one[j], p)), None)
         if bad is not None:
             failures["tw1"] = ("unit_B (x) a", bad)
     for cond, triple, _ in _twist_failures(cols, a, b, range(da), range(db)):
@@ -218,43 +231,16 @@ def flip(a: Algebra, b: Algebra) -> TwistingMap:
 
 
 def twisted_product(t: TwistingMap) -> Algebra:
-    """The algebra on A(x)B with product (mu_A (x) mu_B)(A (x) tau (x) B)."""
+    """The algebra on A(x)B with product (mu_A (x) mu_B)(A (x) tau (x) B):
+    `_tau_mul` on pairs of basis tensors, with unit 1_A (x) 1_B, reduced by
+    the `Algebra` constructor."""
     a, b = t.source_a, t.source_b
-    f = a.field
-    da, db = a.dim, b.dim
-    d = da * db
-    tau = t.matrix.data
-    table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(da):
-        for j in range(db):
-            row_idx = i * db + j
-            for k in range(da):
-                for l in range(db):
-                    col_idx = k * db + l
-                    out = [f.zero] * d
-                    tcol = j * da + k
-                    for mm in range(da):
-                        arow = a.table[i][mm]
-                        for nn in range(db):
-                            c = tau[mm * db + nn][tcol]
-                            if not c:
-                                continue
-                            brow = b.table[nn][l]
-                            for s in range(da):
-                                if not arow[s]:
-                                    continue
-                                cs = f.mul(c, arow[s])
-                                for u in range(db):
-                                    if brow[u]:
-                                        out[s * db + u] = f.add(
-                                            out[s * db + u], f.mul(cs, brow[u])
-                                        )
-                    table[row_idx][col_idx] = out
-    labels = [
-        f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels
-    ]
-    unit = [f.mul(x, y) for x in a.unit for y in b.unit]
-    return Algebra(f, labels, table, unit, check=True)
+    d = a.dim * b.dim
+    mul = _tau_mul(list(zip(*t.matrix.data)), a, b)
+    basis = [[int(r == s) for r in range(d)] for s in range(d)]
+    labels = [f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels]
+    return Algebra(a.field, labels, [[mul(x, y) for y in basis] for x in basis],
+                   [x * y for x in a.unit for y in b.unit], check=True)
 
 
 def is_invertible(t: TwistingMap) -> bool:

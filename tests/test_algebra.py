@@ -371,6 +371,13 @@ def test_change_of_basis_rejects_singular():
         change_of_basis(alg, Matrix(QQ, 2, 2, [[1, 1], [1, 1]]))
 
 
+def test_change_of_basis_rejects_a_matrix_over_another_field():
+    # refused before the transport, not left to the axiom check
+    alg = standard_algebra("group_algebra_z2", QQ)
+    with pytest.raises(ValueError, match="field mismatch"):
+        change_of_basis(alg, Matrix.from_rows(GF(5), [[1, 1], [1, 2]]))
+
+
 def test_truncated_roundtrip_table_entries():
     alg = standard_algebra("truncated_roundtrip", QQ)
     e, f_, x, y = (alg.basis_element(i) for i in range(4))

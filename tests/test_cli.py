@@ -168,6 +168,25 @@ def test_hh_quiver_file_and_algebra_file(tmp_path, capsys):
     assert json.loads(out)["dims"] == [1, 0, 0, 0]
 
 
+def test_hh_algebra_file_reports_its_own_field(tmp_path, capsys):
+    # no --field: the dims are computed over the file's field, and the
+    # report names that field, not the flag's default Q
+    for field, dims in ((GF(2), [2, 2, 2]), (GF(5), [2, 0, 0])):
+        path = tmp_path / f"z2-{field.name}.alg"
+        path.write_text(standard_algebra("group_algebra_z2", field).to_json())
+        code, out, _ = run(capsys, "hh", "--algebra", str(path), "--N", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["field"], doc["dims"]) == (field.name, dims)
+
+
+def test_census_field_tag_spelled_as_its_name(capsys):
+    for tag in ("F0", "F007"):
+        code, out, err = run(capsys, "census", "--field", tag)
+        assert (code, out) == (2, "")
+        assert repr(tag) in err
+
+
 def test_hh_method_e_complex(capsys):
     code, out, _ = run(capsys, "hh", "--quiver", "kronecker", "--N", "4",
                        "--method", "e-complex")

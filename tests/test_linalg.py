@@ -144,6 +144,14 @@ def test_field_descriptors():
         Field(65537)
     with pytest.raises(ValueError):
         field_from_name("R")
+    # a tag is accepted only as the field's own name spells it
+    assert field_from_name("F2") == GF(2)
+    assert field_from_name("F65521") == GF(65521)
+    for tag in ("F0", "F007"):
+        with pytest.raises(ValueError, match=repr(tag)):
+            field_from_name(tag)
+    with pytest.raises(ValueError):
+        field_from_name("F65537")
 
 
 def test_scalar_canonical_form():

@@ -481,11 +481,10 @@ def brute_force_twisting_maps(a, b):
     return found
 
 
-def k3_unit_first():
-    f2 = GF(2)
+def k3_unit_first(field=GF(2)):
     return change_of_basis(
-        standard_algebra("k_n", f2, n=3),
-        Matrix.from_rows(f2, [[1, 0, 0], [1, 1, 0], [1, 0, 1]]),
+        standard_algebra("k_n", field, n=3),
+        Matrix.from_rows(field, [[1, 0, 0], [1, 1, 0], [1, 0, 1]]),
     )
 
 
@@ -735,3 +734,198 @@ def test_census_errata_records():
     for e in CENSUS_ERRATA:
         assert e["printed"] != e["computed"]
         assert e["adjudicated_by"] == "enumerate_twisting_maps"
+
+
+def reference_twisted_product(t):
+    """The twisted product with its multiplication written out on its own,
+    in Field arithmetic: the form ``twisted_product`` had before it
+    tabulated ``_tau_mul``."""
+    a, b = t.source_a, t.source_b
+    f = a.field
+    da, db = a.dim, b.dim
+    d = da * db
+    tau = t.matrix.data
+    table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
+    for i in range(da):
+        for j in range(db):
+            for k in range(da):
+                for l in range(db):
+                    out = [f.zero] * d
+                    tcol = j * da + k
+                    for mm in range(da):
+                        arow = a.table[i][mm]
+                        for nn in range(db):
+                            c = tau[mm * db + nn][tcol]
+                            if not c:
+                                continue
+                            brow = b.table[nn][l]
+                            for s in range(da):
+                                if not arow[s]:
+                                    continue
+                                cs = f.mul(c, arow[s])
+                                for u in range(db):
+                                    if brow[u]:
+                                        out[s * db + u] = f.add(
+                                            out[s * db + u], f.mul(cs, brow[u]))
+                    table[i * db + j][k * db + l] = out
+    labels = [f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels]
+    unit = [f.mul(x, y) for x in a.unit for y in b.unit]
+    return Algebra(f, labels, table, unit, check=True)
+
+
+def reference_twist_failures(cols, a, b, a_idx, b_idx):
+    """The (tw2)/(tw3) scan with both right-hand sides unrolled, as
+    (mu_A (x) B)(A (x) tau)(tau (x) A) and (A (x) mu_B)(tau (x) B)(B (x) tau):
+    the form ``_twist_failures`` had before it used ``_tau_mul``."""
+    p = a.field.characteristic
+    atab, btab = a.table, b.table
+    da, db = a.dim, b.dim
+    d = da * db
+    for i in b_idx:
+        for j in a_idx:
+            col1 = cols[i * da + j]
+            for k in a_idx:
+                lhs = twisting._combination(atab[j][k], cols[i * da:(i + 1) * da], d)
+                rhs = [0] * d
+                for mm in range(da):
+                    arow = atab[mm]
+                    for nn in range(db):
+                        c1 = col1[mm * db + nn]
+                        if not c1:
+                            continue
+                        col2 = cols[nn * da + k]
+                        for s in range(da):
+                            arow_s = arow[s]
+                            for tt in range(db):
+                                c2 = col2[s * db + tt]
+                                if not c2:
+                                    continue
+                                c = c1 * c2
+                                for u in range(da):
+                                    if arow_s[u]:
+                                        rhs[u * db + tt] += c * arow_s[u]
+                if twisting._differ(lhs, rhs, p):
+                    yield "tw2", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
+    for i in b_idx:
+        for j in b_idx:
+            for k in a_idx:
+                col1 = cols[j * da + k]
+                lhs = twisting._combination(btab[i][j], cols[k::da], d)
+                rhs = [0] * d
+                for mm in range(da):
+                    col2 = cols[i * da + mm]
+                    for nn in range(db):
+                        c1 = col1[mm * db + nn]
+                        if not c1:
+                            continue
+                        for s in range(da):
+                            for tt in range(db):
+                                c2 = col2[s * db + tt]
+                                if not c2:
+                                    continue
+                                c = c1 * c2
+                                brow = btab[tt][nn]
+                                for u in range(db):
+                                    if brow[u]:
+                                        rhs[s * db + u] += c * brow[u]
+                if twisting._differ(lhs, rhs, p):
+                    yield "tw3", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
+
+
+def _reduced_failures(failures, field):
+    """Yields with residuals mod p: a residual is an element of F_p, and its
+    unreduced integers depend on how the product was summed."""
+    p = field.characteristic
+    return [(cond, triple, [x % p for x in res] if p else res)
+            for cond, triple, res in failures]
+
+
+def _transport(m, a, b, pa, pb):
+    """(A', B', tau') for A and B in the bases pa and pb (their columns):
+    tau' = (pa (x) pb)^-1 tau (pb (x) pa)."""
+    return (change_of_basis(a, pa), change_of_basis(b, pb),
+            pa.kron(pb).inverse() * m * pb.kron(pa))
+
+
+def _seeded_twisting_maps(rng):
+    """Twisting maps between k[Z2], k x k, k_3 and k[X]/(X^2 - X), and the
+    flips of M_2(k) and k[Z2]: census and family members in unit-first
+    bases, and each moved to random bases, where the units are mostly off
+    the basis."""
+    maps = []
+    for f in (GF(2), GF(3), GF(5), GF(13)):
+        maps += [r["map"] for r in census_rows(f)]
+    for alpha in (0, 2, -3, Fraction(7, 3)):
+        maps.append(family_member(
+            TwistFamilyDescriptor("line_char_ne_2", alpha), *z2_pair(QQ)))
+    maps += [r["map"] for r in census_rows(QQ) if r["map"] is not None]
+    for f in (GF(2), GF(3), GF(5), QQ):
+        algebras = [
+            standard_algebra("group_algebra_z2", f),
+            x_idempotent_algebra(f),
+            change_of_basis(standard_algebra("k_n", f, n=2),
+                            Matrix.from_rows(f, [[1, 0], [1, 1]])),
+        ]
+        if f.characteristic in (0, 2, 3):
+            algebras.append(k3_unit_first(f))
+        for a in algebras:
+            for b in algebras:
+                if f.characteristic and a.dim * b.dim <= 6:
+                    found = enumerate_twisting_maps(a, b)
+                    maps += rng.sample(found, min(3, len(found)))
+                else:
+                    maps.append(flip(a, b))
+    # a noncommutative factor, so that the order of each product counts
+    for f in (GF(3), QQ):
+        m2 = standard_algebra("matrix2", f)
+        z2 = standard_algebra("group_algebra_z2", f)
+        maps += [flip(m2, z2), flip(z2, m2)]
+    moved = []
+    for t in maps:
+        a, b, f = t.source_a, t.source_b, t.matrix.field
+        pa, pb = (_random_invertible(rng, f, n) for n in (a.dim, b.dim))
+        moved.append(TwistingMap(*_transport(t.matrix, a, b, pa, pb)))
+    return maps + moved
+
+
+def test_one_twisted_multiplication_matches_the_unrolled_references(monkeypatch):
+    rng = random.Random(67)
+    maps = _seeded_twisting_maps(rng)
+    assert len(maps) > 300
+    off_basis = [t for t in maps if sum(map(bool, t.source_a.unit)) > 1]
+    assert len(off_basis) > 100
+    outcomes = set()
+    for t in maps:
+        a, b, m = t.source_a, t.source_b, t.matrix
+        f = a.field
+        got, want = twisted_product(t), reference_twisted_product(t)
+        assert (got.table, got.unit, got.basis_labels) == (
+            want.table, want.unit, want.basis_labels)
+        # the map, and copies with one to three entries changed
+        for n in (0, 1, 2, 3):
+            data = [row[:] for row in m.data]
+            for _ in range(n):
+                data[rng.randrange(m.rows)][rng.randrange(m.cols)] = \
+                    _random_scalar(rng, f)
+            cols = list(zip(*data))
+            full = (range(a.dim), range(b.dim))
+            assert _reduced_failures(
+                twisting._twist_failures(cols, a, b, *full), f
+            ) == _reduced_failures(reference_twist_failures(cols, a, b, *full), f)
+            perturbed = Matrix(f, m.rows, m.cols, data)
+            report = verify_twisting(a, b, perturbed)
+            assert report == kron_twisting_report(a, b, perturbed)
+            outcomes.add((report["tw1"], report["tw2"] and report["tw3"]))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    # the census equations: the scan run once on columns of variables
+    inputs = [z2_pair(GF(p)) for p in (3, 5, 7, 11, 13)]
+    inputs += [(k3_unit_first(f), standard_algebra("group_algebra_z2", f))
+               for f in (GF(2), GF(3))]
+    for a, b in inputs:
+        got = census_search.census_equations(a, b)
+        with monkeypatch.context() as mp:
+            mp.setattr(census_search, "_twist_failures", reference_twist_failures)
+            want = census_search.census_equations(a, b)
+        assert got == want
+        assert got[2]
