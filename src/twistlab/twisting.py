@@ -102,7 +102,7 @@ def _tau_mul(cols, a: Algebra, b: Algebra):
     """The product (x, y) -> x * y of A (x)_tau B, where ``cols[j*dim_A+k]``
     is tau(e_j^B (x) e_k^A): the sum of x_(i,j) y_(k,l) a_i tau(b_j (x) a_k)
     b_l, on raw scalars or `census_search.Poly` values, left unreduced.
-    Every loop runs over nonzero entries only."""
+    Only nonzero entries are multiplied."""
     da, db, zero = a.dim, b.dim, a.field.zero
     pos = [divmod(r, db) for r in range(da * db)]
     taus = [[(m, n, c) for (m, n), c in zip(pos, col) if c] for col in cols]
