@@ -144,7 +144,7 @@ def _is_three_vertex_one_arrow(q: Quiver) -> bool:
 
 
 def run_hh(args) -> int:
-    f = field_from_name(args.field)
+    f = field_from_name(args.field or "Q")
     if (args.quiver is None) == (args.algebra is None):
         raise ValueError("give exactly one of --quiver or --algebra")
     notes = []
@@ -156,7 +156,10 @@ def run_hh(args) -> int:
         alg = None if method == "rsz" else truncated_path_algebra(q, f)
     else:
         alg = _load_algebra(args.algebra, f)
-        f = alg.field  # a JSON file is over its own field, not the flag's
+        if args.field is not None and alg.field != f:
+            raise ValueError(f"--field {f.name} contradicts the algebra "
+                             f"file's field {alg.field.name}")
+        f = alg.field  # a JSON file is over its own field
         method = "bar" if args.method == "auto" else args.method
         if method == "rsz":
             raise ValueError("the rsz method needs a quiver input")
@@ -389,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="top degree")
     p.add_argument("--method", choices=("rsz", "bar", "e-complex", "auto"),
                    default="auto")
-    p.set_defaults(fn=run_hh)
+    # no flag: Q, or an algebra file's own field
+    p.set_defaults(fn=run_hh, field=None)
 
     p = sub.add_parser("counterexample",
                        help="verify the nonvanishing counterexample")

@@ -5,15 +5,17 @@ quiver algebras, the normalized bar complex Hom((A/k*1)^(x)n, A) for
 arbitrary small algebras (quasi-isomorphic to the full bar complex, with
 cochain dimension d (d-1)^n instead of d^(n+1)), and the reduced complex
 Hom_(E-E)(J^(x)_E n, A) of a decomposition A = E + J with J^2 = 0, where E
-is spanned by complete orthogonal idempotents. The last one works in the
-Peirce basis (the idempotents, then a basis of each block e_u J e_v), in
-which each cochain space is an index set and each coboundary entry is one
-signed structure constant, 0 or 1 there. Every route emits sparse integer
-columns into one function, ``complex_dims``, which checks d^2 = 0 and then
-takes the ranks with clearing: each degree eliminates only the columns
-that are not pivots of the degree before. The two table-driven routes
-read the algebra's integer table (``Algebra.int_table``). Closed-form
-evaluators cover connected non-crown quivers and crowns.
+is spanned by complete orthogonal idempotents. The last one reads the
+block quiver off the Peirce basis (the idempotents, then a basis of each
+block e_u J e_v) and certifies the split by one explicit isomorphism from
+that quiver's truncated path algebra; its chains are the quiver's paths
+(``walks``), and each coboundary entry is one signed structure constant,
+0 or 1 there. Every route emits sparse integer columns into one function,
+``complex_dims``, which checks d^2 = 0 and then takes the ranks with
+clearing: each degree eliminates only the columns that are not pivots of
+the degree before. The two table-driven routes read an integer table
+(``Algebra.int_table``). Closed-form evaluators cover connected non-crown
+quivers and crowns.
 
 Ground-truth hierarchy when values disagree: normalized bar complex, then
 the two structural complexes, then closed-form formulas, then printed
@@ -30,13 +32,20 @@ from .algebra import (
     Algebra,
     Element,
     center,
-    change_of_basis,
+    is_algebra_map,
     is_separable,
     jacobson_radical,
     radical_power_dims,
 )
 from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_echelon
-from .quivers import Quiver, is_connected, is_crown, standard_quiver, walks
+from .quivers import (
+    Quiver,
+    is_connected,
+    is_crown,
+    standard_quiver,
+    truncated_path_algebra,
+    walks,
+)
 
 RSZ_DEGREE_BOUND = 32
 DEFAULT_BUDGET_CHAR0 = 4096
@@ -328,59 +337,36 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     """Cohomology of 0 -> R^E -> Hom(J, R) -> Hom(J (x)_E J, R) -> ...
 
     Requires a = E + J with E spanned by the given complete orthogonal
-    idempotents, J the radical, and J^2 = 0. The algebra is moved once
-    into its Peirce basis (``change_of_basis``): the idempotents e_u, then
-    an echelon basis of each block e_u J e_v, so that each basis vector
-    lies in one block e_u A e_v. There R^E is spanned by the diagonal-block
-    vectors, and degree n by the pairs (chain, m): radical basis vectors
-    j_1, ..., j_n in blocks (u_1, v_1), ..., (u_n, v_n) with v_i = u_(i+1),
-    and a basis vector m in block (u_1, v_n); degree 0 is the empty chain
-    with a diagonal m. The coboundary
+    idempotents e_u, J the radical, and J^2 = 0. The Peirce basis (the
+    e_u, then an echelon basis of each block e_u J e_v) names the block
+    quiver Q: a vertex u per idempotent and an arrow u -> v per vector of
+    e_u J e_v, in that order. Under the hypotheses the Peirce basis maps
+    the truncated path algebra of Q isomorphically onto a, and one check,
+    that it has rank d and is an algebra map (``is_algebra_map``),
+    certifies all of them at once; a ValueError when it fails. The
+    complex is read off Q and that algebra, whose table is a's table in
+    the Peirce basis. R^E is spanned by the diagonal basis vectors,
+    idempotents first, and degree n by the pairs (path, m): a path
+    j_1 ... j_n of Q from u to v, enumerated by ``walks`` (at most
+    PATH_LAYER_BOUND of each length), and a basis vector m of the block
+    (u, v). The coboundary
         (df)(j_0, ..., j_n) = j_0 f(j_1, ..., j_n)
                               + (-1)^(n+1) f(j_0, ..., j_(n-1)) j_n
-    has as entries the signed constants c[k][m] and c[m][k] of the
-    transported integer table. Since e_u j = j = j e_v for j in e_u J e_v
-    and J^2 = 0, each product of two Peirce basis vectors is 0 or a basis
-    vector: the constants are 0 and 1, whatever fractions the given table
-    has.
+    has as entries the signed constants c[k][m] and c[m][k] of that
+    table, 0 and 1 whatever fractions a's own table has. N is bounded
+    by RSZ_DEGREE_BOUND, as in hh_rsz.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
+    if N > RSZ_DEGREE_BOUND:
+        raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
     f = a.field
     p = f.characteristic
     d = a.dim
     eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
     ne = len(eps)
-    zero = [f.zero] * d
-    for i, e in enumerate(eps):
-        if a.multiply_coords(e, e) != e:
-            raise ValueError(f"idempotent {i} is not idempotent")
-        for j in range(i + 1, ne):
-            if (
-                a.multiply_coords(e, eps[j]) != zero
-                or a.multiply_coords(eps[j], e) != zero
-            ):
-                raise ValueError(f"idempotents {i}, {j} are not orthogonal")
-    total = [f.zero] * d
-    for e in eps:
-        total = [f.add(x, y) for x, y in zip(total, e)]
-    if total != a.unit:
-        raise ValueError("idempotents do not sum to the unit")
-    if len(echelon_basis(f, eps)) != ne:
-        raise ValueError("idempotents are linearly dependent")
     jbas = jacobson_radical(a)
-    if ne + len(jbas) != d:
-        raise ValueError("span of idempotents plus radical is not everything")
-    if len(echelon_basis(f, eps + jbas)) != d:
-        raise ValueError("idempotent span meets the radical")
-    for u in jbas:
-        for v in jbas:
-            if a.multiply_coords(u, v) != zero:
-                raise ValueError("radical square is nonzero")
-
-    # the Peirce basis and the block (u, v) of each of its vectors
-    peirce = list(eps)
-    blocks = [(u, u) for u in range(ne)]
+    peirce, arrows = list(eps), []
     for u in range(ne):
         for v in range(ne):
             part = echelon_basis(f, [
@@ -388,44 +374,46 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
                 for w in jbas
             ])
             peirce.extend(part)
-            blocks.extend([(u, v)] * len(part))
+            arrows.extend([(u, v)] * len(part))
+    no_split = ("the Peirce basis is not an isomorphism from the block "
+                "quiver's truncated path algebra: a = E + J needs complete "
+                "orthogonal idempotents spanning E and J^2 = 0")
     if len(peirce) != d:
-        raise ValueError("radical does not split along the idempotent blocks")
-    moved = change_of_basis(a, Matrix(f, d, d, [list(r) for r in zip(*peirce)]))
-    c = moved.int_table
+        raise ValueError(no_split)
+    q = Quiver(ne, arrows)
+    block = truncated_path_algebra(q, f)
+    iso = Matrix(f, d, d, [list(r) for r in zip(*peirce)])
+    if iso.rank() != d or not is_algebra_map(iso, block, a):
+        raise ValueError(no_split)
+    c = block.int_table
 
-    rad = range(ne, d)
+    ends = [(u, u) for u in range(ne)] + arrows
     in_block = {}
-    for m, uv in enumerate(blocks):
+    for m, uv in enumerate(ends):
         in_block.setdefault(uv, []).append(m)
-    chains = [()]
-    bases = [[((), m) for m, (u, v) in enumerate(blocks) if u == v]]
-    for _ in range(N + 1):
-        chains = [ch + (k,) for ch in chains for k in rad
-                  if not ch or blocks[k][0] == blocks[ch[-1]][1]]
-        bases.append([(ch, m) for ch in chains
-                      for m in in_block.get((blocks[ch[0]][0], blocks[ch[-1]][1]), ())])
-    # b_k b_m and b_m b_k for radical b_k as (k, row, constant), nonzero only
-    left = [[(k, r, x) for k in rad for r, x in enumerate(c[k][m]) if x]
+    bases = [[((), m) for m, (u, v) in enumerate(ends) if u == v]]
+    for layer in walks(q, N + 1)[1:]:
+        bases.append([(x, m) for s, t, x in layer
+                      for m in in_block.get((s, t), ())])
+    # j_k m and m j_k for arrow k as (k, row, constant), nonzero only
+    rad = range(len(arrows))
+    left = [[(k, r, x) for k in rad for r, x in enumerate(c[ne + k][m]) if x]
             for m in range(d)]
-    right = [[(k, r, x) for k in rad for r, x in enumerate(c[m][k]) if x]
+    right = [[(k, r, x) for k in rad for r, x in enumerate(c[m][ne + k]) if x]
              for m in range(d)]
 
     def delta(n: int) -> list:
         sign = 1 if n % 2 else -1
         rows = {key: i for i, key in enumerate(bases[n + 1])}
         cols = []
-        for ch, m in bases[n]:
+        for x, m in bases[n]:
             col = {}
-            try:
-                for k, r, x in left[m]:
-                    i = rows[(k,) + ch, r]
-                    col[i] = col.get(i, 0) + x
-                for k, r, x in right[m]:
-                    i = rows[ch + (k,), r]
-                    col[i] = col.get(i, 0) + sign * x
-            except KeyError:
-                raise AssertionError("image escapes its block") from None
+            for k, r, v in left[m]:
+                i = rows[(k,) + x, r]
+                col[i] = col.get(i, 0) + v
+            for k, r, v in right[m]:
+                i = rows[x + (k,), r]
+                col[i] = col.get(i, 0) + sign * v
             cols.append(_reduced(col, p))
         return cols
 

@@ -180,6 +180,19 @@ def test_hh_algebra_file_reports_its_own_field(tmp_path, capsys):
         assert (doc["field"], doc["dims"]) == (field.name, dims)
 
 
+def test_hh_field_flag_must_match_an_algebra_file(tmp_path, capsys):
+    path = tmp_path / "z2-F2.alg"
+    path.write_text(standard_algebra("group_algebra_z2", GF(2)).to_json())
+    code, out, err = run(capsys, "hh", "--algebra", str(path), "--N", "2",
+                         "--field", "F5")
+    assert (code, out) == (2, "")
+    assert "F5" in err and "F2" in err
+    code, out, _ = run(capsys, "hh", "--algebra", str(path), "--N", "2",
+                       "--field", "F2")
+    assert code == 0
+    assert json.loads(out)["dims"] == [2, 2, 2]
+
+
 def test_census_field_tag_spelled_as_its_name(capsys):
     for tag in ("F0", "F007"):
         code, out, err = run(capsys, "census", "--field", tag)
@@ -198,6 +211,10 @@ def test_hh_method_e_complex(capsys):
                        "--N", "4", "--method", "e-complex")
     assert code == 0
     assert json.loads(out)["dims"] == [1, 1, 1, 1, 1]
+    code, out, err = run(capsys, "hh", "--quiver", "loop", "--N", "33",
+                         "--method", "e-complex")
+    assert (code, out) == (2, "")
+    assert "N must be between 0 and 32" in err
 
 
 def test_hh_input_validation(capsys):

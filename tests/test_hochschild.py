@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from twistlab.fields import GF, QQ
-from twistlab.algebra import change_of_basis, scale_to_integers, standard_algebra
+from twistlab import hochschild, quivers
+from twistlab.algebra import (
+    Element,
+    change_of_basis,
+    jacobson_radical,
+    scale_to_integers,
+    standard_algebra,
+)
 from twistlab.quivers import (
     Quiver,
     is_crown,
@@ -32,7 +39,7 @@ from twistlab.hochschild import (
     thm_formula,
     verify_counterexample,
 )
-from twistlab.linalg import Matrix, sparse_compose_zero, sparse_rank
+from twistlab.linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_rank
 from twistlab.twisting import (
     TwistFamilyDescriptor,
     family_member,
@@ -416,6 +423,186 @@ def test_e_complex_hypothesis_errors():
     idems = [cubic.basis_element(i) for i in range(3)]
     with pytest.raises(ValueError):
         hh_e_complex(cubic, idems, 2)
+
+
+def test_e_complex_degree_bound():
+    alg = truncated_path_algebra(standard_quiver("loop"), QQ)
+    idems = [alg.basis_element(0)]
+    assert hh_e_complex(alg, idems, 32).dims == [2] + [1] * 32
+    with pytest.raises(ValueError, match="N must be between 0 and 32"):
+        hh_e_complex(alg, idems, 33)
+
+
+def test_e_complex_path_layer_bound(monkeypatch):
+    # two loops double each layer: degree N reads the 2^(N+1) paths of
+    # length N+1, so a bound of 2^6 admits N = 5 and refuses N = 6
+    monkeypatch.setattr(quivers, "PATH_LAYER_BOUND", 1 << 6)
+    alg = truncated_path_algebra(TWO_LOOPS, QQ)
+    idems = [alg.basis_element(0)]
+    assert hh_e_complex(alg, idems, 5).dims == hh_rsz(TWO_LOOPS, QQ, 5).dims
+    with pytest.raises(ValueError, match="128 paths of length 7 exceed the "
+                                         "64-path layer bound"):
+        hh_e_complex(alg, idems, 6)
+
+
+def reference_hh_e_complex(a, idempotents, N):
+    """hh_e_complex as written before its split was certified by one
+    isomorphism: hand-written hypothesis checks, the algebra moved into
+    its Peirce basis by change_of_basis, and its own chain loop."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    f = a.field
+    p = f.characteristic
+    d = a.dim
+    eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
+    ne = len(eps)
+    zero = [f.zero] * d
+    for i, e in enumerate(eps):
+        if a.multiply_coords(e, e) != e:
+            raise ValueError(f"idempotent {i} is not idempotent")
+        for j in range(i + 1, ne):
+            if (
+                a.multiply_coords(e, eps[j]) != zero
+                or a.multiply_coords(eps[j], e) != zero
+            ):
+                raise ValueError(f"idempotents {i}, {j} are not orthogonal")
+    total = [f.zero] * d
+    for e in eps:
+        total = [f.add(x, y) for x, y in zip(total, e)]
+    if total != a.unit:
+        raise ValueError("idempotents do not sum to the unit")
+    if len(echelon_basis(f, eps)) != ne:
+        raise ValueError("idempotents are linearly dependent")
+    jbas = jacobson_radical(a)
+    if ne + len(jbas) != d:
+        raise ValueError("span of idempotents plus radical is not everything")
+    if len(echelon_basis(f, eps + jbas)) != d:
+        raise ValueError("idempotent span meets the radical")
+    for u in jbas:
+        for v in jbas:
+            if a.multiply_coords(u, v) != zero:
+                raise ValueError("radical square is nonzero")
+
+    peirce = list(eps)
+    blocks = [(u, u) for u in range(ne)]
+    for u in range(ne):
+        for v in range(ne):
+            part = echelon_basis(f, [
+                a.multiply_coords(eps[u], a.multiply_coords(w, eps[v]))
+                for w in jbas
+            ])
+            peirce.extend(part)
+            blocks.extend([(u, v)] * len(part))
+    if len(peirce) != d:
+        raise ValueError("radical does not split along the idempotent blocks")
+    moved = change_of_basis(a, Matrix(f, d, d, [list(r) for r in zip(*peirce)]))
+    c = moved.int_table
+
+    rad = range(ne, d)
+    in_block = {}
+    for m, uv in enumerate(blocks):
+        in_block.setdefault(uv, []).append(m)
+    chains = [()]
+    bases = [[((), m) for m, (u, v) in enumerate(blocks) if u == v]]
+    for _ in range(N + 1):
+        chains = [ch + (k,) for ch in chains for k in rad
+                  if not ch or blocks[k][0] == blocks[ch[-1]][1]]
+        bases.append([(ch, m) for ch in chains
+                      for m in in_block.get((blocks[ch[0]][0], blocks[ch[-1]][1]), ())])
+    left = [[(k, r, x) for k in rad for r, x in enumerate(c[k][m]) if x]
+            for m in range(d)]
+    right = [[(k, r, x) for k in rad for r, x in enumerate(c[m][k]) if x]
+             for m in range(d)]
+
+    def delta(n):
+        sign = 1 if n % 2 else -1
+        rows = {key: i for i, key in enumerate(bases[n + 1])}
+        cols = []
+        for ch, m in bases[n]:
+            col = {}
+            try:
+                for k, r, x in left[m]:
+                    i = rows[(k,) + ch, r]
+                    col[i] = col.get(i, 0) + x
+                for k, r, x in right[m]:
+                    i = rows[ch + (k,), r]
+                    col[i] = col.get(i, 0) + sign * x
+            except KeyError:
+                raise AssertionError("image escapes its block") from None
+            cols.append(hochschild._reduced(col, p))
+        return cols
+
+    dims = hochschild.complex_dims([delta(n) for n in range(N + 1)], p)
+    return HHProfile(dims, "e-complex", f"e-complex:dim{d}")
+
+
+def e_complex_differential_inputs(rng):
+    """(algebra, idempotents) pairs: 60 random truncated path algebras over
+    Q, GF(7), GF(11) and GF(13), every other one moved to a random basis
+    with its vertex idempotents shuffled; the alpha = 2 product split by
+    e = (-1/2, -1, 1/2, 1) over Q and GF(5); and bad idempotent lists on
+    the truncated roundtrip over Q, GF(3) and GF(5) and on the path
+    algebra of L3, where J^2 != 0."""
+    for trial in range(60):
+        field = (QQ, GF(7), GF(11), GF(13))[trial % 4]
+        vertices = rng.randint(1, 3)
+        arrows = [(rng.randrange(vertices), rng.randrange(vertices))
+                  for _ in range(rng.randint(1, vertices + 1))]
+        alg = truncated_path_algebra(Quiver(vertices, arrows), field)
+        idems = [alg.basis_element(v).coords for v in range(vertices)]
+        if trial % 2:
+            p = random_invertible(rng, field, alg.dim)
+            alg = change_of_basis(alg, p)
+            pinv = p.inverse()
+            idems = [pinv.apply(e) for e in idems]
+            rng.shuffle(idems)
+        yield alg, idems
+    for field in (QQ, GF(5)):
+        prod = z2_product(field, "line_char_ne_2", 2)
+        e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
+        yield prod, [e, prod.unit_element() - e]
+    for field in (QQ, GF(3), GF(5)):
+        alg = standard_algebra("truncated_roundtrip", field)
+        e, f, x = (alg.basis_element(i) for i in range(3))
+        one = alg.unit_element()
+        for idems in ([], [e], [one], [one, e], [e, e], [e, f, f],
+                      [e, f, x], [e + x, f]):
+            yield alg, idems
+    cubic = path_algebra_acyclic(L3, QQ)
+    yield cubic, [cubic.basis_element(i) for i in range(3)]
+
+
+def test_e_complex_matches_reference(monkeypatch):
+    # the same columns, handed to complex_dims list for list, and the same
+    # dims, or the same exception type; a refused split names its hypotheses
+    seen = []
+
+    def spy(deltas, p):
+        seen.append(deltas)
+        return complex_dims(deltas, p)
+
+    def outcome(route, alg, idems):
+        seen.clear()
+        try:
+            dims = route(alg, idems, 4).dims
+        except Exception as exc:
+            return type(exc), str(exc)
+        return dims, list(seen)
+
+    monkeypatch.setattr(hochschild, "complex_dims", spy)
+    answered = refused = 0
+    for alg, idems in e_complex_differential_inputs(random.Random(61)):
+        got = outcome(hh_e_complex, alg, idems)
+        want = outcome(reference_hh_e_complex, alg, idems)
+        if isinstance(want[0], list):
+            answered += 1
+            assert got == want, (alg, idems)
+        else:
+            refused += want[0] is ValueError
+            assert got[0] is want[0], (alg, idems, got, want)
+            if got[0] is ValueError:
+                assert "complete orthogonal idempotents" in got[1], got
+    assert (answered, refused) == (62, 25)
 
 
 def corpus():
