@@ -227,6 +227,16 @@ def is_algebra_map(m: Matrix, a: Algebra, b: Algebra) -> bool:
                for i in range(a.dim) for j in range(a.dim))
 
 
+def is_isomorphism(p: Matrix, a: Algebra, b: Algebra) -> bool:
+    """True iff column j of p, read as the image of a's j-th basis vector
+    in b's coordinates, defines an algebra isomorphism a -> b."""
+    if a.field != b.field or p.field != a.field:
+        raise ValueError("field mismatch")
+    if a.dim != b.dim or p.rows != a.dim or p.cols != a.dim:
+        raise ValueError("need a square matrix matching both dimensions")
+    return p.rank() == a.dim and is_algebra_map(p, a, b)
+
+
 def verify_axioms(a: Algebra) -> dict:
     """Exhaustive associativity and unit scan; first failing indices listed.
 

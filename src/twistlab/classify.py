@@ -20,8 +20,8 @@ from .algebra import (
     Algebra,
     commutator_rows,
     integer_rank,
-    is_algebra_map,
     is_commutative,
+    is_isomorphism,  # noqa: F401  (re-exported: classify.is_isomorphism)
     radical_power_dims,
     standard_algebra,
 )
@@ -97,16 +97,6 @@ def classify_4dim(a: Algebra) -> str:
         if fp == ref:
             return label
     return "unknown"
-
-
-def is_isomorphism(p: Matrix, a: Algebra, b: Algebra) -> bool:
-    """True iff column j of p, read as the image of a's j-th basis vector
-    in b's coordinates, defines an algebra isomorphism a -> b."""
-    if a.field != b.field or p.field != a.field:
-        raise ValueError("field mismatch")
-    if a.dim != b.dim or p.rows != a.dim or p.cols != a.dim:
-        raise ValueError("need a square matrix matching both dimensions")
-    return p.rank() == a.dim and is_algebra_map(p, a, b)
 
 
 def reference_isomorphism(name: str, field: Field, q=None) -> tuple:

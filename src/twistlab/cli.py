@@ -13,7 +13,7 @@ import os
 import sys
 
 from .fields import QQ, GF, field_from_name
-from .algebra import Algebra, CriterionInapplicable, standard_algebra
+from .algebra import Algebra, CriterionInapplicable, is_isomorphism, standard_algebra
 from .quivers import Quiver, standard_quiver, truncated_path_algebra
 from .twisting import (
     CENSUS_ERRATA,
@@ -30,7 +30,6 @@ from .duplicates import (
 )
 from .classify import (
     classify_4dim,
-    is_isomorphism,
     orbit_report,
     orbit_tsv,
     reference_isomorphism,

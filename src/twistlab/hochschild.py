@@ -1,21 +1,22 @@
-"""Hochschild cohomology dimensions by three independent routes.
+"""Hochschild cohomology dimensions by three routes.
 
 Routes: the parallel-paths cochain complex for radical-square-zero
-quiver algebras, the normalized bar complex Hom((A/k*1)^(x)n, A) for
-arbitrary small algebras (quasi-isomorphic to the full bar complex, with
-cochain dimension d (d-1)^n instead of d^(n+1)), and the reduced complex
-Hom_(E-E)(J^(x)_E n, A) of a decomposition A = E + J with J^2 = 0, where E
-is spanned by complete orthogonal idempotents. The last one reads the
-block quiver off the Peirce basis (the idempotents, then a basis of each
-block e_u J e_v) and certifies the split by one explicit isomorphism from
-that quiver's truncated path algebra; its chains are the quiver's paths
-(``walks``), and each coboundary entry is one signed structure constant,
-0 or 1 there. Every route emits sparse integer columns into one function,
-``complex_dims``, which checks d^2 = 0 and then takes the ranks with
-clearing: each degree eliminates only the columns that are not pivots of
-the degree before. The two table-driven routes read an integer table
-(``Algebra.int_table``). Closed-form evaluators cover connected non-crown
-quivers and crowns.
+quiver algebras (Cibils 1998), the normalized bar complex
+Hom((A/k*1)^(x)n, A) for arbitrary small algebras (quasi-isomorphic to
+the full bar complex, with cochain dimension d (d-1)^n instead of
+d^(n+1)), and the reduced complex Hom_(E-E)(J^(x)_E n, A) of a
+decomposition A = E + J with J^2 = 0, where E is spanned by complete
+orthogonal idempotents. The last one reads the block quiver off the
+Peirce basis (the idempotents, then a basis of each block e_u J e_v) and
+certifies the split by one explicit isomorphism from that quiver's
+truncated path algebra; the reduced complex is then the quiver's
+parallel-paths complex, so it runs the first route on the quiver. The two
+column builders, ``rsz_layer`` and ``bar_coboundary_columns``, emit
+sparse integer columns into one function, ``complex_dims``, which checks
+d^2 = 0 and then takes the ranks with clearing: each degree eliminates
+only the columns that are not pivots of the degree before. The bar route
+reads an integer table (``Algebra.int_table``). Closed-form evaluators
+cover connected non-crown quivers and crowns.
 
 Ground-truth hierarchy when values disagree: normalized bar complex, then
 the two structural complexes, then closed-form formulas, then printed
@@ -32,7 +33,7 @@ from .algebra import (
     Algebra,
     Element,
     center,
-    is_algebra_map,
+    is_isomorphism,
     is_separable,
     jacobson_radical,
     radical_power_dims,
@@ -205,7 +206,7 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10) -> HHProfile:
     each degree's block map from it. The d^2 = 0 check
     that `complex_dims` runs here holds by the block shape (0 0; D 0) for
     any D, so it certifies nothing for this route; the route is
-    cross-checked by `hh_e_complex` and the closed forms.
+    cross-checked by `hh_bar` and the closed forms.
     """
     if not (0 <= N <= RSZ_DEGREE_BOUND):
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
@@ -341,27 +342,20 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     e_u, then an echelon basis of each block e_u J e_v) names the block
     quiver Q: a vertex u per idempotent and an arrow u -> v per vector of
     e_u J e_v, in that order. Under the hypotheses the Peirce basis maps
-    the truncated path algebra of Q isomorphically onto a, and one check,
-    that it has rank d and is an algebra map (``is_algebra_map``),
-    certifies all of them at once; a ValueError when it fails. The
-    complex is read off Q and that algebra, whose table is a's table in
-    the Peirce basis. R^E is spanned by the diagonal basis vectors,
-    idempotents first, and degree n by the pairs (path, m): a path
-    j_1 ... j_n of Q from u to v, enumerated by ``walks`` (at most
-    PATH_LAYER_BOUND of each length), and a basis vector m of the block
-    (u, v). The coboundary
-        (df)(j_0, ..., j_n) = j_0 f(j_1, ..., j_n)
-                              + (-1)^(n+1) f(j_0, ..., j_(n-1)) j_n
-    has as entries the signed constants c[k][m] and c[m][k] of that
-    table, 0 and 1 whatever fractions a's own table has. N is bounded
-    by RSZ_DEGREE_BOUND, as in hh_rsz.
+    the truncated path algebra of Q isomorphically onto a, and one
+    ``is_isomorphism`` check certifies all of them at once; a ValueError
+    when it fails. The complex is then Q's parallel-paths complex (Cibils
+    1998): its basis pair (path, m), a path of Q from u to v and a basis
+    vector m of the block (u, v), is ``rsz_layer``'s pair (path, vertex m)
+    or (path, arrow m - |Q_0|), and each column is ``rsz_layer``'s times
+    (-1)^(n+1). So the dims are ``hh_rsz``'s on Q, with its degree bound
+    RSZ_DEGREE_BOUND and its path-layer bound (``walks``).
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if N > RSZ_DEGREE_BOUND:
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
     f = a.field
-    p = f.characteristic
     d = a.dim
     eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
     ne = len(eps)
@@ -381,44 +375,10 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     if len(peirce) != d:
         raise ValueError(no_split)
     q = Quiver(ne, arrows)
-    block = truncated_path_algebra(q, f)
     iso = Matrix(f, d, d, [list(r) for r in zip(*peirce)])
-    if iso.rank() != d or not is_algebra_map(iso, block, a):
+    if not is_isomorphism(iso, truncated_path_algebra(q, f), a):
         raise ValueError(no_split)
-    c = block.int_table
-
-    ends = [(u, u) for u in range(ne)] + arrows
-    in_block = {}
-    for m, uv in enumerate(ends):
-        in_block.setdefault(uv, []).append(m)
-    bases = [[((), m) for m, (u, v) in enumerate(ends) if u == v]]
-    for layer in walks(q, N + 1)[1:]:
-        bases.append([(x, m) for s, t, x in layer
-                      for m in in_block.get((s, t), ())])
-    # j_k m and m j_k for arrow k as (k, row, constant), nonzero only
-    rad = range(len(arrows))
-    left = [[(k, r, x) for k in rad for r, x in enumerate(c[ne + k][m]) if x]
-            for m in range(d)]
-    right = [[(k, r, x) for k in rad for r, x in enumerate(c[m][ne + k]) if x]
-             for m in range(d)]
-
-    def delta(n: int) -> list:
-        sign = 1 if n % 2 else -1
-        rows = {key: i for i, key in enumerate(bases[n + 1])}
-        cols = []
-        for x, m in bases[n]:
-            col = {}
-            for k, r, v in left[m]:
-                i = rows[(k,) + x, r]
-                col[i] = col.get(i, 0) + v
-            for k, r, v in right[m]:
-                i = rows[x + (k,), r]
-                col[i] = col.get(i, 0) + sign * v
-            cols.append(_reduced(col, p))
-        return cols
-
-    dims = complex_dims([delta(n) for n in range(N + 1)], p)
-    return HHProfile(dims, "e-complex", f"e-complex:dim{d}")
+    return HHProfile(hh_rsz(q, f, N).dims, "e-complex", f"e-complex:dim{d}")
 
 
 def thm_formula(q: Quiver, n: int):
@@ -478,8 +438,8 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
 
     if field.characteristic == 2:
         raise ValueError("the counterexample needs characteristic != 2")
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    if not (2 <= N <= RSZ_DEGREE_BOUND):
+        raise ValueError(f"N must be between 2 and {RSZ_DEGREE_BOUND}")
     a = standard_algebra("group_algebra_z2", field)
     b = standard_algebra("group_algebra_z2", field)
     t = family_member(TwistFamilyDescriptor("line_char_ne_2", 2), a, b)

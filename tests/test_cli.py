@@ -308,6 +308,9 @@ def test_counterexample_verb(capsys):
     code, _, err = run(capsys, "counterexample", "--N", "4", "--field", "F2")
     assert code == 2
     assert "error:" in err
+    for N in ("1", "33"):
+        code, out, err = run(capsys, "counterexample", "--N", N)
+        assert (code, out, err) == (2, "", "error: N must be between 2 and 32\n")
 
 
 def test_reproduce_paper_passes(capsys):
@@ -368,6 +371,14 @@ def test_readme_quickstart_commands_run(capsys):
         assert code == 0, (argv, err)
 
 
+E_COMPLEX_ARGV = ("hh", "--method", "e-complex", "--format", "structured", "--N", "8")
+E_COMPLEX_GOLDEN = [
+    (q, f, f"hh-e-complex-{q.replace('(', '').replace(')', '')}-{f}")
+    for q in ("roundtrip", "qtilde", "loop", "kronecker", "crown(3)", "four_points")
+    for f in ("Q", "F5")
+]
+
+
 @pytest.mark.parametrize("argv, stdout_file, stderr_file", [
     (("census", "--field", "F5"), "census-F5.tsv", "census.stderr"),
     (("census", "--field", "Q"), "census-Q.tsv", "census.stderr"),
@@ -381,9 +392,17 @@ def test_readme_quickstart_commands_run(capsys):
      "classify-Q.json", None),
     (("classify", "--field", "F2"), "classify-F2.tsv", "classify-F2.stderr"),
     (("reproduce-paper", "--format", "structured"), "reproduce-paper.json", None),
+] + [
+    ((*E_COMPLEX_ARGV, "--quiver", q, "--field", f), f"{stem}.json",
+     "hh-qtilde.stderr" if q == "qtilde" else None)
+    for q, f, stem in E_COMPLEX_GOLDEN
+] + [
+    ((*E_COMPLEX_ARGV, "--algebra", "truncated_roundtrip", "--field", "F3"),
+     "hh-e-complex-truncated_roundtrip-F3.json", None),
 ], ids=["census-F5", "census-Q", "census-Q-structured", "census-F2",
         "classify-F13", "classify-Q", "classify-Q-structured", "classify-F2",
-        "reproduce-paper"])
+        "reproduce-paper"] + [stem for _, _, stem in E_COMPLEX_GOLDEN]
+       + ["hh-e-complex-truncated_roundtrip-F3"])
 def test_cli_output_matches_golden_files(capsys, argv, stdout_file, stderr_file):
     # the golden files hold the output of an earlier release; any change to
     # a census row, a class label or a check detail shows up here

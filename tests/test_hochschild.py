@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twistlab.fields import GF, QQ
-from twistlab import hochschild, quivers
+from twistlab import hochschild, quivers, twisting
 from twistlab.algebra import (
     Element,
     change_of_basis,
@@ -445,10 +445,12 @@ def test_e_complex_path_layer_bound(monkeypatch):
         hh_e_complex(alg, idems, 6)
 
 
-def reference_hh_e_complex(a, idempotents, N):
+def reference_hh_e_complex(a, idempotents, N, basis=None):
     """hh_e_complex as written before its split was certified by one
     isomorphism: hand-written hypothesis checks, the algebra moved into
-    its Peirce basis by change_of_basis, and its own chain loop."""
+    its Peirce basis by change_of_basis, and its own chain loop. A list
+    given as ``basis`` receives the basis of degrees 0..N+1, each element
+    (chain, m): Peirce indices of radical vectors, and a Peirce index."""
     if N < 0:
         raise ValueError("N must be >= 0")
     f = a.field
@@ -532,6 +534,8 @@ def reference_hh_e_complex(a, idempotents, N):
             cols.append(hochschild._reduced(col, p))
         return cols
 
+    if basis is not None:
+        basis.extend(bases)
     dims = hochschild.complex_dims([delta(n) for n in range(N + 1)], p)
     return HHProfile(dims, "e-complex", f"e-complex:dim{d}")
 
@@ -573,35 +577,58 @@ def e_complex_differential_inputs(rng):
 
 
 def test_e_complex_matches_reference(monkeypatch):
-    # the same columns, handed to complex_dims list for list, and the same
-    # dims, or the same exception type; a refused split names its hypotheses
-    seen = []
+    # the same dims, or the same exception type, and a refused split names
+    # its hypotheses; each answer's columns are the reference's, times
+    # (-1)^(n+1), once its basis (chain, m) is relabelled as rsz_layer's
+    # pair (path, vertex m) for m < ne and (path, arrow m - ne) otherwise
+    seen, pairs = [], []
 
     def spy(deltas, p):
         seen.append(deltas)
         return complex_dims(deltas, p)
 
-    def outcome(route, alg, idems):
+    def spy_pairs(q, top):
+        pairs.append(rsz_pairs(q, top))
+        return pairs[-1]
+
+    def outcome(route, alg, idems, **kw):
         seen.clear()
         try:
-            dims = route(alg, idems, 4).dims
+            dims = route(alg, idems, 4, **kw).dims
         except Exception as exc:
             return type(exc), str(exc)
-        return dims, list(seen)
+        return dims, seen[0]
 
     monkeypatch.setattr(hochschild, "complex_dims", spy)
+    monkeypatch.setattr(hochschild, "rsz_pairs", spy_pairs)
     answered = refused = 0
     for alg, idems in e_complex_differential_inputs(random.Random(61)):
+        pairs.clear()
         got = outcome(hh_e_complex, alg, idems)
-        want = outcome(reference_hh_e_complex, alg, idems)
-        if isinstance(want[0], list):
-            answered += 1
-            assert got == want, (alg, idems)
-        else:
+        ref_basis = []
+        want = outcome(reference_hh_e_complex, alg, idems, basis=ref_basis)
+        if not isinstance(want[0], list):
             refused += want[0] is ValueError
             assert got[0] is want[0], (alg, idems, got, want)
             if got[0] is ValueError:
                 assert "complete orthogonal idempotents" in got[1], got
+            continue
+        answered += 1
+        assert got[0] == want[0], (alg, idems)
+        [(p0, p1)] = pairs
+        ne, p = len(idems), alg.field.characteristic
+        # the route's position of each reference label (path, m)
+        where = [{**{(x, v): i for i, (x, v) in enumerate(p0[n])},
+                  **{(x, ne + a): len(p0[n]) + i for i, (x, a) in enumerate(p1[n])}}
+                 for n in range(len(ref_basis))]
+        place = [[where[n][tuple(k - ne for k in ch), m] for ch, m in keys]
+                 for n, keys in enumerate(ref_basis)]
+        for n, (cols, ref_cols) in enumerate(zip(got[1], want[1])):
+            assert sorted(place[n]) == list(range(len(cols))), (alg, n)
+            sign = (-1) ** (n + 1)
+            for j, ref_col in zip(place[n], ref_cols):
+                moved = {place[n + 1][r]: sign * x for r, x in ref_col.items()}
+                assert cols[j] == hochschild._reduced(moved, p), (alg, idems, n)
     assert (answered, refused) == (62, 25)
 
 
@@ -815,6 +842,23 @@ def test_counterexample_guards():
         verify_counterexample(1)
     with pytest.raises(ValueError):
         verify_counterexample(4, GF(2))
+
+
+def test_counterexample_degree_bound_edge(monkeypatch):
+    for field in (QQ, GF(5)):
+        report = verify_counterexample(32, field)
+        assert report["rsz_dims"] == [1] * 33, field.name
+        assert report["nonvanishing_through"] == 32
+
+    def no_product(t):
+        raise AssertionError("the product was built")
+
+    # refused up front, before the product is built
+    monkeypatch.setattr(twisting, "twisted_product", no_product)
+    for N in (1, 33):
+        for field in (QQ, GF(5)):
+            with pytest.raises(ValueError, match="^N must be between 2 and 32$"):
+                verify_counterexample(N, field)
 
 
 def test_profile_doc_and_errata():

@@ -1,5 +1,6 @@
 """Quivers, paths, crowns, and path algebras."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -161,6 +162,24 @@ def test_truncated_loop_is_dual_numbers():
     x = built.basis_element(1)
     assert (x * x).is_zero()
     assert verify_axioms(built)["associative"]
+
+
+def test_truncated_path_algebras_satisfy_the_axioms():
+    # truncated_path_algebra skips the verify_axioms scan, since its table is
+    # associative and unital by construction; the scan runs here instead
+    rng = random.Random(97)
+    fields = (QQ, GF(2), GF(3), GF(7))
+    loops = multiple = 0
+    for trial in range(120):
+        vertices = rng.randint(1, 4)
+        arrows = [(rng.randrange(vertices), rng.randrange(vertices))
+                  for _ in range(rng.randint(0, vertices + 2))]
+        field = fields[trial % len(fields)]
+        report = verify_axioms(truncated_path_algebra(Quiver(vertices, arrows), field))
+        assert report["associative"] and report["unital"], (field.name, arrows)
+        loops += any(s == t for s, t in arrows)
+        multiple += len(set(arrows)) < len(arrows)
+    assert loops >= 40 and multiple >= 20
 
 
 def test_truncated_radical_square_zero():
