@@ -9,13 +9,14 @@ construction: ``int_table`` and ``int_unit`` are ``table`` and ``unit``
 times one scale D (``scale_to_integers``: the lcm of their denominators
 over Q).  Over F_p the constants are already residues: D = 1, and
 ``int_table`` and ``int_unit`` are ``table`` and ``unit`` themselves, not
-a copy.  Every scan over the whole table (the axiom check, base change,
-the trace form, the center's commutator rows, the radical's powers, the
-Hochschild coboundaries) reads these.  Each such quantity is a sum of
-products of a fixed number k of constants, so the integer sum is D^k
-times the true one: an equality, a rank, a kernel and d^2 = 0 are
-unchanged, and a transported constant is recovered by one exact
-division.  The inner loops make no Fraction.
+a copy.  Every scan over the whole table reads these: the axiom check
+and base change (both in whole blocks of flat rows, see ``verify_axioms``
+and ``change_of_basis``), the trace form, the center's commutator rows,
+the radical's powers and the Hochschild coboundaries.  Each such quantity
+is a sum of products of a fixed number k of constants, so the integer sum
+is D^k times the true one: an equality, a rank, a kernel and d^2 = 0 are
+unchanged, and a transported constant is recovered by one exact division.
+The inner loops make no Fraction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from operator import mul
 
 from .fields import Field, field_from_name
 from .linalg import Matrix, echelon_basis, scale_to_integers, sparse_rank
@@ -240,40 +242,35 @@ def is_isomorphism(p: Matrix, a: Algebra, b: Algebra) -> bool:
 def verify_axioms(a: Algebra) -> dict:
     """Exhaustive associativity and unit scan; first failing indices listed.
 
-    On the integer table, for each (i, j, k) in lexicographic order the
-    two coordinate rows of (e_i e_j) e_k and e_i (e_j e_k) are summed over
-    the nonzero constants only and compared (mod p over F_p); the first
-    differing l gives the failing (i, j, k, l).  u e_j and e_j u are
+    On the integer table c, one (i, j) block at a time in lexicographic
+    order: every (e_i e_j) e_k and e_i (e_j e_k) at once, as d x d blocks
+    over (k, l).  The left one is the sum of c[i][j][m] times c[m]
+    (flattened) over the nonzero c[i][j][m]; the right one is the matrix
+    product c[j] c[i].  The two are compared (mod p over F_p) and only on
+    a mismatch is the first differing (k, l) looked up, giving the failing
+    (i, j, k, l): the lexicographically first one.  u e_j and e_j u are
     compared with D^2 e_j; the first failing j gives (j,).
     """
     d = a.dim
     p = a.field.characteristic
     c, u, scale = a.int_table, a.int_unit, a.scale
-    nonzero = [[[(m, x) for m, x in enumerate(cell) if x] for cell in plane]
-               for plane in c]
+    flat = [[x for cell in plane for x in cell] for plane in c]
+    cols = [list(zip(*plane)) for plane in c]
     failing = None
-    for i, j, k in itertools.product(range(d), repeat=3):
-        lhs = [0] * d
-        for m, x in nonzero[i][j]:
-            lhs = [s + x * y for s, y in zip(lhs, c[m][k])]
-        rhs = [0] * d
-        for m, x in nonzero[j][k]:
-            rhs = [s + x * y for s, y in zip(rhs, c[i][m])]
-        if p:
-            lhs = [s % p for s in lhs]
-            rhs = [s % p for s in rhs]
-        if lhs != rhs:
-            failing = (i, j, k, next(l for l in range(d) if lhs[l] != rhs[l]))
+    for i, j in itertools.product(range(d), repeat=2):
+        lhs = _combine(c[i][j], flat, d * d)
+        rhs = [sum(map(mul, row, col)) for row in c[j] for col in cols[i]]
+        if lhs == rhs:
+            continue
+        diff = [(s - t) % p if p else s - t for s, t in zip(lhs, rhs)]
+        if any(diff):
+            failing = (i, j) + divmod(next(n for n, x in enumerate(diff) if x), d)
             break
     unit_failing = None
-    unit_terms = [(i, x) for i, x in enumerate(u) if x]
     for j in range(d):
         want = [scale * scale if m == j else 0 for m in range(d)]
-        left = [0] * d
-        right = [0] * d
-        for i, x in unit_terms:
-            left = [s + x * y for s, y in zip(left, c[i][j])]
-            right = [s + x * y for s, y in zip(right, c[j][i])]
+        left = _combine(u, [plane[j] for plane in c], d)
+        right = _combine(u, c[j], d)
         if p:
             left = [s % p for s in left]
             right = [s % p for s in right]
@@ -416,42 +413,54 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     vector b_j written in the old coordinates.
 
     With Q = p^-1 the new constants are
-    T[i][j][n] = sum over x, y, m of p[x][i] p[y][j] c[x][y][m] Q[n][m],
-    summed on the integer table and on p and Q scaled by their own D_p,
-    then divided by D_p^3 times the table's scale.  The result is built
-    with check=True: every transported table goes through
-    ``verify_axioms`` again.
+    T[i][j][n] = sum over x, y of p[x][i] p[y][j] (Q c[x][y])[n],
+    on the integer table and on p and Q scaled by their own D_p.  Q is
+    applied to each nonzero cell c[x][y] first; then two passes contract
+    with p (x, then y), each summing flat d^2 rows over the nonzero
+    entries of a column of p.  Over Q the integers are divided by D_p^3
+    times the table's scale, the only Fractions made.  The result is built
+    with check=True: every transported table goes through ``verify_axioms``
+    again.
     """
+    d = a.dim
+    if labels is None:
+        labels = [f"b{i}" for i in range(d)]
+    if len(labels) != d:
+        raise ValueError(f"change of basis needs {d} labels, got {len(labels)}")
     if p.field != a.field:
         raise ValueError("field mismatch")
-    if p.rows != a.dim or p.cols != a.dim:
+    if p.rows != d or p.cols != d:
         raise ValueError("change of basis must be square of the algebra dimension")
     pinv = p.inverse()
     if pinv is None:
         raise ValueError("change of basis matrix is singular")
-    d = a.dim
     char = a.field.characteristic
     (pm, qm), scale = scale_to_integers([p.data, pinv.data], char)
-    c = a.int_table
-    pcols = [[row[i] for row in pm] for i in range(d)]
+    pcols = list(zip(*pm))
+    qcols = list(zip(*qm))
+    # moved[x], flat over (y, n): Q c[x][y], e_x e_y in the new coordinates
+    moved = [[v for cell in plane for v in _combine(cell, qcols, d)]
+             for plane in a.int_table]
+    # left[i], flat over (y, n): b_i e_y; regrouped by y, flat over (i, n)
+    left = [_combine(pcols[i], moved, d * d) for i in range(d)]
+    by_y = [[v for row in left for v in row[y * d:(y + 1) * d]] for y in range(d)]
+    # prods[j], flat over (i, n): b_i b_j
+    prods = [_combine(pcols[j], by_y, d * d) for j in range(d)]
     denom = scale ** 3 * a.scale
-    table = []
-    for i in range(d):
-        # left[y]: coordinates of b_i * e_y
-        left = [[sum(x * c[k][y][m] for k, x in enumerate(pcols[i]))
-                 for m in range(d)] for y in range(d)]
-        row = []
-        for j in range(d):
-            prod = [sum(x * left[k][m] for k, x in enumerate(pcols[j]))
-                    for m in range(d)]
-            new = [sum(q * v for q, v in zip(qrow, prod)) for qrow in qm]
-            row.append([v % char for v in new] if char
-                       else [Fraction(v, denom) for v in new])
-        table.append(row)
-    unit = pinv.apply(a.unit)
-    if labels is None:
-        labels = [f"b{i}" for i in range(d)]
-    return Algebra(a.field, labels, table, unit, check=True)
+    table = [[[v % char if char else Fraction(v, denom)
+               for v in prods[j][i * d:(i + 1) * d]] for j in range(d)]
+             for i in range(d)]
+    return Algebra(a.field, labels, table, pinv.apply(a.unit), check=True)
+
+
+def _combine(coeffs, rows, width: int) -> list:
+    """The sum of x * rows[m] over the nonzero x = coeffs[m], as a list of
+    ``width`` integers."""
+    out = [0] * width
+    for x, row in zip(coeffs, rows):
+        if x:
+            out = [s + x * y for s, y in zip(out, row)]
+    return out
 
 
 def standard_algebra(name: str, field: Field, n: int = None, q=None) -> Algebra:

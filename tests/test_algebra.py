@@ -131,9 +131,10 @@ def random_basis_change(field, d, rng):
             return p
 
 
-def sample_algebras(field, rng):
-    """Dimensions 2, 4 and 8; over Q one of each is moved to a rational
-    basis, so its constants are Fractions and its unit no basis vector."""
+def sample_algebras(field, rng, odd_dims=False):
+    """Dimensions 2, 4 and 8, with odd_dims also 1, 3 and 5; over Q one of
+    each dimension but 1 and 3 is moved to a rational basis, so its
+    constants are Fractions and its unit no basis vector."""
     arrows = [(rng.randrange(3), rng.randrange(3)) for _ in range(5)]
     algebras = [
         standard_algebra("group_algebra_z2", field),
@@ -142,12 +143,41 @@ def sample_algebras(field, rng):
         standard_algebra("truncated_roundtrip", field),
         truncated_path_algebra(Quiver(3, arrows), field),
     ]
+    moved = [algebras[0], algebras[1], algebras[4]]
+    if odd_dims:
+        arrows = [(rng.randrange(2), rng.randrange(2)) for _ in range(3)]
+        algebras += [
+            standard_algebra("k_n", field, n=1),
+            standard_algebra("k_n", field, n=3),
+            truncated_path_algebra(Quiver(2, arrows), field),
+        ]
+        moved.append(algebras[-1])
     if field.characteristic == 0:
         algebras += [
             fraction_change_of_basis(alg, random_basis_change(field, alg.dim, rng))
-            for alg in (algebras[0], algebras[1], algebras[4])
+            for alg in moved
         ]
     return algebras
+
+
+def random_permutation(field, d, rng):
+    """A permutation matrix: one nonzero cell in each row and column."""
+    perm = list(range(d))
+    rng.shuffle(perm)
+    return Matrix(field, d, d, [[int(perm[i] == j) for j in range(d)]
+                                for i in range(d)])
+
+
+def last_block_fault(field, d, x):
+    """A d-dim table (d >= 3) whose one non-associative triple is the last:
+    e_N e_N = e_1 and e_1 e_N = x e_0 (N = d - 1, x nonzero), all other
+    products zero.  (e_N e_N) e_N = x e_0 but e_N (e_N e_N) = e_N e_1 = 0,
+    so the first failing indices are (N, N, N, 0)."""
+    n = d - 1
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
+    table[n][n][1] = 1
+    table[1][n][0] = x
+    return Algebra(field, [f"e{i}" for i in range(d)], table, [0] * d)
 
 
 def test_verify_axioms_standard_presentations():
@@ -371,6 +401,34 @@ def test_change_of_basis_rejects_singular():
         change_of_basis(alg, Matrix(QQ, 2, 2, [[1, 1], [1, 1]]))
 
 
+def test_change_of_basis_checks_the_transported_table():
+    # the moved table is scanned itself: the error names the failing
+    # indices of the transported table, not of the input
+    rng = random.Random(71)
+    for field in (QQ, GF(3), GF(7)):
+        for bad in (last_block_fault(field, 3, field.one),
+                    last_block_fault(field, 4, random_scalar(field, rng)
+                                     or field.one)):
+            for _ in range(4):
+                p = random_basis_change(field, bad.dim, rng)
+                want = fraction_verify_axioms(fraction_change_of_basis(bad, p))
+                assert not want["associative"] and want != verify_axioms(bad)
+                with pytest.raises(ValueError) as err:
+                    change_of_basis(bad, p)
+                assert str(err.value) == (
+                    f"algebra axioms fail: {want['failing_indices']}")
+
+
+def test_change_of_basis_rejects_a_wrong_label_count():
+    # refused before any work: the matrix here is singular
+    alg = standard_algebra("a_q", QQ, q=3)
+    singular = Matrix(QQ, 4, 4, [[1, 0, 0, 0]] * 4)
+    for labels in (["u", "v", "w"], ["u", "v", "w", "x", "y"]):
+        with pytest.raises(ValueError, match=(
+                f"change of basis needs 4 labels, got {len(labels)}$")):
+            change_of_basis(alg, singular, labels=labels)
+
+
 def test_change_of_basis_rejects_a_matrix_over_another_field():
     # refused before the transport, not left to the axiom check
     alg = standard_algebra("group_algebra_z2", QQ)
@@ -468,7 +526,7 @@ def test_verify_axioms_matches_fraction_reference():
     failures = set()
     unit_failures = set()
     for field in (QQ, GF(3), GF(7)):
-        for alg in sample_algebras(field, rng):
+        for alg in sample_algebras(field, rng, odd_dims=True):
             d = alg.dim
             cases = [alg]
             for _ in range(6):
@@ -477,6 +535,10 @@ def test_verify_axioms_matches_fraction_reference():
                     i, j, k = (rng.randrange(d) for _ in range(3))
                     table[i][j][k] = random_scalar(field, rng)
                 cases.append(Algebra(field, alg.basis_labels, table, alg.unit))
+            # a fault planted in the last (i, j) block
+            if d >= 3:
+                cases.append(last_block_fault(
+                    field, d, random_scalar(field, rng) or field.one))
             # the unit perturbed on the associative table; fractions over Q
             for _ in range(3):
                 unit = list(alg.unit)
@@ -490,18 +552,23 @@ def test_verify_axioms_matches_fraction_reference():
                     failures.add(report["failing_indices"])
                 elif not report["unital"]:
                     unit_failures.add((field.name, report["failing_indices"]))
-    assert seen == {(d, ok) for d in (2, 4, 8) for ok in (True, False)}
+    # a 1-dim table is always associative: e e = x e
+    assert seen == {(d, ok) for d in (2, 3, 4, 5, 8) for ok in (True, False)} | {
+        (1, True)}
     assert len(failures) > 20
     assert unit_failures >= {("Q", (0,)), ("Q", (1,)), ("F3", (0,)), ("F7", (0,))}
 
 
 def test_change_of_basis_matches_fraction_reference():
-    # Fraction-valued p over Q; equal table, unit and labels
+    # Fraction-valued p over Q, and permutation matrices, mostly zero
+    # cells; equal table, unit and labels
     rng = random.Random(67)
     for field in (QQ, GF(3), GF(7)):
-        for alg in sample_algebras(field, rng):
-            for _ in range(2):
-                p = random_basis_change(field, alg.dim, rng)
+        for alg in sample_algebras(field, rng, odd_dims=True):
+            d = alg.dim
+            for p in (random_basis_change(field, d, rng),
+                      random_basis_change(field, d, rng),
+                      random_permutation(field, d, rng)):
                 got = change_of_basis(alg, p)
                 want = fraction_change_of_basis(alg, p)
                 assert got.table == want.table, (field, alg)
