@@ -5,16 +5,16 @@ computations (center, Jacobson radical, separability) are the data the
 classification of the 4-dimensional twisted products rests on.
 
 Every algebra carries one integer form of its constants, made once at
-construction: ``int_table`` and ``int_unit`` are ``table`` and ``unit``
-times one scale D (``scale_to_integers``: the lcm of their denominators
-over Q).  Over F_p the constants are already residues: D = 1, and
-``int_table`` and ``int_unit`` are ``table`` and ``unit`` themselves, not
-a copy.  Every scan over the whole table reads these: the axiom check
-and base change (both in whole blocks of flat rows, see ``verify_axioms``
-and ``change_of_basis``), the trace form, the center's commutator rows,
-the radical's powers and the Hochschild coboundaries.  Each such quantity
-is a sum of products of a fixed number k of constants, so the integer sum
-is D^k times the true one: an equality, a rank, a kernel and d^2 = 0 are
+construction or handed over whole by ``change_of_basis``: ``int_table``
+and ``int_unit`` are ``table`` and ``unit`` times one scale D, the lcm of
+their denominators over Q.  Over F_p the constants are already residues:
+D = 1, and ``int_table`` and ``int_unit`` are ``table`` and ``unit``
+themselves, not a copy.  Every scan over the whole table reads these: the
+axiom check and base change (see ``verify_axioms`` and
+``change_of_basis``), the trace form, the center's commutator rows, the
+radical's powers and the Hochschild coboundaries.  Each such quantity is
+a sum of products of a fixed number k of constants, so the integer sum is
+D^k times the true one: an equality, a rank, a kernel and d^2 = 0 are
 unchanged, and a transported constant is recovered by one exact division.
 The inner loops make no Fraction.
 """
@@ -23,11 +23,21 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .fields import Field, field_from_name
-from .linalg import Matrix, echelon_basis, scale_to_integers, sparse_rank
+from .linalg import (
+    Matrix,
+    integer_echelon,
+    integer_inverse,
+    integer_kernel,
+    rref_scalars,
+    scale_to_integers,
+    sparse_rank,
+)
 
 
 class CriterionInapplicable(Exception):
@@ -43,23 +53,43 @@ class Algebra:
                  "int_table", "int_unit", "scale")
 
     def __init__(self, field: Field, basis_labels, table, unit, check=False):
-        self.field = field
-        self.dim = len(basis_labels)
-        self.basis_labels = [str(s) for s in basis_labels]
-        d = self.dim
+        d = len(basis_labels)
         if len(unit) != d or len(table) != d or any(
             len(plane) != d or any(len(cell) != d for cell in plane)
             for plane in table
         ):
             raise ValueError("table/unit shape does not match the basis")
-        self.table = [[[field.scalar(x) for x in cell] for cell in plane]
-                      for plane in table]
-        self.unit = [field.scalar(x) for x in unit]
+        table = [[[field.scalar(x) for x in cell] for cell in plane]
+                 for plane in table]
+        unit = [field.scalar(x) for x in unit]
         if field.characteristic:
-            self.int_table, self.int_unit, self.scale = self.table, self.unit, 1
+            ints, scale = (table, unit), 1
         else:
-            (self.int_table, self.int_unit), self.scale = scale_to_integers(
-                [self.table, self.unit], 0)
+            ints, scale = scale_to_integers([table, unit], 0)
+        self._fill(field, basis_labels, table, unit, *ints, scale, check)
+
+    @classmethod
+    def _from_integer_form(cls, field: Field, basis_labels, int_table,
+                           int_unit, scale: int) -> "Algebra":
+        """The algebra with constants int_table / scale and unit
+        int_unit / scale, checked.  Over F_p the integers are residues and
+        scale is 1; over Q scale must be coprime to the gcd of the
+        integers, which makes it the lcm of the denominators."""
+        table, unit = int_table, int_unit
+        if not field.characteristic:
+            table = [[[Fraction(x, scale) for x in cell] for cell in plane]
+                     for plane in int_table]
+            unit = [Fraction(x, scale) for x in int_unit]
+        a = cls.__new__(cls)
+        a._fill(field, basis_labels, table, unit, int_table, int_unit, scale, True)
+        return a
+
+    def _fill(self, field, basis_labels, table, unit, int_table, int_unit,
+              scale, check) -> None:
+        self.field, self.dim = field, len(basis_labels)
+        self.basis_labels = [str(s) for s in basis_labels]
+        self.table, self.unit = table, unit
+        self.int_table, self.int_unit, self.scale = int_table, int_unit, scale
         if check:
             report = verify_axioms(self)
             if not (report["associative"] and report["unital"]):
@@ -243,40 +273,56 @@ def verify_axioms(a: Algebra) -> dict:
     """Exhaustive associativity and unit scan; first failing indices listed.
 
     On the integer table c, one (i, j) block at a time in lexicographic
-    order: every (e_i e_j) e_k and e_i (e_j e_k) at once, as d x d blocks
-    over (k, l).  The left one is the sum of c[i][j][m] times c[m]
-    (flattened) over the nonzero c[i][j][m]; the right one is the matrix
-    product c[j] c[i].  The two are compared (mod p over F_p) and only on
-    a mismatch is the first differing (k, l) looked up, giving the failing
-    (i, j, k, l): the lexicographically first one.  u e_j and e_j u are
-    compared with D^2 e_j; the first failing j gives (j,).
+    order: all (e_i e_j) e_k and e_i (e_j e_k) at once, each block packed
+    into one integer with slot (k, l) at bit w (k d + l) (Kronecker
+    substitution).  The left side is the sum of c[i][j][m] times the row
+    c[m] packed flat; the right side the sum over m of the column
+    (c[j][k][m])_k, packed at stride d w, times the row c[i][m].
+
+    Over Q slots are signed and M bounds the table, unit and scale D, so a
+    slot of left - right is below 2 d M^2 in absolute value; w is least
+    with 2^w > 2 d M^2, so the sides are equal exactly when the blocks are
+    and the lowest set bit of the difference is in its first nonzero slot.
+    Over F_p slots are below d p^2; d p^2 (a multiple of p) added to each
+    slot of left - right keeps it in [0, 2 d p^2), w is the least of 8,
+    16, 32 and 64 bits past that, and the slots are read back via
+    ``to_bytes`` and tested mod p.  The report is the first failing
+    (i, j, k, l); the unit scan packs all u e_j and e_j u likewise against
+    D^2 e_j, the first failing j giving (j,).  Each block takes O(d^2)
+    slots.
     """
     d = a.dim
     p = a.field.characteristic
     c, u, scale = a.int_table, a.int_unit, a.scale
-    flat = [[x for cell in plane for x in cell] for plane in c]
-    cols = [list(zip(*plane)) for plane in c]
+    if p:
+        w = next(w for w in _SLOT_FORMATS if 1 << w >= 2 * d * p * p)
+        off = _pack([d * p * p] * (d * d), w)
+    else:
+        top = max(itertools.chain((abs(x) for plane in c for cell in plane
+                                   for x in cell), map(abs, u), [scale]))
+        w = (2 * d * top * top).bit_length()
+        off = 0
+    rows = [[_pack(cell, w) for cell in plane] for plane in c]
+    flat = [_pack(plane, d * w) for plane in rows]
+    cols = [[_pack([cell[m] for cell in plane], d * w) for m in range(d)]
+            for plane in c]
     failing = None
     for i, j in itertools.product(range(d), repeat=2):
-        lhs = _combine(c[i][j], flat, d * d)
-        rhs = [sum(map(mul, row, col)) for row in c[j] for col in cols[i]]
-        if lhs == rhs:
-            continue
-        diff = [(s - t) % p if p else s - t for s, t in zip(lhs, rhs)]
-        if any(diff):
-            failing = (i, j) + divmod(next(n for n, x in enumerate(diff) if x), d)
-            break
-    unit_failing = None
-    for j in range(d):
-        want = [scale * scale if m == j else 0 for m in range(d)]
-        left = _combine(u, [plane[j] for plane in c], d)
-        right = _combine(u, c[j], d)
-        if p:
-            left = [s % p for s in left]
-            right = [s % p for s in right]
-        if left != want or right != want:
-            unit_failing = (j,)
-            break
+        lhs = sum(x * f for x, f in zip(c[i][j], flat) if x)
+        rhs = sum(map(mul, cols[j], rows[i]))
+        if lhs != rhs:
+            n = _first_slot(lhs + off - rhs, w, p, d * d)
+            if n is not None:
+                failing = (i, j) + divmod(n, d)
+                break
+    # slot (j, l): D^2 delta_jl, (u e_j)_l, (e_j u)_l
+    want = _pack([scale * scale * (k == l) for k in range(d) for l in range(d)], w)
+    left = sum(x * f for x, f in zip(u, flat) if x)
+    right = _pack([sum(map(mul, u, plane)) for plane in rows], d * w)
+    bad = [n for n in (_first_slot(left + off - want, w, p, d * d),
+                       _first_slot(right + off - want, w, p, d * d))
+           if n is not None]
+    unit_failing = (min(bad) // d,) if bad else None
     return {
         "associative": failing is None,
         "unital": unit_failing is None,
@@ -284,11 +330,33 @@ def verify_axioms(a: Algebra) -> dict:
     }
 
 
+# slot widths over F_p, with the memoryview format of an unsigned slot
+_SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _pack(values, w: int) -> int:
+    """The sum of values[n] * 2^(w n): values as slots of w bits."""
+    out = 0
+    for x in reversed(values):
+        out = (out << w) + x
+    return out
+
+
+def _first_slot(packed: int, w: int, p: int, count: int):
+    """Index of the first nonzero slot of a packed difference (nonzero mod
+    p over F_p, where the slots are unsigned), or None."""
+    if p:
+        slots = memoryview(packed.to_bytes(count * w // 8, sys.byteorder))
+        return next((n for n, x in enumerate(slots.cast(_SLOT_FORMATS[w]))
+                     if x % p), None)
+    return ((packed & -packed).bit_length() - 1) // w if packed else None
+
+
 def center(a: Algebra) -> list:
     """Echelon basis of {x : x*e_i = e_i*x for all i}: the kernel of the
     integer ``commutator_rows``."""
-    return Matrix(a.field, a.dim * a.dim, a.dim,
-                  commutator_rows(a.int_table)).kernel_basis()
+    return rref_scalars(a.field, integer_kernel(
+        commutator_rows(a.int_table), a.dim, a.field.characteristic))
 
 
 def commutator_rows(c: list) -> list:
@@ -313,29 +381,24 @@ def integer_rank(rows: list, p: int) -> int:
     return sparse_rank([dict(enumerate(row)) for row in rows], p)
 
 
-def _is_ideal(a: Algebra, basis: list) -> bool:
-    """Whether the independent rows ``basis`` span a two-sided ideal of a:
+def _is_ideal(a: Algebra, rows: list) -> bool:
+    """Whether the independent integer rows span a two-sided ideal of a:
     one rank of them and each e_i v (from c[i]) and v e_i (from column i
     of c), c the integer table."""
-    p = a.field.characteristic
-    rows, _ = scale_to_integers(basis, p)
     c = a.int_table
     d = a.dim
     prods = [[sum(x * side[m][n] for m, x in terms) for n in range(d)]
              for terms in ([(m, x) for m, x in enumerate(v) if x] for v in rows)
              for pair in zip(c, zip(*c)) for side in pair]
-    return integer_rank(rows + prods, p) == len(rows)
+    return integer_rank(rows + prods, a.field.characteristic) == len(rows)
 
 
-def _span_product(a: Algebra, basis1: list, basis2: list) -> list:
-    """Echelon basis of the span of all x y, x in basis1, y in basis2, from
-    the integer table c.  Each basis is scaled to integers on its own: the
-    products are trilinear, so every one is scaled alike and the span is
-    unchanged."""
-    p = a.field.characteristic
+def _span_product(a: Algebra, rows1: list, rows2: list) -> list:
+    """``integer_echelon`` rows of the span of all x y, x in rows1, y in
+    rows2 (integer rows), from the integer table c: the products are
+    trilinear, so scaling c or either family scales every one alike and
+    the span is unchanged."""
     c = a.int_table
-    rows1, _ = scale_to_integers(basis1, p)
-    rows2, _ = scale_to_integers(basis2, p)
     terms2 = [[(j, y) for j, y in enumerate(row) if y] for row in rows2]
     prods = []
     for x in rows1:
@@ -346,7 +409,7 @@ def _span_product(a: Algebra, basis1: list, basis2: list) -> list:
                     for j, y in terms:
                         out = [o + xi * y * v for o, v in zip(out, c[i][j])]
             prods.append(out)
-    return echelon_basis(a.field, prods)
+    return integer_echelon(prods, a.field.characteristic)
 
 
 def jacobson_radical(a: Algebra) -> list:
@@ -359,19 +422,30 @@ def jacobson_radical(a: Algebra) -> list:
     verification fails outside the trace criterion's validity range
     (char 0 or char > dim), the computation refuses to guess.
     """
-    powers = radical_powers(a)
-    return powers[0] if powers else []
+    chain = _radical_chain(a)
+    return rref_scalars(a.field, chain[0]) if chain else []
 
 
 def radical_powers(a: Algebra) -> list:
     """[J, J^2, ...], echelon bases down to the last nonzero power; [] when
-    J = 0.  The candidate J is the kernel of the integer trace form; the
-    chain that proves it nilpotent is the one returned."""
-    candidate = Matrix(a.field, a.dim, a.dim,
-                       trace_form_gram(a.int_table)).kernel_basis()
+    J = 0."""
+    return [rref_scalars(a.field, rows) for rows in _radical_chain(a)]
+
+
+def radical_power_dims(a: Algebra) -> list:
+    """[dim J, dim J^2, ...] down to the first zero; [] when J = 0."""
+    chain = _radical_chain(a)
+    return [len(rows) for rows in chain] + [0] if chain else []
+
+
+def _radical_chain(a: Algebra) -> list:
+    """[J, J^2, ...] as ``integer_echelon`` rows down to the last nonzero
+    power; [] when J = 0.  The candidate J is the kernel of the integer
+    trace form; the chain that proves it nilpotent is the one returned."""
+    char = a.field.characteristic
+    candidate = integer_kernel(trace_form_gram(a.int_table), a.dim, char)
     if not candidate:
         return []
-    char = a.field.characteristic
     if _is_ideal(a, candidate):
         powers = [candidate]
         for _ in range(a.dim):
@@ -385,12 +459,6 @@ def radical_powers(a: Algebra) -> list:
         f"criterion-inapplicable: char {char} <= dim {a.dim} and the trace-form "
         "radical is not a nilpotent ideal"
     )
-
-
-def radical_power_dims(a: Algebra) -> list:
-    """[dim J, dim J^2, ...] down to the first zero; [] when J = 0."""
-    powers = radical_powers(a)
-    return [len(j) for j in powers] + [0] if powers else []
 
 
 def is_commutative(a: Algebra) -> bool:
@@ -414,13 +482,12 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
 
     With Q = p^-1 the new constants are
     T[i][j][n] = sum over x, y of p[x][i] p[y][j] (Q c[x][y])[n],
-    on the integer table and on p and Q scaled by their own D_p.  Q is
-    applied to each nonzero cell c[x][y] first; then two passes contract
-    with p (x, then y), each summing flat d^2 rows over the nonzero
-    entries of a column of p.  Over Q the integers are divided by D_p^3
-    times the table's scale, the only Fractions made.  The result is built
-    with check=True: every transported table goes through ``verify_axioms``
-    again.
+    on the integer table, P = D_P p and Q times D_Q (``integer_inverse``).
+    Q is applied to each nonzero cell c[x][y] first; then two passes
+    contract with P (x, then y), each summing flat d^2 rows over the
+    nonzero entries of a column of P.  Over Q one gcd of the common
+    denominator and all the integers gives the result's integer form and
+    scale directly.  The transported table goes through ``verify_axioms``.
     """
     d = a.dim
     if labels is None:
@@ -431,11 +498,12 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
         raise ValueError("field mismatch")
     if p.rows != d or p.cols != d:
         raise ValueError("change of basis must be square of the algebra dimension")
-    pinv = p.inverse()
-    if pinv is None:
-        raise ValueError("change of basis matrix is singular")
     char = a.field.characteristic
-    (pm, qm), scale = scale_to_integers([p.data, pinv.data], char)
+    pm, pscale = scale_to_integers(p.data, char)
+    inverse = integer_inverse(pm, char)
+    if inverse is None:
+        raise ValueError("change of basis matrix is singular")
+    qm, qscale = inverse
     pcols = list(zip(*pm))
     qcols = list(zip(*qm))
     # moved[x], flat over (y, n): Q c[x][y], e_x e_y in the new coordinates
@@ -446,11 +514,19 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     by_y = [[v for row in left for v in row[y * d:(y + 1) * d]] for y in range(d)]
     # prods[j], flat over (i, n): b_i b_j
     prods = [_combine(pcols[j], by_y, d * d) for j in range(d)]
-    denom = scale ** 3 * a.scale
-    table = [[[v % char if char else Fraction(v, denom)
-               for v in prods[j][i * d:(i + 1) * d]] for j in range(d)]
-             for i in range(d)]
-    return Algebra(a.field, labels, table, pinv.apply(a.unit), check=True)
+    unit = [pscale * pscale * v for v in _combine(a.int_unit, qcols, d)]
+    if char:
+        unit = [v % char for v in unit]
+        prods = [[v % char for v in row] for row in prods]
+        scale = 1
+    else:
+        scale = qscale * a.scale * pscale
+        g = gcd(scale, *unit, *(v for row in prods for v in row))
+        unit = [v // g for v in unit]
+        prods = [[v // g for v in row] for row in prods]
+        scale //= g
+    table = [[prods[j][i * d:(i + 1) * d] for j in range(d)] for i in range(d)]
+    return Algebra._from_integer_form(a.field, labels, table, unit, scale)
 
 
 def _combine(coeffs, rows, width: int) -> list:

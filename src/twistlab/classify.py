@@ -20,7 +20,6 @@ from .algebra import (
     Algebra,
     commutator_rows,
     integer_rank,
-    is_commutative,
     is_isomorphism,  # noqa: F401  (re-exported: classify.is_isomorphism)
     radical_power_dims,
     standard_algebra,
@@ -71,19 +70,17 @@ REFERENCE_FINGERPRINTS = {
 
 def fingerprint(a: Algebra) -> Fingerprint:
     """The invariants from the integer table.  The trace form is built
-    once, in ``radical_powers``: the algebra is separable exactly when its
-    kernel is empty (rank d), so exactly when the radical dims are [], and
-    only a nonzero kernel goes on to the ideal and nilpotency checks.  The
-    center has dimension d minus the rank of ``commutator_rows``."""
+    once, in ``radical_power_dims``, whose integer rows are only counted:
+    the algebra is separable exactly when its kernel is empty (rank d), so
+    exactly when the radical dims are [], and only a nonzero kernel goes on
+    to the ideal and nilpotency checks.  The center has dimension d minus
+    the rank of ``commutator_rows``, and the algebra is commutative exactly
+    when that is d."""
     d = a.dim
     dims = radical_power_dims(a)
-    return Fingerprint(
-        d,
-        is_commutative(a),
-        d - integer_rank(commutator_rows(a.int_table), a.field.characteristic),
-        tuple(dims),
-        not dims,
-    )
+    center_dim = d - integer_rank(commutator_rows(a.int_table),
+                                  a.field.characteristic)
+    return Fingerprint(d, center_dim == d, center_dim, tuple(dims), not dims)
 
 
 def classify_4dim(a: Algebra) -> str:

@@ -307,6 +307,9 @@ def run_reproduce(args) -> int:
     fields = [QQ, GF(3), GF(5)]
     if args.field is not None:
         extra = field_from_name(args.field)
+        if extra.characteristic == 2:
+            raise ValueError("reproduce-paper's expected counts and HH profiles "
+                             "assume characteristic != 2; F2 has characteristic 2")
         if extra.name not in [f.name for f in fields]:
             fields.append(extra)
     checks = []

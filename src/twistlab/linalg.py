@@ -4,12 +4,12 @@
 over F_p), each new row reduced at its largest coordinate only, for as
 long as that coordinate is the pivot of a row kept so far, and then kept
 with it as pivot. Every cochain rank (``sparse_rank``) is one pass of it.
-The dense ``Matrix`` serves the small structural computations (ranks,
-kernels, inverses, base changes) through ``echelon_basis``, which numbers
-coordinates from the right so that the largest-coordinate pivot is each
-row's leading column, then back-substitutes over the kept rows. The
-reduced echelon form of a span is unique, so kernel bases are byte-stable
-across runs.
+``integer_echelon`` adds the back-substitution and returns the reduced
+echelon form as integer rows; the structural computations (ranks,
+kernels, inverses, radicals, base changes) work on those rows, and the
+dense ``Matrix`` methods and ``echelon_basis`` are thin wrappers that make
+Fractions only for their result. The reduced echelon form of a span is
+unique, so kernel bases are byte-stable across runs.
 
 ``p`` is the characteristic throughout: 0 for Q, a prime for F_p.
 """
@@ -137,42 +137,31 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    # elimination, all through ``echelon_basis``
+    # elimination, all through ``integer_echelon``
 
     def rank(self) -> int:
-        return len(echelon_basis(self.field, self.data))
+        p = self.field.characteristic
+        return len(integer_echelon(scale_to_integers(self.data, p)[0], p))
 
     def kernel_basis(self) -> list:
         """Echelon-normalized basis of the right null space."""
-        f = self.field
-        red = echelon_basis(f, self.data)
-        pivots = [_leading(row) for row in red]
-        pivot_set = set(pivots)
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivot_set:
-                continue
-            v = [f.zero] * self.cols
-            v[fc] = f.one
-            for row, pc in zip(red, pivots):
-                v[pc] = f.neg(row[fc])
-            basis.append(v)
-        return echelon_basis(f, basis)
+        p = self.field.characteristic
+        rows, _ = scale_to_integers(self.data, p)
+        return rref_scalars(self.field, integer_kernel(rows, self.cols, p))
 
     def inverse(self):
         """Inverse matrix, or None when singular."""
         if self.rows != self.cols:
             return None
-        f = self.field
-        n = self.rows
-        red = echelon_basis(f, [
-            row + [f.one if j == i else f.zero for j in range(n)]
-            for i, row in enumerate(self.data)
-        ])
-        if [_leading(row) for row in red] != list(range(n)):
+        p = self.field.characteristic
+        ints, scale = scale_to_integers(self.data, p)
+        inv = integer_inverse(ints, p)
+        if inv is None:
             return None
-        out = Matrix(f, n, n)
-        out.data = [row[n:] for row in red]
+        rows, den = inv
+        out = Matrix(self.field, self.rows, self.cols)
+        out.data = rows if p else [[Fraction(x * scale, den) for x in row]
+                                   for row in rows]
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":
@@ -229,38 +218,81 @@ def _scaled(values: list, p: int, scale: int) -> list:
 def echelon_basis(field: Field, vectors: list) -> list:
     """Reduced echelon normal form of the span of the given vectors.
 
-    Returns the nonzero RREF rows, the canonical basis of the subspace.
-    Each vector becomes a sparse integer row (over Q scaled by the lcm of
-    its own denominators, which does not move the span), with coordinate
-    j numbered n - 1 - j so that the pivot ``sparse_echelon`` picks is the
-    row's leading column. Back-substitution then takes the kept rows by
-    ascending pivot and clears each at the other pivots it holds, largest
-    first, with the rows already cleared (each is zero at every pivot but
-    its own, so no pivot moves); then each row is divided by its pivot,
-    which over F_p is already 1.
+    Returns the nonzero RREF rows, the canonical basis of the subspace:
+    ``integer_echelon`` on the vectors scaled to integers (which does not
+    move the span), each row divided by its leading entry.
     """
     p = field.characteristic
-    top = len(vectors[0]) - 1 if vectors else 0
-    rows = []
-    for v in vectors:
-        row = {top - j: x for j, x in enumerate(v) if x}
-        if not p:
-            den = lcm(*(x.denominator for x in row.values()))
-            row = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
-        rows.append(row)
-    rows = sparse_echelon(rows, p)
-    for k in sorted(rows):
-        row = rows[k]
-        for j in sorted((j for j in row if j != k and j in rows), reverse=True):
-            _eliminate(row, rows[j], j, p)
+    return rref_scalars(field, integer_echelon(scale_to_integers(vectors, p)[0], p))
+
+
+def rref_scalars(field: Field, rows: list) -> list:
+    """Field scalars of ``integer_echelon`` rows: each divided by its
+    leading entry over Q; over F_p that entry is already 1."""
+    if field.characteristic:
+        return rows
     out = []
-    for k in sorted(rows, reverse=True):
-        row, piv = rows[k], rows[k][k]
-        vec = [field.zero] * (top + 1)
-        for c, x in row.items():
-            vec[top - c] = x if p else Fraction(x, piv)
-        out.append(vec)
+    for row in rows:
+        lead = row[_leading(row)]
+        out.append([Fraction(x, lead) for x in row])
     return out
+
+
+def integer_echelon(rows: list, p: int) -> list:
+    """Reduced echelon form of the span of integer rows (residues over
+    F_p), as integer rows by ascending leading column: each is the RREF
+    row times its leading entry (1 over F_p; over Q the row is primitive).
+
+    Coordinate j is numbered n - 1 - j, so that the pivot ``sparse_echelon``
+    picks is the leading column.  Back-substitution takes the kept rows by
+    ascending pivot and clears each at the other pivots it holds, largest
+    first, with rows already cleared, so no pivot moves.
+    """
+    top = len(rows[0]) - 1 if rows else 0
+    pivots = sparse_echelon(
+        [{top - j: x for j, x in enumerate(row) if x} for row in rows], p)
+    for k in sorted(pivots):
+        row = pivots[k]
+        for j in sorted((j for j in row if j != k and j in pivots), reverse=True):
+            _eliminate(row, pivots[j], j, p)
+    out = []
+    for k in sorted(pivots, reverse=True):
+        vec = [0] * (top + 1)
+        for c, x in pivots[k].items():
+            vec[top - c] = x
+        g = 1 if p else gcd(*vec)
+        out.append([x // g for x in vec] if g > 1 else vec)
+    return out
+
+
+def integer_kernel(rows: list, width: int, p: int) -> list:
+    """``integer_echelon`` rows spanning the right null space of integer
+    rows of the given width: free column f gives L e_f minus, at each
+    leading column c, L r[f] / r[c], L the lcm of the leading entries."""
+    red = integer_echelon(rows, p)
+    leads = [_leading(row) for row in red]
+    scale = lcm(*(row[c] for row, c in zip(red, leads)))
+    basis = []
+    for free in sorted(set(range(width)) - set(leads)):
+        v = [0] * width
+        v[free] = scale
+        for row, c in zip(red, leads):
+            v[c] = -row[free] * (scale // row[c])
+        basis.append(v)
+    return integer_echelon(basis, p)
+
+
+def integer_inverse(rows: list, p: int):
+    """(Q, D) with Q / D the inverse of the square integer matrix rows,
+    or None when it is singular: [rows | I] reduces to [L | L rows^-1], L
+    the diagonal of leading entries, D = lcm(L); over F_p D = 1."""
+    n = len(rows)
+    red = integer_echelon([row + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(rows)], p)
+    if [_leading(row) for row in red] != list(range(n)):
+        return None
+    den = lcm(*(row[i] for i, row in enumerate(red)))
+    return [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(red)], den
 
 
 # the elimination kernel

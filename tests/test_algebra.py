@@ -131,6 +131,16 @@ def random_basis_change(field, d, rng):
             return p
 
 
+def wide_basis_change(d, rng):
+    """An invertible d x d matrix over Q with entries a / b, b near 10^20:
+    upper triangular with a nonzero diagonal, rows shuffled."""
+    rows = [[Fraction(rng.randint(1, 9) * rng.choice((-1, 1)),
+                      rng.randint(10**19, 10**20)) if j >= i else 0
+             for j in range(d)] for i in range(d)]
+    rng.shuffle(rows)
+    return Matrix(QQ, d, d, rows)
+
+
 def sample_algebras(field, rng, odd_dims=False):
     """Dimensions 2, 4 and 8, with odd_dims also 1, 3 and 5; over Q one of
     each dimension but 1 and 3 is moved to a rational basis, so its
@@ -178,6 +188,38 @@ def last_block_fault(field, d, x):
     table[n][n][1] = 1
     table[1][n][0] = x
     return Algebra(field, [f"e{i}" for i in range(d)], table, [0] * d)
+
+
+def first_block_fault(field, d, x):
+    """A d-dim table (d >= 2) failing in the first block: e_0 e_0 = e_1
+    and e_1 e_0 = x e_0 (x nonzero), all other products zero, so
+    (e_0 e_0) e_0 = x e_0 but e_0 (e_0 e_0) = e_0 e_1 = 0: (0, 0, 0, 0)."""
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
+    table[0][0][1] = 1
+    table[1][0][0] = x
+    return Algebra(field, [f"e{i}" for i in range(d)], table, [0] * d)
+
+
+def extreme_slot_table(m):
+    """A 2-dim table of entries +-m whose first failing slot, (0, 0, 1, 1),
+    has (e_0 e_0) e_1 - e_0 (e_0 e_1) = -4 m^2 in its e_1 coordinate:
+    the bound 2 d M^2 on a slot of the difference, met exactly.  For m a
+    power of 2 a slot one bit narrower than the bound needs reads it as
+    the next slot."""
+    signs = [[[1, 1], [1, -1]], [[1, -1], [-1, -1]]]
+    table = [[[m * x for x in cell] for cell in plane] for plane in signs]
+    return Algebra(QQ, ["e0", "e1"], table, [0, 0])
+
+
+def integer_associator(a):
+    """All (e_i e_j) e_k - e_i (e_j e_k) coordinates of the integer table,
+    unreduced."""
+    c = a.int_table
+    d = a.dim
+    return [sum(c[i][j][m] * c[m][k][l] - c[j][k][m] * c[i][m][l]
+                for m in range(d))
+            for i in range(d) for j in range(d) for k in range(d)
+            for l in range(d)]
 
 
 def test_verify_axioms_standard_presentations():
@@ -498,7 +540,13 @@ def test_integer_form_is_the_scaled_table():
         for alg in algebras:
             moved = change_of_basis(alg, random_basis_change(field, alg.dim, rng))
             again = change_of_basis(moved, random_basis_change(field, alg.dim, rng))
-            for case in (alg, moved, again):
+            cases = [alg, moved, again]
+            if not p:
+                # denominators near 10^20 in P, and P^-1 from it
+                wide = wide_basis_change(alg.dim, rng)
+                cases += [change_of_basis(alg, wide), change_of_basis(
+                    moved, wide.inverse())]
+            for case in cases:
                 cells = [x for plane in case.table for cell in plane for x in cell]
                 ints = [x for plane in case.int_table for cell in plane for x in cell]
                 assert all(type(x) is int for x in ints + case.int_unit)
@@ -516,16 +564,19 @@ def test_integer_form_is_the_scaled_table():
                 assert case.int_unit == [case.scale * x for x in case.unit]
                 scales.add(case.scale)
     assert 1 in scales and len(scales) >= 5
+    assert max(scales) > 10**40
 
 
 def test_verify_axioms_matches_fraction_reference():
-    # whole reports, failing indices included, on perturbed tables
+    # whole reports, failing indices included, on perturbed tables; over Q
+    # also with entries near 10^30 (slots past 64 bits), over GF(65521),
+    # the largest allowed prime, also with slots past 32 bits
     rng = random.Random(61)
     unit_rng = random.Random(62)
     seen = set()
     failures = set()
     unit_failures = set()
-    for field in (QQ, GF(3), GF(7)):
+    for field in (QQ, GF(3), GF(7), GF(65521)):
         for alg in sample_algebras(field, rng, odd_dims=True):
             d = alg.dim
             cases = [alg]
@@ -535,10 +586,22 @@ def test_verify_axioms_matches_fraction_reference():
                     i, j, k = (rng.randrange(d) for _ in range(3))
                     table[i][j][k] = random_scalar(field, rng)
                 cases.append(Algebra(field, alg.basis_labels, table, alg.unit))
-            # a fault planted in the last (i, j) block
+            if not field.characteristic:
+                # scaled by about 10^30 (still associative, no longer
+                # unital), then one entry moved by about 10^30
+                big = rng.randint(10**30, 2 * 10**30)
+                table = [[[big * x for x in cell] for cell in plane]
+                         for plane in alg.table]
+                cases.append(Algebra(field, alg.basis_labels, table, alg.unit))
+                i, j, k = (rng.randrange(d) for _ in range(3))
+                table[i][j][k] += rng.choice((-1, 1)) * rng.randint(10**29, 10**30)
+                cases.append(Algebra(field, alg.basis_labels, table, alg.unit))
+            # a fault planted in the first and in the last (i, j) block
+            x = random_scalar(field, rng) or field.one
+            if d >= 2:
+                cases.append(first_block_fault(field, d, x))
             if d >= 3:
-                cases.append(last_block_fault(
-                    field, d, random_scalar(field, rng) or field.one))
+                cases.append(last_block_fault(field, d, x))
             # the unit perturbed on the associative table; fractions over Q
             for _ in range(3):
                 unit = list(alg.unit)
@@ -556,19 +619,53 @@ def test_verify_axioms_matches_fraction_reference():
     assert seen == {(d, ok) for d in (2, 3, 4, 5, 8) for ok in (True, False)} | {
         (1, True)}
     assert len(failures) > 20
-    assert unit_failures >= {("Q", (0,)), ("Q", (1,)), ("F3", (0,)), ("F7", (0,))}
+    assert {(0, 0, 0, 0), (2, 2, 2, 0), (7, 7, 7, 0)} <= failures
+    assert unit_failures >= {("Q", (0,)), ("Q", (1,)), ("F3", (0,)), ("F7", (0,)),
+                             ("F65521", (0,))}
+
+
+def test_verify_axioms_at_the_edges_of_its_slot_bounds():
+    # over Q a first failing slot whose difference meets the bound exactly,
+    # at m = 1 and at m = 2^100 (entries near 10^30)
+    for m in (1, 2**100):
+        case = extreme_slot_table(m)
+        assert integer_associator(case)[3] == -4 * m * m
+        report = verify_axioms(case)
+        assert report["failing_indices"] == (0, 0, 1, 1)
+        assert report == fraction_verify_axioms(case)
+    # over F_p tables whose integer associator is a nonzero multiple of p
+    # (the residue p - 1 stands for -1): associative all the same
+    for p in (3, 7, 65521):
+        for alg in (standard_algebra("a_q", GF(p), q=3),
+                    standard_algebra("a_q", GF(p), q=p - 1)):
+            assoc = integer_associator(alg)
+            assert any(assoc) and all(x % p == 0 for x in assoc)
+            assert verify_axioms(alg) == {
+                "associative": True, "unital": True, "failing_indices": None}
+    # a first slot whose integer difference is (p - 1)^2, 1 mod p, is
+    # found: e_0 e_0 = -e_1 and e_1 e_0 = -e_0 as residues
+    for p in (3, 65521):
+        case = Algebra(GF(p), ["e0", "e1"], [[[0, p - 1], [0, 0]],
+                                             [[p - 1, 0], [0, 0]]], [0, 0])
+        assert integer_associator(case)[0] == (p - 1) ** 2
+        assert verify_axioms(case) == fraction_verify_axioms(case)
+        assert verify_axioms(case)["failing_indices"] == (0, 0, 0, 0)
 
 
 def test_change_of_basis_matches_fraction_reference():
-    # Fraction-valued p over Q, and permutation matrices, mostly zero
-    # cells; equal table, unit and labels
+    # Fraction-valued p over Q (up to dimension 5 also with denominators
+    # near 10^20), and permutation matrices, mostly zero cells; equal
+    # table, unit and labels
     rng = random.Random(67)
     for field in (QQ, GF(3), GF(7)):
         for alg in sample_algebras(field, rng, odd_dims=True):
             d = alg.dim
-            for p in (random_basis_change(field, d, rng),
-                      random_basis_change(field, d, rng),
-                      random_permutation(field, d, rng)):
+            changes = [random_basis_change(field, d, rng),
+                       random_basis_change(field, d, rng),
+                       random_permutation(field, d, rng)]
+            if not field.characteristic and d <= 5:
+                changes.append(wide_basis_change(d, rng))
+            for p in changes:
                 got = change_of_basis(alg, p)
                 want = fraction_change_of_basis(alg, p)
                 assert got.table == want.table, (field, alg)

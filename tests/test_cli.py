@@ -349,6 +349,14 @@ def test_reproduce_paper_extra_field_f7(capsys):
     assert "summary: 37/37" in out
 
 
+def test_reproduce_paper_refuses_characteristic_2(capsys):
+    # its expectations assume char != 2, so no check runs at all
+    code, out, err = run(capsys, "reproduce-paper", "--field", "F2")
+    assert (code, out) == (2, "")
+    assert err == ("error: reproduce-paper's expected counts and HH profiles "
+                   "assume characteristic != 2; F2 has characteristic 2\n")
+
+
 def test_hh_algebra_file_with_wrong_table_shape(tmp_path, capsys):
     # a long cell used to be cut to the basis, a short row to crash
     for name, table in (("long", [[["1", "5"]]]), ("short", [[[]]])):

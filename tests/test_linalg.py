@@ -3,6 +3,7 @@
 import copy
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,10 @@ from twistlab.fields import (
 from twistlab.linalg import (
     Matrix,
     echelon_basis,
+    integer_echelon,
+    integer_inverse,
+    integer_kernel,
+    rref_scalars,
     scale_to_integers,
     sparse_compose_zero,
     sparse_echelon,
@@ -422,6 +427,77 @@ def test_exact_kernel_matches_gauss_jordan_reference():
                 assert (None if got is None else got.data) == want
                 square_singular += want is None
         assert deficient >= 6 and square_singular >= 3, field
+
+
+def _wide_corpus(field, rng):
+    """The corpus plus square matrices, each invertible (upper triangular
+    with a nonzero diagonal, rows shuffled) and then singular (its first
+    row repeated); over Q their entries have 30-digit numerators or
+    denominators."""
+    p = field.characteristic
+
+    def entry(big):
+        if p:
+            return rng.randrange(p)
+        huge = rng.randint(10**29, 10**30) * rng.choice((-1, 1))
+        if big == "numerator":
+            return Fraction(huge, rng.randint(1, 9))
+        return Fraction(rng.randint(1, 4), huge)
+
+    shapes = _corpus(field, rng)
+    for n in (2, 3, 4, 5):
+        for big in ("numerator", "denominator"):
+            rows = [[entry(big) if j >= i else 0 for j in range(n)]
+                    for i in range(n)]
+            for i in range(n):
+                rows[i][i] = rows[i][i] or 1
+            rng.shuffle(rows)
+            shapes.append(Matrix.from_rows(field, rows))
+            shapes.append(Matrix.from_rows(field, rows[:-1] + [rows[0]]))
+    return shapes
+
+
+def test_integer_core_matches_gauss_jordan_reference():
+    # integer_echelon, integer_kernel and integer_inverse on the integer
+    # form of each matrix, and the Fraction wrappers on the matrix itself
+    rng = random.Random(31)
+    for field in (QQ, GF(2), GF(3), GF(13), GF(65521)):
+        p = field.characteristic
+        singular = inverted = 0
+        for m in _wide_corpus(field, rng):
+            ints, scale = scale_to_integers(m.data, p)
+            red, pivots = gauss_jordan_rref(m)
+            rows = integer_echelon(ints, p)
+            assert rref_scalars(field, rows) == red[: len(pivots)], (field, m.data)
+            for row in rows:
+                lead = next(x for x in row if x)
+                assert lead == 1 if p else gcd(*row) == 1
+                assert not p or all(0 <= x < p for x in row)
+            assert echelon_basis(field, m.data) == red[: len(pivots)]
+            assert m.rank() == len(pivots)
+            want = reference_kernel_basis(m)
+            assert rref_scalars(field, integer_kernel(ints, m.cols, p)) == want
+            assert m.kernel_basis() == want
+            if m.rows != m.cols:
+                continue
+            want = reference_inverse(m)
+            got = integer_inverse(ints, p)
+            assert (got is None) == (want is None)
+            assert (None if m.inverse() is None else m.inverse().data) == want
+            if want is None:
+                singular += 1
+                continue
+            inverted += 1
+            q, den = got
+            # q / den is the inverse of the integer matrix ints = scale * m
+            assert [[field.scalar(Fraction(x * scale, den)) for x in row]
+                    for row in q] == want
+            if p:
+                assert den == 1 and all(0 <= x < p for row in q for x in row)
+            else:
+                assert den == math.lcm(*(Fraction(x, den).denominator
+                                         for row in q for x in row))
+        assert singular >= 3 and inverted >= 3, field
 
 
 def test_sparse_compose_zero():
