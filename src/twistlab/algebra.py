@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -31,6 +30,10 @@ from operator import mul
 from .fields import Field, field_from_name
 from .linalg import (
     Matrix,
+    _first_slot,
+    _pack,
+    _slot_test,
+    _slot_width,
     integer_echelon,
     integer_inverse,
     integer_kernel,
@@ -275,81 +278,56 @@ def verify_axioms(a: Algebra) -> dict:
     On the integer table c, one (i, j) block at a time in lexicographic
     order: all (e_i e_j) e_k and e_i (e_j e_k) at once, each block packed
     into one integer with slot (k, l) at bit w (k d + l) (Kronecker
-    substitution).  The left side is the sum of c[i][j][m] times the row
-    c[m] packed flat; the right side the sum over m of the column
-    (c[j][k][m])_k, packed at stride d w, times the row c[i][m].
+    substitution, ``linalg._pack``).  The left side is the sum of
+    c[i][j][m] times the row c[m] packed flat; the right side the sum over
+    m of the column (c[j][k][m])_k, packed at stride d w, times the row
+    c[i][m].
 
-    Over Q slots are signed and M bounds the table, unit and scale D, so a
-    slot of left - right is below 2 d M^2 in absolute value; w is least
-    with 2^w > 2 d M^2, so the sides are equal exactly when the blocks are
-    and the lowest set bit of the difference is in its first nonzero slot.
-    Over F_p slots are below d p^2; d p^2 (a multiple of p) added to each
-    slot of left - right keeps it in [0, 2 d p^2), w is the least of 8,
-    16, 32 and 64 bits past that, and the slots are read back via
-    ``to_bytes`` and tested mod p.  The report is the first failing
-    (i, j, k, l); the unit scan packs all u e_j and e_j u likewise against
-    D^2 e_j, the first failing j giving (j,).  Each block takes O(d^2)
-    slots.
+    A slot of left - right is below B in absolute value: B = 2 d M^2 over
+    Q, M the largest |integer| of the table, unit and scale D, and
+    B = d (p - 1)^2 over F_p, where the constants are residues.
+    ``linalg._slot_width`` takes w from B, and ``linalg._slot_test``
+    tests all d^2 slots of the difference at once, for zero over Q and for
+    multiples of p over F_p; only a failing block is read slot by slot
+    (``linalg._first_slot``).
+    The report is the first failing (i, j, k, l); the unit scan packs all
+    u e_j and e_j u likewise against D^2 e_j, the first failing j giving
+    (j,).  Each block takes O(d^2) slots.
     """
     d = a.dim
     p = a.field.characteristic
     c, u, scale = a.int_table, a.int_unit, a.scale
     if p:
-        w = next(w for w in _SLOT_FORMATS if 1 << w >= 2 * d * p * p)
-        off = _pack([d * p * p] * (d * d), w)
+        bound = d * (p - 1) ** 2
     else:
         top = max(itertools.chain((abs(x) for plane in c for cell in plane
                                    for x in cell), map(abs, u), [scale]))
-        w = (2 * d * top * top).bit_length()
-        off = 0
+        bound = 2 * d * top * top
+    w = _slot_width(bound, p)
+    zero = _slot_test(bound, p, w, d * d)
     rows = [[_pack(cell, w) for cell in plane] for plane in c]
     flat = [_pack(plane, d * w) for plane in rows]
     cols = [[_pack([cell[m] for cell in plane], d * w) for m in range(d)]
             for plane in c]
     failing = None
     for i, j in itertools.product(range(d), repeat=2):
-        lhs = sum(x * f for x, f in zip(c[i][j], flat) if x)
-        rhs = sum(map(mul, cols[j], rows[i]))
-        if lhs != rhs:
-            n = _first_slot(lhs + off - rhs, w, p, d * d)
-            if n is not None:
-                failing = (i, j) + divmod(n, d)
-                break
+        diff = (sum(x * f for x, f in zip(c[i][j], flat) if x)
+                - sum(map(mul, cols[j], rows[i])))
+        if not zero(diff):
+            failing = (i, j) + divmod(_first_slot(diff, w, p), d)
+            break
     # slot (j, l): D^2 delta_jl, (u e_j)_l, (e_j u)_l
     want = _pack([scale * scale * (k == l) for k in range(d) for l in range(d)], w)
     left = sum(x * f for x, f in zip(u, flat) if x)
     right = _pack([sum(map(mul, u, plane)) for plane in rows], d * w)
-    bad = [n for n in (_first_slot(left + off - want, w, p, d * d),
-                       _first_slot(right + off - want, w, p, d * d))
-           if n is not None]
+    bad = [_first_slot(x, w, p) for x in (left - want, right - want)
+           if not zero(x)]
     unit_failing = (min(bad) // d,) if bad else None
     return {
         "associative": failing is None,
         "unital": unit_failing is None,
         "failing_indices": failing or unit_failing,
     }
-
-
-# slot widths over F_p, with the memoryview format of an unsigned slot
-_SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
-def _pack(values, w: int) -> int:
-    """The sum of values[n] * 2^(w n): values as slots of w bits."""
-    out = 0
-    for x in reversed(values):
-        out = (out << w) + x
-    return out
-
-
-def _first_slot(packed: int, w: int, p: int, count: int):
-    """Index of the first nonzero slot of a packed difference (nonzero mod
-    p over F_p, where the slots are unsigned), or None."""
-    if p:
-        slots = memoryview(packed.to_bytes(count * w // 8, sys.byteorder))
-        return next((n for n, x in enumerate(slots.cast(_SLOT_FORMATS[w]))
-                     if x % p), None)
-    return ((packed & -packed).bit_length() - 1) // w if packed else None
 
 
 def center(a: Algebra) -> list:

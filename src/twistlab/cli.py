@@ -144,6 +144,8 @@ def _is_three_vertex_one_arrow(q: Quiver) -> bool:
 
 def run_hh(args) -> int:
     f = field_from_name(args.field or "Q")
+    if args.stats and args.format == "tsv":
+        raise ValueError("--stats needs --format structured")
     if (args.quiver is None) == (args.algebra is None):
         raise ValueError("give exactly one of --quiver or --algebra")
     notes = []
@@ -179,6 +181,8 @@ def run_hh(args) -> int:
         doc["field"] = f.name
         if notes:
             doc["errata"] = notes
+        if args.stats:
+            doc["stats"] = prof.stats
         body = json.dumps(doc, indent=2) + "\n"
     _emit(body, args.output)
     for e in notes:
@@ -394,6 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="top degree")
     p.add_argument("--method", choices=("rsz", "bar", "e-complex", "auto"),
                    default="auto")
+    p.add_argument("--stats", action="store_true",
+                   help="add the per-degree cochain dims, ranks, nonzeros "
+                        "and phase seconds to the structured output")
     # no flag: Q, or an algebra file's own field
     p.set_defaults(fn=run_hh, field=None)
 

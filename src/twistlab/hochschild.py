@@ -26,7 +26,8 @@ sources.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from time import perf_counter
 
 from .fields import Field, QQ
 from .algebra import (
@@ -91,6 +92,9 @@ class HHProfile:
     dims: list
     method: str
     algebra_tag: str
+    # complex_dims' per-degree records; left out of to_doc
+    stats: list = dataclass_field(default_factory=list, compare=False,
+                                  repr=False)
 
     def to_doc(self) -> dict:
         return {
@@ -108,15 +112,19 @@ def _reduced(col: dict, p: int) -> dict:
     return {r: x for r, x in col.items() if x}
 
 
-def complex_dims(deltas: list, p: int) -> list:
+def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
     """Cohomology dims of a cochain complex given by sparse integer columns.
 
     ``deltas[n]`` maps degree n into degree n+1, one dict {row: int} per
     basis element of degree n, so dim C^n is its length; entries are
     integers over Q (p = 0) and residues over F_p. The composite of each
     consecutive pair is checked to vanish, on the full columns, before any
-    rank is taken; then rank-nullity gives
-    dim H^n = dim C^n - rank d^n - rank d^(n-1).
+    rank is taken (``sparse_compose_zero``: every entry of the composite
+    packed by Kronecker substitution into slots wider than its bound B, so
+    that a zero integer over Q, and over F_p one divisibility test and one
+    mask, decide exactly by the uniqueness of signed-digit forms; the
+    bound and both arguments are in its docstring and ``linalg._slot_test``);
+    then rank-nullity gives dim H^n = dim C^n - rank d^n - rank d^(n-1).
 
     Clearing: rank d^(n+1) is the rank of its columns j that are not
     pivots of d^n, so only those are eliminated. Each row ``sparse_echelon``
@@ -127,19 +135,36 @@ def complex_dims(deltas: list, p: int) -> list:
     (checked first), and on the row numbering of ``deltas[n]`` being the
     column numbering of ``deltas[n+1]``. Only the pivot set is carried
     over.
+
+    A ``stats`` list receives one record per degree n: ``cochain_dim``,
+    ``rank`` of d^n, the columns of d^n that clearing skipped
+    (``cleared``), its nonzeros (``nnz``), and the seconds spent on the
+    check that d^(n+1) d^n = 0 (``d2_s``, 0 in the top degree) and on the
+    rank (``rank_s``).
     """
+    d2_s = []
     for n in range(len(deltas) - 1):
+        start = perf_counter()
         if not sparse_compose_zero(deltas[n + 1], deltas[n], p):
             raise AssertionError(f"coboundary square nonzero at degree {n}")
-    ranks = []
+        d2_s.append(perf_counter() - start)
+    d2_s.append(0.0)
     pivots = set()
-    for cols in deltas:
-        pivots = set(sparse_echelon(
-            [col for j, col in enumerate(cols) if j not in pivots], p))
-        ranks.append(len(pivots))
+    records = []
+    for n, cols in enumerate(deltas):
+        start = perf_counter()
+        kept = [col for j, col in enumerate(cols) if j not in pivots]
+        pivots = set(sparse_echelon(kept, p))
+        records.append({
+            "degree": n, "cochain_dim": len(cols), "rank": len(pivots),
+            "cleared": len(cols) - len(kept), "nnz": sum(map(len, cols)),
+            "d2_s": d2_s[n], "rank_s": perf_counter() - start,
+        })
+    if stats is not None:
+        stats.extend(records)
     return [
-        len(cols) - ranks[n] - (ranks[n - 1] if n else 0)
-        for n, cols in enumerate(deltas)
+        rec["cochain_dim"] - rec["rank"] - (records[n - 1]["rank"] if n else 0)
+        for n, rec in enumerate(records)
     ]
 
 
@@ -213,8 +238,10 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10) -> HHProfile:
     p = field.characteristic
     pairs = rsz_pairs(q, N + 1)
     layers = [rsz_layer(q, pairs, n, p) for n in range(N + 1)]
-    dims = complex_dims([layer.columns for layer in layers], p)
-    return HHProfile(dims, "rsz-complex", f"rsz:{q.vertex_count}v{len(q.arrows)}a")
+    stats = []
+    dims = complex_dims([layer.columns for layer in layers], p, stats)
+    return HHProfile(dims, "rsz-complex",
+                     f"rsz:{q.vertex_count}v{len(q.arrows)}a", stats)
 
 
 def bar_budget(field: Field) -> int:
@@ -330,8 +357,9 @@ def hh_bar(a: Algebra, N: int) -> HHProfile:
             f"for dim {d} at degree {N}; lower N or raise TWISTLAB_BUDGET"
         )
     deltas = [bar_coboundary_columns(a, n) for n in range(N + 1)]
-    dims = complex_dims(deltas, a.field.characteristic)
-    return HHProfile(dims, "bar-complex", f"bar:dim{d}")
+    stats = []
+    dims = complex_dims(deltas, a.field.characteristic, stats)
+    return HHProfile(dims, "bar-complex", f"bar:dim{d}", stats)
 
 
 def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
@@ -378,7 +406,8 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     iso = Matrix(f, d, d, [list(r) for r in zip(*peirce)])
     if not is_isomorphism(iso, truncated_path_algebra(q, f), a):
         raise ValueError(no_split)
-    return HHProfile(hh_rsz(q, f, N).dims, "e-complex", f"e-complex:dim{d}")
+    rsz = hh_rsz(q, f, N)
+    return HHProfile(rsz.dims, "e-complex", f"e-complex:dim{d}", rsz.stats)
 
 
 def thm_formula(q: Quiver, n: int):

@@ -11,13 +11,21 @@ dense ``Matrix`` methods and ``echelon_basis`` are thin wrappers that make
 Fractions only for their result. The reduced echelon form of a span is
 unique, so kernel bases are byte-stable across runs.
 
+The exact d^2 = 0 check ``sparse_compose_zero`` and ``algebra.verify_axioms``
+share one packing toolkit: a vector becomes one integer by Kronecker
+substitution (``_pack``), ``_slot_width`` takes the slot width from a
+bound on the slots, and ``_slot_test`` tests all of them at once, so the
+inner loops are big-integer sums.
+
 ``p`` is the characteristic throughout: 0 for Q, a prime for F_p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import not_
 
 from .fields import Field
 
@@ -385,17 +393,140 @@ def sparse_rank(vectors: list, p: int = 0) -> int:
 
 
 def sparse_compose_zero(outer: list, inner: list, p: int = 0) -> bool:
-    """Whether outer∘inner = 0 for sparse column families.
+    """Whether outer∘inner = 0 for sparse column families, exactly.
 
     ``inner[j]`` is the j-th column of the first map as {row: int}; the
-    rows of ``inner`` index the columns of ``outer``.
+    rows of ``inner`` index the columns of ``outer``.  Over F_p each entry
+    is read as the integer in (-p/2, p/2] of its residue class.
+
+    Kronecker substitution: row r of ``inner`` becomes one integer
+    I[r] = sum_j inner[j][r] 2^(w j), so that R[rr] = sum_r outer[r][rr] I[r]
+    holds entry (rr, j) of the composite in slot j.  That entry is at most
+    B = (largest sum of |entries| of an inner column) times (largest
+    |entry| of ``outer``) in absolute value, and B is at most (longest
+    inner column) max|inner| max|outer|; w is ``_slot_width(B, p)``, and
+    ``_slot_test`` tests all slots of R[rr] at once (see there for why it
+    is exact).  No slot is read in Python.
+
+    The R[rr] hold w bits for each inner column and each outer row.  So
+    that they never take more bytes than the columns being checked (their
+    dicts, and an integer key per entry), the inner columns are taken in
+    blocks of at most that many; on the bar complex of the alpha = 2
+    product a second block first appears at the pair (d^5, d^6).  Each
+    I[r] is freed once it is consumed.  The check returns before packing
+    anything when no inner entry meets a nonzero outer column (the block
+    shape of the parallel-paths complex).
     """
-    for col in inner:
+    if not any(outer[r] for col in inner for r in col):
+        return True
+    seen = set(chain.from_iterable(map(dict.values, inner)))
+    used = set(chain.from_iterable(map(dict.values, outer)))
+    if p:
+        half = p // 2
+        lift = {x: x % p - p if x % p > half else x % p for x in seen | used}
+    else:
+        lift = {x: x for x in seen | used}
+    size = {x: abs(y) for x, y in lift.items()}.__getitem__
+    bound = (max(sum(map(size, col.values())) for col in inner)
+             * max(map(size, used)))
+    if not bound:
+        return True
+    w = _slot_width(bound, p)
+    rows = 1 + max(chain.from_iterable(outer))
+    # bytes held by the dicts and, at most, by one integer key per entry
+    entries = sum(map(len, inner)) + sum(map(len, outer))
+    held = (sum(map(dict.__sizeof__, inner)) + sum(map(dict.__sizeof__, outer))
+            + entries * rows.__sizeof__())
+    step = max(1, min(len(inner), 8 * held // (rows * w)))
+    zero = _slot_test(bound, p, w, step)
+    for start in range(0, len(inner), step):
+        packed = {}
+        for j, col in enumerate(inner[start:start + step]):
+            shift = w * j
+            for r, x in col.items():
+                packed[r] = packed.get(r, 0) + (lift[x] << shift)
         acc = {}
-        for r, v in col.items():
-            for rr, vv in outer[r].items():
-                acc[rr] = acc.get(rr, 0) + v * vv
-        for x in acc.values():
-            if (x % p if p else x):
-                return False
+        while packed:
+            r, x = packed.popitem()
+            # the hottest loop: over Q it skips the (identity) lift
+            if p:
+                for rr, v in outer[r].items():
+                    acc[rr] = acc.get(rr, 0) + lift[v] * x
+            else:
+                for rr, v in outer[r].items():
+                    acc[rr] = acc.get(rr, 0) + v * x
+        if not all(map(zero, acc.values())):
+            return False
     return True
+
+
+# Kronecker packing: a vector as one integer, entry n in the w-bit slot n
+
+
+def _pack(values, w: int) -> int:
+    """The sum of values[n] * 2^(w n): values as slots of w bits."""
+    out = 0
+    for x in reversed(values):
+        out = (out << w) + x
+    return out
+
+
+def _slot_width(bound: int, p: int) -> int:
+    """The least slot width w for ``_slot_test`` on slots at most bound in
+    absolute value: 2^w > bound over Q (p = 0), 2^w > bound + p M over
+    F_p, M the least power of two above bound // p."""
+    if p:
+        bound += p << (bound // p).bit_length()
+    return bound.bit_length()
+
+
+def _slot_test(bound: int, p: int, w: int, count: int):
+    """A test of whether all count slots of an integer packed at the width
+    w = ``_slot_width(bound, p)`` vanish over Q (p = 0) or are multiples
+    of p over F_p, when every slot is at most bound in absolute value.
+
+    Both rest on one fact: if sum_n x_n 2^(w n) = 0 and every
+    |x_n| < 2^w, every x_n is 0 (the lowest nonzero x_n would be a nonzero
+    multiple of 2^w).  Over Q, 2^w > bound, so the integer is 0 exactly
+    when its slots are.  Over F_p, M is the least power of two above
+    bound // p and 2^w > bound + p M.  If every slot s_n is p t_n, then
+    |t_n| <= bound // p < M, so p divides the integer and X = it / p +
+    M sum_n 2^(w n) has the w-bit digits t_n + M, all below 2M.
+    Conversely, if p divides it and X has count w-bit digits x_n, all
+    below 2M (one AND with a mask, which also rejects any X outside
+    [0, 2^(w count))), the integer is sum_n p (x_n - M) 2^(w n), and the
+    differences s_n - p (x_n - M), below bound + p M < 2^w in absolute
+    value, are all 0.  As p M > bound, also 2^(w - 1) > bound, which
+    ``_first_slot`` needs to read a slot back.
+    """
+    if not p:
+        return not_
+    m = 1 << (bound // p).bit_length()
+    ones = ((1 << (w * count)) - 1) // ((1 << w) - 1)
+    offset, outside = m * ones, ~((2 * m - 1) * ones)
+
+    def zero(x: int) -> bool:
+        q, rem = divmod(x, p)
+        return not rem and not (q + offset) & outside
+
+    return zero
+
+
+def _first_slot(packed: int, w: int, p: int):
+    """Index of the first slot of a packed integer that ``_slot_test``'s
+    zero rejects, or None: nonzero over Q, where the lowest set bit lies
+    in it; not a multiple of p over F_p, where the slots are read back,
+    signed, from the lowest up."""
+    if not p:
+        return ((packed & -packed).bit_length() - 1) // w if packed else None
+    low, sign = (1 << w) - 1, 1 << (w - 1)
+    n = 0
+    while packed:
+        slot = packed & low
+        if slot & sign:
+            slot -= 1 << w
+        if slot % p:
+            return n
+        packed = (packed - slot) >> w
+        n += 1
+    return None

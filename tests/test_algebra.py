@@ -624,6 +624,33 @@ def test_verify_axioms_matches_fraction_reference():
                              ("F65521", (0,))}
 
 
+def test_verify_axioms_matches_reference_on_census_transports():
+    # census products moved to a random basis, and each with one planted
+    # change to a table entry: over F_p the transported residues do not
+    # lift to an associative integer table, so every block needs the
+    # divisibility test and only the failing one is read slot by slot
+    from twistlab.twisting import census_rows, twisted_product
+
+    rng = random.Random(89)
+    failing = 0
+    for field in (QQ, GF(3), GF(7), GF(13)):
+        products = [twisted_product(row["map"]) for row in census_rows(field)
+                    if row["map"] is not None]
+        for prod in rng.sample(products, min(4, len(products))):
+            for _ in range(3):
+                moved = change_of_basis(prod, random_basis_change(field, 4, rng))
+                table = [[list(cell) for cell in plane] for plane in moved.table]
+                i, j, k = (rng.randrange(4) for _ in range(3))
+                table[i][j][k] = field.add(table[i][j][k],
+                                           random_scalar(field, rng) or field.one)
+                planted = Algebra(field, moved.basis_labels, table, moved.unit)
+                for case in (moved, planted):
+                    report = verify_axioms(case)
+                    assert report == fraction_verify_axioms(case), field
+                    failing += not report["associative"]
+    assert failing >= 40
+
+
 def test_verify_axioms_at_the_edges_of_its_slot_bounds():
     # over Q a first failing slot whose difference meets the bound exactly,
     # at m = 1 and at m = 2^100 (entries near 10^30)

@@ -101,9 +101,9 @@ def test_clearing_matches_reference_on_e_complex(monkeypatch):
     rng = random.Random(47)
     seen = []
 
-    def spy(deltas, p):
+    def spy(deltas, p, stats=None):
         seen.append((deltas, p))
-        return complex_dims(deltas, p)
+        return complex_dims(deltas, p, stats)
 
     monkeypatch.setattr(hochschild, "complex_dims", spy)
     for trial in range(24):

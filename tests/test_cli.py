@@ -147,6 +147,29 @@ def test_hh_qtilde_emits_erratum(capsys):
     assert "isolated-vertex-hh0" in err
 
 
+def test_hh_stats(capsys):
+    # --stats adds complex_dims' per-degree records to the structured
+    # output; without it the output has no stats and tsv refuses it
+    code, out, _ = run(capsys, "hh", "--quiver", "roundtrip", "--N", "4",
+                       "--stats")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dims"] == [1] * 5
+    stats = doc["stats"]
+    assert [s["degree"] for s in stats] == list(range(5))
+    for n, s in enumerate(stats):
+        assert set(s) == {"degree", "cochain_dim", "rank", "cleared", "nnz",
+                          "d2_s", "rank_s"}
+        below = stats[n - 1]["rank"] if n else 0
+        assert s["cochain_dim"] == doc["dims"][n] + s["rank"] + below
+    code, out, _ = run(capsys, "hh", "--quiver", "roundtrip", "--N", "4")
+    assert "stats" not in json.loads(out)
+    code, _, err = run(capsys, "hh", "--quiver", "roundtrip", "--N", "4",
+                       "--stats", "--format", "tsv")
+    assert code == 2
+    assert err == "error: --stats needs --format structured\n"
+
+
 def test_hh_algebra_bar_tsv(capsys):
     code, out, _ = run(capsys, "hh", "--algebra", "matrix2", "--N", "3",
                        "--method", "bar", "--format", "tsv")

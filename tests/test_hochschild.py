@@ -583,9 +583,9 @@ def test_e_complex_matches_reference(monkeypatch):
     # pair (path, vertex m) for m < ne and (path, arrow m - ne) otherwise
     seen, pairs = [], []
 
-    def spy(deltas, p):
+    def spy(deltas, p, stats=None):
         seen.append(deltas)
-        return complex_dims(deltas, p)
+        return complex_dims(deltas, p, stats)
 
     def spy_pairs(q, top):
         pairs.append(rsz_pairs(q, top))
@@ -714,6 +714,48 @@ def test_complex_dims_checks_square_zero():
     with pytest.raises(AssertionError):
         complex_dims([inner, outer, [{}]], 0)
     assert complex_dims([inner, outer, [{}]], 2) == [0, 0, 0]
+
+
+def test_routes_check_every_consecutive_pair_once(monkeypatch):
+    # the d^2 check runs once per pair (n, n + 1) on each route, the rsz
+    # pairs included, though there it returns before packing anything
+    calls = []
+
+    def spy(outer, inner, p=0):
+        calls.append((len(inner), len(outer)))
+        return sparse_compose_zero(outer, inner, p)
+
+    monkeypatch.setattr(hochschild, "sparse_compose_zero", spy)
+    prod = z2_product(GF(5), "line_char_ne_2", 2)
+    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
+    for run, N in (
+        (lambda N: hh_rsz(standard_quiver("roundtrip"), QQ, N), 6),
+        (lambda N: hh_bar(prod, N), 4),
+        (lambda N: hh_e_complex(prod, [e, prod.unit_element() - e], N), 5),
+    ):
+        calls.clear()
+        prof = run(N)
+        assert len(calls) == N
+        assert calls == [(s["cochain_dim"], t["cochain_dim"])
+                         for s, t in zip(prof.stats, prof.stats[1:])]
+
+
+def test_stats_records_recheck_rank_nullity():
+    # dim C^n = HH^n + rank d^n + rank d^(n-1) in every degree, from the
+    # records of one bar run and one rsz run
+    for prof, N in ((hh_bar(z2_product(QQ, "line_char_ne_2", 2), 4), 4),
+                    (hh_rsz(standard_quiver("roundtrip"), GF(3), 8), 8)):
+        stats = prof.stats
+        assert [s["degree"] for s in stats] == list(range(N + 1))
+        for n, s in enumerate(stats):
+            below = stats[n - 1]["rank"] if n else 0
+            assert s["cochain_dim"] == prof.dims[n] + s["rank"] + below
+            assert 0 <= s["cleared"] <= below
+            assert s["nnz"] >= s["rank"]
+            assert s["d2_s"] >= 0 and s["rank_s"] >= 0
+        assert stats[-1]["d2_s"] == 0.0
+        assert sum(s["cleared"] for s in stats) > 0
+        assert set(prof.to_doc()) == {"algebra_tag", "method", "dims"}
 
 
 def test_integerized_fraction_columns_rank_matches_dense():

@@ -10,6 +10,8 @@ from math import gcd
 
 import pytest
 
+import twistlab.linalg as linalg
+from twistlab.algebra import change_of_basis, standard_algebra
 from twistlab.fields import (
     GF,
     PRIME_BOUND,
@@ -17,6 +19,7 @@ from twistlab.fields import (
     Field,
     field_from_name,
 )
+from twistlab.hochschild import bar_coboundary_columns
 from twistlab.linalg import (
     Matrix,
     echelon_basis,
@@ -29,6 +32,14 @@ from twistlab.linalg import (
     sparse_echelon,
     sparse_rank,
 )
+from twistlab.twisting import (
+    TwistFamilyDescriptor,
+    census_rows,
+    family_member,
+    twisted_product,
+)
+
+from test_hochschild import random_invertible
 
 
 def gauss_jordan_rref(m: Matrix) -> tuple:
@@ -508,6 +519,164 @@ def test_sparse_compose_zero():
     outer_bad = [{0: 1}, {0: 1}]
     assert not sparse_compose_zero(outer_bad, inner)
     assert sparse_compose_zero(outer_bad, inner, p=2)
+
+
+def reference_compose_zero(outer: list, inner: list, p: int = 0) -> bool:
+    """Reference: every composite column as a dict of partial sums, each
+    entry tested for zero (mod p over F_p)."""
+    for col in inner:
+        acc = {}
+        for r, v in col.items():
+            for rr, vv in outer[r].items():
+                acc[rr] = acc.get(rr, 0) + v * vv
+        for x in acc.values():
+            if (x % p if p else x):
+                return False
+    return True
+
+
+def _compose_products(field, rng):
+    """A seeded sample of census products (over Q the isolated members and
+    the line family at alpha = 2, 3), each with a transport to a random
+    basis: over F_p its residues do not lift to an associative integer
+    table."""
+    maps = [row["map"] for row in census_rows(field) if row["map"] is not None]
+    if not field.characteristic:
+        z2 = standard_algebra("group_algebra_z2", field)
+        maps += [family_member(TwistFamilyDescriptor("line_char_ne_2", alpha),
+                               z2, z2) for alpha in (2, 3)]
+    out = []
+    for t in rng.sample(maps, min(4, len(maps))):
+        prod = twisted_product(t)
+        out += [prod, change_of_basis(prod, random_invertible(rng, field, 4))]
+    return out
+
+
+def _planted(columns: list, rows: int, p: int, rng) -> list:
+    """A copy of sparse columns with one entry of one column changed."""
+    out = list(columns)
+    j = rng.randrange(len(out))
+    col = dict(out[j])
+    r = rng.choice(list(col)) if col and rng.random() < 0.5 else rng.randrange(rows)
+    x = col.get(r, 0) + rng.choice((-2, -1, 1, 2, 3))
+    x = x % p if p else x
+    if x:
+        col[r] = x
+    else:
+        col.pop(r, None)
+    out[j] = col
+    return out
+
+
+def test_sparse_compose_zero_matches_reference_on_bar_columns():
+    # every consecutive pair of bar coboundaries of census products and
+    # their transports, and the same pairs with one planted change in an
+    # inner or an outer column
+    rng = random.Random(83)
+    checked = caught = 0
+    for field in (QQ, GF(3), GF(5), GF(7), GF(101)):
+        p = field.characteristic
+        for alg in _compose_products(field, rng):
+            deltas = [bar_coboundary_columns(alg, n) for n in range(4)]
+            for n in range(3):
+                outer, inner = deltas[n + 1], deltas[n]
+                assert sparse_compose_zero(outer, inner, p)
+                assert reference_compose_zero(outer, inner, p)
+                rows = alg.dim * (alg.dim - 1) ** (n + 2)
+                for pair in ((outer, _planted(inner, len(outer), p, rng)),
+                             (_planted(outer, rows, p, rng), inner)):
+                    want = reference_compose_zero(*pair, p)
+                    assert sparse_compose_zero(*pair, p) == want, (field, n)
+                    checked += 1
+                    caught += not want
+    assert checked == 240 and caught > 200
+
+
+def test_sparse_compose_zero_matches_reference_in_blocks(monkeypatch):
+    # where the packed rows would outgrow the columns (a transport over Q
+    # at degree 5, a product over GF(7) at degree 6) the check runs in
+    # blocks of inner columns; a planted change in the first or the last
+    # block is found as by the reference
+    steps = []
+
+    def spy(bound, p, w, count):
+        steps.append(count)
+        return slot_test(bound, p, w, count)
+
+    slot_test = linalg._slot_test
+    monkeypatch.setattr(linalg, "_slot_test", spy)
+    rng = random.Random(97)
+    for field, pick, n in ((QQ, 1, 4), (GF(7), 0, 5)):
+        p = field.characteristic
+        alg = _compose_products(field, rng)[pick]
+        inner, outer = (bar_coboundary_columns(alg, k) for k in (n, n + 1))
+        steps.clear()
+        assert sparse_compose_zero(outer, inner, p)
+        assert steps[0] < len(inner), field
+        for j in (0, len(inner) - 1):
+            planted = list(inner)
+            col = dict(planted[j])
+            r = next(iter(col))
+            col[r] = (col[r] + 1) % p if p else col[r] + 1
+            planted[j] = col
+            assert not reference_compose_zero(outer, planted, p)
+            assert not sparse_compose_zero(outer, planted, p)
+
+
+def test_sparse_compose_zero_edges():
+    for p in (0, 2, 3, 7):
+        # an empty inner family, and every column empty (the rsz Q_1 block)
+        assert sparse_compose_zero([{0: 1}], [], p)
+        assert sparse_compose_zero([], [], p)
+        assert sparse_compose_zero([{0: 1}], [{}, {}, {}], p)
+        assert sparse_compose_zero([{}, {}], [{0: 1}, {}], p)
+        # every inner entry on an empty outer column
+        assert sparse_compose_zero([{}, {}, {3: 1}], [{0: 1, 1: 2}, {1: 5}], p)
+    # a slot at +-B = 16 (inner column sum 4, outer entry 4) next to a
+    # slot -+1: a width one bit narrower reads 16 - 2^4 = 0
+    outer = [{0: 4}, {0: 4}, {0: -1}]
+    for sign in (1, -1):
+        inner = [{0: 2 * sign, 1: 2 * sign}, {2: sign}]
+        assert not sparse_compose_zero(outer, inner)
+        assert not reference_compose_zero(outer, inner)
+    # an outer row near 10^6 makes every inner column a block of its own:
+    # a nonzero composite in the last block only is still found
+    outer = [{10**6: 1}, {10**6: -1}, {0: 1}]
+    inner = [{0: 1, 1: 1}] * 5
+    for p in (0, 3):
+        assert sparse_compose_zero(outer, inner, p)
+        assert not sparse_compose_zero(outer, inner + [{0: 1, 1: 1, 2: 1}], p)
+    # over F_p, entries lifted to (-p/2, p/2], unreduced integers included
+    for p in (3, 5, 7):
+        rng = random.Random(p)
+        for _ in range(200):
+            inner = [{r: rng.randrange(-2 * p, 2 * p) for r in
+                      rng.sample(range(3), rng.randint(0, 3))} for _ in range(3)]
+            outer = [{rr: rng.randrange(-2 * p, 2 * p) for rr in
+                      rng.sample(range(2), rng.randint(0, 2))} for _ in range(3)]
+            assert (sparse_compose_zero(outer, inner, p)
+                    == reference_compose_zero(outer, inner, p))
+    # GF(3) with one-entry columns: B = 1, so p M = 3 and not B sets the
+    # width; every slot of the composite is 0 or +-1, and each of these
+    # pairs of two and three columns has a nonzero one, which is caught
+    # (a width of 1 bit reads the slots -1, -1 as -3, a multiple of 3)
+    singles = [{r: x} for r in range(2) for x in (1, 2)]
+    for outer in itertools.product(singles, repeat=2):
+        for inner in itertools.product(singles, repeat=3):
+            assert not reference_compose_zero(list(outer), list(inner), 3)
+            assert not sparse_compose_zero(list(outer), list(inner), 3)
+
+
+def test_sparse_compose_zero_returns_before_packing(monkeypatch):
+    # no inner entry meets a nonzero outer column: nothing is packed
+    def refuse(*args):
+        raise AssertionError("packed")
+
+    monkeypatch.setattr(linalg, "_slot_width", refuse)
+    assert sparse_compose_zero([{}, {}, {3: 1}], [{0: 1, 1: 2}, {1: 5}], 0)
+    assert sparse_compose_zero([{}, {2: 1}], [{0: 4}], 5)
+    with pytest.raises(AssertionError, match="packed"):
+        sparse_compose_zero([{}, {2: 1}], [{1: 4}], 5)
 
 
 def test_recursive_helpers_leave_no_cyclic_garbage():
