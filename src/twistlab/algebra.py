@@ -1,22 +1,25 @@
 """Finite-dimensional associative unital algebras by structure constants.
 
-``table[i][j][k]`` is the coefficient of e_k in e_i * e_j.  Invariant
-computations (center, Jacobson radical, separability) are the data the
-classification of the 4-dimensional twisted products rests on.
+An algebra holds its constants once, as an integer form:
+``int_table[i][j][k]`` and ``int_unit`` are D times the coefficient of e_k
+in e_i * e_j and D times the unit, for one scale D (``scale``), the lcm of
+the denominators over Q; over F_p they are residues and D = 1.  The form
+is unique, so equal constants are equal forms.  Invariant computations
+(center, Jacobson radical, separability) are the data the classification
+of the 4-dimensional twisted products rests on.
 
-Every algebra carries one integer form of its constants, made once at
-construction or handed over whole by ``change_of_basis``: ``int_table``
-and ``int_unit`` are ``table`` and ``unit`` times one scale D, the lcm of
-their denominators over Q.  Over F_p the constants are already residues:
-D = 1, and ``int_table`` and ``int_unit`` are ``table`` and ``unit``
-themselves, not a copy.  Every scan over the whole table reads these: the
-axiom check and base change (see ``verify_axioms`` and
-``change_of_basis``), the trace form, the center's commutator rows, the
-radical's powers and the Hochschild coboundaries.  Each such quantity is
-a sum of products of a fixed number k of constants, so the integer sum is
-D^k times the true one: an equality, a rank, a kernel and d^2 = 0 are
-unchanged, and a transported constant is recovered by one exact division.
-The inner loops make no Fraction.
+Everything reads the integer form: the axiom check, base change, algebra
+maps, the trace form, the center, the radical's powers and the Hochschild
+coboundaries.  Each such quantity is a sum of products of a fixed number
+k of constants, so the integer sum is D^k times the true one: a rank, a
+kernel and d^2 = 0 are unchanged, an equality holds once each side is
+multiplied by the scales it lacks, and a transported constant is
+recovered by one exact division.  The inner loops make no Fraction.
+Field scalars appear at the boundaries only: ``Algebra(field, labels,
+table, unit)`` converts scalar input once (``from_doc`` goes through it),
+and ``table``, ``unit``, ``multiply_coords`` and ``Element`` compute them
+from the integer form on each call.  Internal constructors hand an
+integer form over whole (``Algebra._from_integer_form``).
 """
 
 from __future__ import annotations
@@ -48,50 +51,55 @@ class CriterionInapplicable(Exception):
 
 
 class Algebra:
-    """An algebra by structure constants; ``table`` and ``unit`` are not
-    mutated after construction, so the integer form made from them here
-    (``int_table``, ``int_unit``, ``scale``) stays valid."""
+    """An algebra by its integer form: constants ``int_table`` / ``scale``
+    and unit ``int_unit`` / ``scale`` (see the module docstring)."""
 
-    __slots__ = ("field", "dim", "basis_labels", "table", "unit",
-                 "int_table", "int_unit", "scale")
+    __slots__ = ("field", "dim", "basis_labels", "int_table", "int_unit", "scale")
 
     def __init__(self, field: Field, basis_labels, table, unit, check=False):
+        """The algebra of scalar input (ints, Fractions or strings),
+        converted once; a ValueError names an entry with no image in the
+        field."""
         d = len(basis_labels)
         if len(unit) != d or len(table) != d or any(
             len(plane) != d or any(len(cell) != d for cell in plane)
             for plane in table
         ):
             raise ValueError("table/unit shape does not match the basis")
-        table = [[[field.scalar(x) for x in cell] for cell in plane]
-                 for plane in table]
-        unit = [field.scalar(x) for x in unit]
-        if field.characteristic:
-            ints, scale = (table, unit), 1
-        else:
-            ints, scale = scale_to_integers([table, unit], 0)
-        self._fill(field, basis_labels, table, unit, *ints, scale, check)
+        try:
+            table = [[[field.scalar(x) for x in cell] for cell in plane]
+                     for plane in table]
+            unit = [field.scalar(x) for x in unit]
+        except ZeroDivisionError:
+            raise ValueError(_no_image(field, table, unit)) from None
+        ints, scale = scale_to_integers([table, unit], field.characteristic)
+        self._fill(field, basis_labels, *ints, scale, check)
 
     @classmethod
     def _from_integer_form(cls, field: Field, basis_labels, int_table,
-                           int_unit, scale: int) -> "Algebra":
+                           int_unit, scale: int, check=True) -> "Algebra":
         """The algebra with constants int_table / scale and unit
-        int_unit / scale, checked.  Over F_p the integers are residues and
-        scale is 1; over Q scale must be coprime to the gcd of the
-        integers, which makes it the lcm of the denominators."""
-        table, unit = int_table, int_unit
-        if not field.characteristic:
-            table = [[[Fraction(x, scale) for x in cell] for cell in plane]
-                     for plane in int_table]
-            unit = [Fraction(x, scale) for x in int_unit]
+        int_unit / scale, for any integers and a positive scale (1 over
+        F_p), brought to the unique form: reduced mod p over F_p, divided
+        over Q by the gcd of the scale and all the integers, which leaves
+        the lcm of the denominators."""
+        p = field.characteristic
+        if p:
+            int_table = [[[x % p for x in cell] for cell in plane] for plane in int_table]
+            int_unit = [x % p for x in int_unit]
+        else:
+            g = gcd(scale, *int_unit, *(x for plane in int_table
+                                        for cell in plane for x in cell))
+            int_table = [[[x // g for x in cell] for cell in plane] for plane in int_table]
+            int_unit = [x // g for x in int_unit]
+            scale //= g
         a = cls.__new__(cls)
-        a._fill(field, basis_labels, table, unit, int_table, int_unit, scale, True)
+        a._fill(field, basis_labels, int_table, int_unit, scale, check)
         return a
 
-    def _fill(self, field, basis_labels, table, unit, int_table, int_unit,
-              scale, check) -> None:
+    def _fill(self, field, basis_labels, int_table, int_unit, scale, check) -> None:
         self.field, self.dim = field, len(basis_labels)
         self.basis_labels = [str(s) for s in basis_labels]
-        self.table, self.unit = table, unit
         self.int_table, self.int_unit, self.scale = int_table, int_unit, scale
         if check:
             report = verify_axioms(self)
@@ -100,6 +108,17 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra({self.field.name}, dim {self.dim}: {', '.join(self.basis_labels)})"
+
+    @property
+    def table(self) -> list:
+        """The structure constants as field scalars, made on each call."""
+        return [[_field_scalars(self.field, cell, self.scale) for cell in plane]
+                for plane in self.int_table]
+
+    @property
+    def unit(self) -> list:
+        """The unit as field scalars, made on each call."""
+        return _field_scalars(self.field, self.int_unit, self.scale)
 
     def element(self, coords) -> "Element":
         return Element(self, [self.field.scalar(x) for x in coords])
@@ -110,27 +129,15 @@ class Algebra:
         return Element(self, coords)
 
     def unit_element(self) -> "Element":
-        return Element(self, list(self.unit))
+        return Element(self, self.unit)
 
     def multiply_coords(self, x: list, y: list) -> list:
-        f = self.field
-        p = f.characteristic
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                row = ti[j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] = out[k] + c * row[k]
-        if p:
-            out = [v % p for v in out]
-        return out
+        """x * y on coordinates given and returned as field scalars: x and
+        y times one common scale s are integers, and their ``_product`` on
+        the integer table is divided once by s^2 D."""
+        (xs, ys), s = scale_to_integers([list(x), list(y)], self.field.characteristic)
+        return _field_scalars(self.field, _product(self.int_table, xs, ys),
+                              s * s * self.scale)
 
     # serialization
 
@@ -251,15 +258,70 @@ def multiply(a: Element, b: Element) -> Element:
     return Element(a.algebra, a.algebra.multiply_coords(a.coords, b.coords))
 
 
+def _no_image(field: Field, table, unit) -> str:
+    """Names the first entry of table, then of unit, with no image in the
+    field (a zero denominator, or one divisible by p)."""
+    entries = [(f"table[{i}][{j}][{k}]", x) for i, plane in enumerate(table)
+               for j, cell in enumerate(plane) for k, x in enumerate(cell)]
+    for where, x in entries + [(f"unit[{k}]", x) for k, x in enumerate(unit)]:
+        try:
+            field.scalar(x)
+        except ZeroDivisionError:
+            return f"{where} = {x!r} has no image in {field.name}"
+
+
+def _field_scalars(field: Field, ints: list, scale: int) -> list:
+    """ints / scale as field scalars: Fractions over Q, residues over F_p
+    (where the scale is 1)."""
+    p = field.characteristic
+    return [x % p for x in ints] if p else [Fraction(x, scale) for x in ints]
+
+
+def _product(c: list, x: list, y: list) -> list:
+    """The sum of x_i y_j c[i][j] for integer coordinates x, y and an
+    integer table c, unreduced."""
+    out = [0] * len(c)
+    for xi, plane in zip(x, c):
+        if xi:
+            for yj, cell in zip(y, plane):
+                if yj:
+                    k = xi * yj
+                    out = [o + k * v for o, v in zip(out, cell)]
+    return out
+
+
+def _differ(lhs: list, rhs: list, p: int) -> bool:
+    """Whether two coordinate lists differ: exactly over Q, mod p over F_p
+    (equal lists need no reduction)."""
+    if p and lhs != rhs:
+        return any((x - y) % p for x, y in zip(lhs, rhs))
+    return lhs != rhs
+
+
 def is_algebra_map(m: Matrix, a: Algebra, b: Algebra) -> bool:
     """Whether m, column j the image of a's j-th basis vector in b's
     coordinates, is a unital algebra map a -> b: m(1) = 1 and
-    m(e_i e_j) = m(e_i) m(e_j) for every pair of basis vectors."""
-    if m.apply(a.unit) != b.unit:
+    m(e_i e_j) = m(e_i) m(e_j) for every pair of basis vectors.
+
+    On integers: M = D_M m (``scale_to_integers``), and the integer forms
+    C_a, U_a of a (scale D_a) and C_b, U_b of b (scale D_b).  Cleared of
+    their denominators, the conditions read D_b M U_a = D_M D_a U_b and
+    D_M D_b M C_a[i][j] = D_a sum over (k, l) of M[k][i] M[l][j] C_b[k][l],
+    compared exactly over Q and mod p over F_p.
+    """
+    if (m.rows, m.cols) != (b.dim, a.dim):
+        raise ValueError(f"an algebra map needs a {b.dim}x{a.dim} matrix")
+    p = a.field.characteristic
+    ints, dm = scale_to_integers(m.data, p)
+    cols = list(zip(*ints))
+    if _differ([b.scale * x for x in _combine(a.int_unit, cols, b.dim)],
+               [dm * a.scale * x for x in b.int_unit], p):
         return False
-    cols = [m.col(j) for j in range(a.dim)]
-    return all(m.apply(a.table[i][j]) == b.multiply_coords(cols[i], cols[j])
-               for i in range(a.dim) for j in range(a.dim))
+    left = dm * b.scale
+    return not any(
+        _differ([left * x for x in _combine(a.int_table[i][j], cols, b.dim)],
+                [a.scale * x for x in _product(b.int_table, cols[i], cols[j])], p)
+        for i, j in itertools.product(range(a.dim), repeat=2))
 
 
 def is_isomorphism(p: Matrix, a: Algebra, b: Algebra) -> bool:
@@ -373,21 +435,12 @@ def _is_ideal(a: Algebra, rows: list) -> bool:
 
 def _span_product(a: Algebra, rows1: list, rows2: list) -> list:
     """``integer_echelon`` rows of the span of all x y, x in rows1, y in
-    rows2 (integer rows), from the integer table c: the products are
-    trilinear, so scaling c or either family scales every one alike and
-    the span is unchanged."""
+    rows2 (integer rows), from the integer table: the products are
+    trilinear, so scaling the table or either family scales every one
+    alike and the span is unchanged."""
     c = a.int_table
-    terms2 = [[(j, y) for j, y in enumerate(row) if y] for row in rows2]
-    prods = []
-    for x in rows1:
-        for terms in terms2:
-            out = [0] * len(c)
-            for i, xi in enumerate(x):
-                if xi:
-                    for j, y in terms:
-                        out = [o + xi * y * v for o, v in zip(out, c[i][j])]
-            prods.append(out)
-    return integer_echelon(prods, a.field.characteristic)
+    return integer_echelon([_product(c, x, y) for x in rows1 for y in rows2],
+                           a.field.characteristic)
 
 
 def jacobson_radical(a: Algebra) -> list:
@@ -440,9 +493,8 @@ def _radical_chain(a: Algebra) -> list:
 
 
 def is_commutative(a: Algebra) -> bool:
-    return all(
-        a.table[i][j] == a.table[j][i] for i in range(a.dim) for j in range(a.dim)
-    )
+    return all(a.int_table[i][j] == a.int_table[j][i]
+               for i in range(a.dim) for j in range(a.dim))
 
 
 def is_separable(a: Algebra) -> bool:
@@ -463,9 +515,9 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     on the integer table, P = D_P p and Q times D_Q (``integer_inverse``).
     Q is applied to each nonzero cell c[x][y] first; then two passes
     contract with P (x, then y), each summing flat d^2 rows over the
-    nonzero entries of a column of P.  Over Q one gcd of the common
-    denominator and all the integers gives the result's integer form and
-    scale directly.  The transported table goes through ``verify_axioms``.
+    nonzero entries of a column of P.  The result, with scale
+    D_Q D D_P, goes to ``Algebra._from_integer_form`` (one gcd over Q) and
+    through ``verify_axioms``.
     """
     d = a.dim
     if labels is None:
@@ -493,18 +545,9 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     # prods[j], flat over (i, n): b_i b_j
     prods = [_combine(pcols[j], by_y, d * d) for j in range(d)]
     unit = [pscale * pscale * v for v in _combine(a.int_unit, qcols, d)]
-    if char:
-        unit = [v % char for v in unit]
-        prods = [[v % char for v in row] for row in prods]
-        scale = 1
-    else:
-        scale = qscale * a.scale * pscale
-        g = gcd(scale, *unit, *(v for row in prods for v in row))
-        unit = [v // g for v in unit]
-        prods = [[v // g for v in row] for row in prods]
-        scale //= g
     table = [[prods[j][i * d:(i + 1) * d] for j in range(d)] for i in range(d)]
-    return Algebra._from_integer_form(a.field, labels, table, unit, scale)
+    return Algebra._from_integer_form(a.field, labels, table, unit,
+                                      qscale * a.scale * pscale)
 
 
 def _combine(coeffs, rows, width: int) -> list:
@@ -518,7 +561,7 @@ def _combine(coeffs, rows, width: int) -> list:
 
 
 def standard_algebra(name: str, field: Field, n: int = None, q=None) -> Algebra:
-    """Fixed reference presentations used throughout.
+    """Fixed reference presentations used throughout, as integer forms.
 
     k_n(n): product of n copies of k, orthogonal idempotent basis.
     group_algebra_z2: basis (1, a) with a^2 = 1.
@@ -527,63 +570,45 @@ def standard_algebra(name: str, field: Field, n: int = None, q=None) -> Algebra:
     truncated_roundtrip: basis (e, f, x, y), radical-square-zero table.
     qtilde_path_algebra: three vertices, one arrow; basis (e0, e1, e2, g).
     """
-    f = field
+    # the nonzero constants (i, j, k), each 1: e_i e_j = e_k
     if name == "k_n":
         if n is None or n < 1:
             raise ValueError("k_n requires n >= 1")
-        labels = [f"e{i}" for i in range(n)]
-        table = [
-            [[f.one if i == j == k else f.zero for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-        return Algebra(f, labels, table, [f.one] * n, check=True)
-    if name == "group_algebra_z2":
-        return Algebra(
-            f,
-            ["1", "a"],
-            [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
-            [1, 0],
-            check=True,
-        )
-    if name == "matrix2":
-        labels = ["e11", "e12", "e21", "e22"]
-        idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-        table = [[[f.zero] * 4 for _ in range(4)] for _ in range(4)]
-        for (i, j), r in idx.items():
-            for (k, l), c in idx.items():
-                if j == k:
-                    table[r][c][idx[(i, l)]] = f.one
-        return Algebra(f, labels, table, [1, 0, 0, 1], check=True)
-    if name == "a_q":
+        labels, unit = [f"e{i}" for i in range(n)], [1] * n
+        ones = [(i, i, i) for i in range(n)]
+    elif name == "group_algebra_z2":
+        labels, unit = ["1", "a"], [1, 0]
+        ones = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    elif name == "matrix2":
+        # e_ij e_jl = e_il, with e_ij at index 2 i + j (i, j from 0)
+        labels, unit = ["e11", "e12", "e21", "e22"], [1, 0, 0, 1]
+        ones = [(2 * i + j, 2 * j + l, 2 * i + l)
+                for i in range(2) for j in range(2) for l in range(2)]
+    elif name == "a_q":
         if q is None:
             raise ValueError("a_q requires the parameter q")
-        qv = f.scalar(q)
-        z, o = f.zero, f.one
-        m = f.neg(f.one)
-        # basis order (1, a, b, ab); ba rewritten as q*1 - ab
+        # q = n / s; basis order (1, a, b, ab); ba rewritten as q*1 - ab
+        qv = field.scalar(q)
+        n, s = qv.numerator, qv.denominator
         table = [
-            [[o, z, z, z], [z, o, z, z], [z, z, o, z], [z, z, z, o]],
-            [[z, o, z, z], [o, z, z, z], [z, z, z, o], [z, z, o, z]],
-            [[z, z, o, z], [qv, z, z, m], [o, z, z, z], [z, m, qv, z]],
-            [[z, z, z, o], [z, qv, m, z], [z, o, z, z], [m, z, z, qv]],
+            [[s, 0, 0, 0], [0, s, 0, 0], [0, 0, s, 0], [0, 0, 0, s]],
+            [[0, s, 0, 0], [s, 0, 0, 0], [0, 0, 0, s], [0, 0, s, 0]],
+            [[0, 0, s, 0], [n, 0, 0, -s], [s, 0, 0, 0], [0, -s, n, 0]],
+            [[0, 0, 0, s], [0, n, -s, 0], [0, s, 0, 0], [-s, 0, 0, n]],
         ]
-        return Algebra(f, ["1", "a", "b", "ab"], table, [1, 0, 0, 0], check=True)
-    if name == "truncated_roundtrip":
-        labels = ["e", "f", "x", "y"]
-        table = [[[f.zero] * 4 for _ in range(4)] for _ in range(4)]
-        nonzero = {("e", "e"): "e", ("e", "y"): "y", ("f", "f"): "f",
-                   ("f", "x"): "x", ("x", "e"): "x", ("y", "f"): "y"}
-        pos = {lbl: i for i, lbl in enumerate(labels)}
-        for (li, lj), lk in nonzero.items():
-            table[pos[li]][pos[lj]][pos[lk]] = f.one
-        return Algebra(f, labels, table, [1, 1, 0, 0], check=True)
-    if name == "qtilde_path_algebra":
-        labels = ["e0", "e1", "e2", "g"]
-        table = [[[f.zero] * 4 for _ in range(4)] for _ in range(4)]
-        for i in range(3):
-            table[i][i][i] = f.one
+        return Algebra._from_integer_form(field, ["1", "a", "b", "ab"], table,
+                                          [s, 0, 0, 0], s)
+    elif name == "truncated_roundtrip":
+        labels, unit = ["e", "f", "x", "y"], [1, 1, 0, 0]
+        ones = [(0, 0, 0), (0, 3, 3), (1, 1, 1), (1, 2, 2), (2, 0, 2), (3, 1, 3)]
+    elif name == "qtilde_path_algebra":
         # g is the arrow from vertex 1 to vertex 2: e1*g = g = g*e2
-        table[1][3][3] = f.one
-        table[3][2][3] = f.one
-        return Algebra(f, labels, table, [1, 1, 1, 0], check=True)
-    raise ValueError(f"unknown standard algebra {name!r}")
+        labels, unit = ["e0", "e1", "e2", "g"], [1, 1, 1, 0]
+        ones = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (1, 3, 3), (3, 2, 3)]
+    else:
+        raise ValueError(f"unknown standard algebra {name!r}")
+    d = len(labels)
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k in ones:
+        table[i][j][k] = 1
+    return Algebra._from_integer_form(field, labels, table, unit, 1)

@@ -4,7 +4,8 @@ Verbs: census, classify, hh, counterexample, reproduce-paper.  Artifacts go
 to stdout or the -o path; advisory notes go to stderr so emitted files stay
 parseable.  The TWISTLAB_BUDGET environment variable (a positive integer)
 caps d (d-1)^(N+1), the rows of the top coboundary of the normalized bar
-complex of a dim-d algebra to degree N.
+complex of a dim-d algebra to degree N.  A bad input, or a file that
+cannot be read or written, ends in one ``error:`` line and exit status 2.
 """
 
 import argparse
@@ -118,20 +119,17 @@ def _load_algebra(spec: str, field) -> Algebra:
 
 
 def _basis_idempotent_split(a: Algebra) -> list:
-    f = a.field
-    idems = []
-    for i in range(a.dim):
-        e = [f.one if k == i else f.zero for k in range(a.dim)]
-        if a.multiply_coords(e, e) == e and a.unit[i] == f.one:
-            idems.append(a.basis_element(i))
-    total = [f.zero] * a.dim
-    for e in idems:
-        total = [f.add(x, y) for x, y in zip(total, e.coords)]
-    if total != a.unit:
+    """The basis vectors e_i with e_i e_i = e_i and unit coordinate 1, when
+    they add up to the unit; read off the integer form (scale D), where
+    those are C[i][i] = D e_i and U_i = D."""
+    c, u, s = a.int_table, a.int_unit, a.scale
+    picked = [i for i in range(a.dim)
+              if u[i] == s and c[i][i] == [s * (k == i) for k in range(a.dim)]]
+    if u != [s * (i in picked) for i in range(a.dim)]:
         raise ValueError(
             "no orthogonal idempotent basis split: give a quiver instead"
         )
-    return idems
+    return [a.basis_element(i) for i in picked]
 
 
 def _is_three_vertex_one_arrow(q: Quiver) -> bool:
@@ -242,7 +240,8 @@ def _check_duplicate(f) -> tuple:
         return False, f"leibniz {rep['leibniz_variant']}"
     direct = build_duplicate(d)
     via_twist = twisted_product(duplicate_to_twisting_map(d))
-    ok = direct.table == via_twist.table and direct.unit == via_twist.unit
+    ok = ((direct.int_table, direct.int_unit, direct.scale)
+          == (via_twist.int_table, via_twist.int_unit, via_twist.scale))
     return ok, "duplicate table matches its twisted product"
 
 
@@ -422,7 +421,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, CriterionInapplicable) as exc:
+    except (OSError, ValueError, RuntimeError, CriterionInapplicable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,11 +8,13 @@ as metadata rather than assumed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .fields import Field
-from .algebra import Algebra, is_algebra_map
-from .linalg import Matrix
+from .algebra import Algebra, _differ, is_algebra_map
+from .linalg import Matrix, scale_to_integers
 from .twisting import TwistingMap
 
 
@@ -31,30 +33,30 @@ class DuplicateDatum:
 
 def x_idempotent_algebra(field: Field) -> Algebra:
     """k[X]/(X^2 - X) on basis (1, X)."""
-    o, z = field.one, field.zero
-    return Algebra(
-        field,
-        ["1", "X"],
-        [[[o, z], [z, o]], [[z, o], [z, o]]],
-        [o, z],
-        check=True,
-    )
+    return Algebra._from_integer_form(
+        field, ["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [0, 1]]], [1, 0], 1)
 
 
-def _require_kn_idempotent_base(base: Algebra) -> None:
-    f = base.field
+def _integer_pair(d: DuplicateDatum) -> tuple:
+    """(F, Dl, s): f and delta times one common scale s, as integer
+    matrices (``scale_to_integers``), once the base is checked to be k^n in
+    its idempotent basis, where e_i e_j = [i = j] e_i and a product is
+    taken coordinatewise."""
+    base, fm, dm = d.base, d.f_matrix, d.delta_matrix
     n = base.dim
-    for i in range(n):
-        for j in range(n):
-            want = [f.zero] * n
-            if i == j:
-                want[i] = f.one
-            if base.table[i][j] != want:
-                raise ValueError(
-                    "base must be k^n in the idempotent basis"
-                )
-    if base.unit != [f.one] * n:
+    kn = [[[int(i == j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    if (base.int_table, base.int_unit, base.scale) != (kn, [1] * n, 1):
         raise ValueError("base must be k^n in the idempotent basis")
+    if fm.field != base.field or dm.field != base.field:
+        raise ValueError("field mismatch")
+    if (fm.rows, fm.cols) != (n, n) or (dm.rows, dm.cols) != (n, n):
+        raise ValueError(f"f and delta must be {n}x{n}")
+    (fi, di), s = scale_to_integers([fm.data, dm.data], base.field.characteristic)
+    return fi, di, s
+
+
+def _matmul(x: list, y: list) -> list:
+    return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]
 
 
 def verify_pair(d: DuplicateDatum) -> dict:
@@ -63,84 +65,59 @@ def verify_pair(d: DuplicateDatum) -> dict:
     leibniz_variant is one of "both", "first_only" (delta(xy) =
     delta(x)f(y) + x delta(y)), "second_only" (delta(xy) = delta(x)y +
     f(x)delta(y)), "neither".
+
+    On F = s f and Dl = s delta (``_integer_pair``) each condition is
+    cleared of s: Dl^2 = s Dl, s F = F^2 + Dl F + F Dl, and at (e_i, e_j)
+    the Leibniz rules read, in coordinate k, s [i = j] Dl[k][i] =
+    Dl[k][i] F[k][j] + s [k = i] Dl[k][j] and = s [k = j] Dl[k][i] +
+    F[k][i] Dl[k][j]; compared exactly over Q and mod p over F_p.
     """
-    base, fm, dm = d.base, d.f_matrix, d.delta_matrix
-    _require_kn_idempotent_base(base)
-    f = base.field
-    n = base.dim
-    if fm.field != f or dm.field != f:
-        raise ValueError("field mismatch")
-    if (fm.rows, fm.cols) != (n, n) or (dm.rows, dm.cols) != (n, n):
-        raise ValueError(f"f and delta must be {n}x{n}")
+    fi, di, s = _integer_pair(d)
+    p = d.base.field.characteristic
+    n = d.base.dim
 
-    endo = is_algebra_map(fm, base, base)
-
-    idem = (dm * dm) == dm
-    compat = fm == (fm * fm) + (dm * fm) + (fm * dm)
+    def same(x, y) -> bool:
+        return not any(_differ(u, v, p) for u, v in zip(x, y))
 
     first = second = True
-    for i in range(n):
-        for j in range(n):
-            lhs = dm.apply(base.table[i][j])
-            ei, ej = base.basis_element(i).coords, base.basis_element(j).coords
-            v1 = [
-                f.add(x, y)
-                for x, y in zip(
-                    base.multiply_coords(dm.col(i), fm.col(j)),
-                    base.multiply_coords(ei, dm.col(j)),
-                )
-            ]
-            v2 = [
-                f.add(x, y)
-                for x, y in zip(
-                    base.multiply_coords(dm.col(i), ej),
-                    base.multiply_coords(fm.col(i), dm.col(j)),
-                )
-            ]
-            first = first and lhs == v1
-            second = second and lhs == v2
-    if first and second:
-        variant = "both"
-    elif first:
-        variant = "first_only"
-    elif second:
-        variant = "second_only"
-    else:
-        variant = "neither"
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs = [s * (i == j) * di[k][i] for k in range(n)]
+        v1 = [di[k][i] * fi[k][j] + s * (k == i) * di[k][j] for k in range(n)]
+        v2 = [s * (k == j) * di[k][i] + fi[k][i] * di[k][j] for k in range(n)]
+        first = first and not _differ(lhs, v1, p)
+        second = second and not _differ(lhs, v2, p)
+    variants = {(True, True): "both", (True, False): "first_only",
+                (False, True): "second_only", (False, False): "neither"}
     return {
-        "endomorphism": endo,
-        "idempotent_delta": idem,
-        "compatibility": compat,
-        "leibniz_variant": variant,
+        "endomorphism": is_algebra_map(d.f_matrix, d.base, d.base),
+        "idempotent_delta": same(_matmul(di, di), [[s * x for x in row] for row in di]),
+        "compatibility": same([[s * x for x in row] for row in fi], [
+            [u + v + w for u, v, w in zip(*rows)]
+            for rows in zip(_matmul(fi, fi), _matmul(di, fi), _matmul(fi, di))]),
+        "leibniz_variant": variants[first, second],
     }
 
 
 def _duplicate_algebra(d: DuplicateDatum, check: bool) -> Algebra:
-    """Table on basis (e_1, e_1X, ..., e_n, e_nX) from the X*a rule."""
-    base, fm, dm = d.base, d.f_matrix, d.delta_matrix
-    f = base.field
+    """Table on basis (e_1, e_1X, ..., e_n, e_nX) from the X*a rule, as an
+    integer form of scale s (``_integer_pair``): e_i e_j = [i = j] e_i and
+    X e_j = delta(e_j) + f(e_j) X, so e_i X e_j = Dl[i][j] e_i +
+    F[i][j] e_i X, and X^2 = X."""
+    base = d.base
+    fi, di, s = _integer_pair(d)
     n = base.dim
     dim = 2 * n
-    table = [[[f.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
-        ei = base.basis_element(i).coords
+        table[2 * i][2 * i][2 * i] = table[2 * i][2 * i + 1][2 * i + 1] = s
         for j in range(n):
-            plain = base.table[i][j]
-            u = base.multiply_coords(ei, dm.col(j))
-            w = base.multiply_coords(ei, fm.col(j))
-            for k in range(n):
-                table[2 * i][2 * j][2 * k] = plain[k]
-                table[2 * i][2 * j + 1][2 * k + 1] = plain[k]
-                table[2 * i + 1][2 * j][2 * k] = u[k]
-                table[2 * i + 1][2 * j][2 * k + 1] = w[k]
-                table[2 * i + 1][2 * j + 1][2 * k + 1] = f.add(u[k], w[k])
+            table[2 * i + 1][2 * j][2 * i] = di[i][j]
+            table[2 * i + 1][2 * j][2 * i + 1] = fi[i][j]
+            table[2 * i + 1][2 * j + 1][2 * i + 1] = di[i][j] + fi[i][j]
     labels = []
     for lbl in base.basis_labels:
         labels.extend([lbl, f"{lbl}X"])
-    unit = [f.zero] * dim
-    for k in range(n):
-        unit[2 * k] = base.unit[k]
-    return Algebra(f, labels, table, unit, check=check)
+    return Algebra._from_integer_form(base.field, labels, table, [s, 0] * n, s, check)
 
 
 def _require_valid_pair(d: DuplicateDatum) -> None:
@@ -161,22 +138,10 @@ def build_duplicate(d: DuplicateDatum) -> Algebra:
 def roundtrip_datum(field: Field, a_u, a_v) -> DuplicateDatum:
     """The swap-with-rank-one-delta datum on k^2; no constraint gate."""
     au, av = field.scalar(a_u), field.scalar(a_v)
-    base = Algebra(
-        field,
-        ["u", "v"],
-        [
-            [[field.one, field.zero], [field.zero, field.zero]],
-            [[field.zero, field.zero], [field.zero, field.one]],
-        ],
-        [field.one, field.one],
-        check=True,
-    )
+    base = Algebra._from_integer_form(
+        field, ["u", "v"], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1], 1)
     fm = Matrix.from_rows(field, [[0, 1], [1, 0]])
-    dm = Matrix(field, 2, 2)
-    dm.data[0][0] = field.neg(au)
-    dm.data[0][1] = au
-    dm.data[1][0] = av
-    dm.data[1][1] = field.neg(av)
+    dm = Matrix.from_rows(field, [[-au, au], [av, -av]])
     return DuplicateDatum(base, fm, dm)
 
 

@@ -33,13 +33,15 @@ from .fields import Field, QQ
 from .algebra import (
     Algebra,
     Element,
+    _product,
+    _radical_chain,
     center,
     is_isomorphism,
     is_separable,
-    jacobson_radical,
     radical_power_dims,
 )
-from .linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_echelon
+from .linalg import (Matrix, integer_echelon, rref_scalars, scale_to_integers,
+                     sparse_compose_zero, sparse_echelon)
 from .quivers import (
     Quiver,
     is_connected,
@@ -367,7 +369,9 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
 
     Requires a = E + J with E spanned by the given complete orthogonal
     idempotents e_u, J the radical, and J^2 = 0. The Peirce basis (the
-    e_u, then an echelon basis of each block e_u J e_v) names the block
+    e_u, then an echelon basis of each block e_u J e_v, spanned by integer
+    products of the rows of J from ``_radical_chain`` and the idempotents
+    scaled to integers) names the block
     quiver Q: a vertex u per idempotent and an arrow u -> v per vector of
     e_u J e_v, in that order. Under the hypotheses the Peirce basis maps
     the truncated path algebra of Q isomorphically onto a, and one
@@ -384,17 +388,19 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     if N > RSZ_DEGREE_BOUND:
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
     f = a.field
+    p = f.characteristic
     d = a.dim
+    c = a.int_table
     eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
     ne = len(eps)
-    jbas = jacobson_radical(a)
+    ints, _ = scale_to_integers(eps, p)
+    chain = _radical_chain(a)
+    jrows = chain[0] if chain else []
     peirce, arrows = list(eps), []
     for u in range(ne):
         for v in range(ne):
-            part = echelon_basis(f, [
-                a.multiply_coords(eps[u], a.multiply_coords(w, eps[v]))
-                for w in jbas
-            ])
+            part = rref_scalars(f, integer_echelon([
+                _product(c, ints[u], _product(c, w, ints[v])) for w in jrows], p))
             peirce.extend(part)
             arrows.extend([(u, v)] * len(part))
     no_split = ("the Peirce basis is not an isomorphism from the block "

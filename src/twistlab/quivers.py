@@ -162,40 +162,39 @@ def longest_path_length(q: Quiver) -> int:
 
 
 def truncated_path_algebra(q: Quiver, field: Field) -> Algebra:
-    """kQ modulo all paths of length >= 2; dim = |Q0| + |Q1|. Associative
-    and unital by construction, so ``verify_axioms`` does not rescan it."""
-    f = field
+    """kQ modulo all paths of length >= 2; dim = |Q0| + |Q1|, as an
+    integer form of 0s and 1s. Associative and unital by construction, so
+    ``verify_axioms`` does not rescan it."""
     nv = q.vertex_count
     na = len(q.arrows)
     d = nv + na
     labels = [f"e{v}" for v in range(nv)] + [f"a{i}" for i in range(na)]
-    table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
     for v in range(nv):
-        table[v][v][v] = f.one
+        table[v][v][v] = 1
     for i, (s, t) in enumerate(q.arrows):
-        table[s][nv + i][nv + i] = f.one  # e_s * a = a
-        table[nv + i][t][nv + i] = f.one  # a * e_t = a
-    unit = [f.one] * nv + [f.zero] * na
-    return Algebra(f, labels, table, unit)
+        table[s][nv + i][nv + i] = 1  # e_s * a = a
+        table[nv + i][t][nv + i] = 1  # a * e_t = a
+    return Algebra._from_integer_form(field, labels, table, [1] * nv + [0] * na,
+                                      1, check=False)
 
 
 def path_algebra_acyclic(q: Quiver, field: Field) -> Algebra:
     """Full path algebra, basis all paths; only for acyclic quivers."""
     if has_oriented_cycle(q):
         raise ValueError("path algebra is infinite-dimensional: oriented cycle present")
-    f = field
     # an acyclic path visits each vertex at most once
     paths = [p for layer in walks(q, q.vertex_count - 1) for p in layer]
     index = {p: i for i, p in enumerate(paths)}
     d = len(paths)
-    table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
+    table = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i, (s, t, x) in enumerate(paths):
         for j, (s2, t2, y) in enumerate(paths):
             if t == s2:
-                table[i][j][index[s, t2, x + y]] = f.one
+                table[i][j][index[s, t2, x + y]] = 1
     labels = ["*".join(f"a{a}" for a in x) if x else f"e{s}" for s, _, x in paths]
-    unit = [f.zero if x else f.one for _, _, x in paths]
-    return Algebra(f, labels, table, unit, check=True)
+    return Algebra._from_integer_form(field, labels, table,
+                                      [int(not x) for _, _, x in paths], 1)
 
 
 def standard_quiver(name: str, c: int = None) -> Quiver:

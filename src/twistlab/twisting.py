@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field
-from .algebra import Algebra, is_algebra_map, standard_algebra
-from .linalg import Matrix
+from .algebra import Algebra, _differ, is_algebra_map, standard_algebra
+from .linalg import Matrix, scale_to_integers
 
 ENUM_BITS_BOUND = 40
 
@@ -74,8 +74,8 @@ class TwistingMap:
         return (
             isinstance(other, TwistingMap)
             and other.matrix == self.matrix
-            and other.source_a.table == self.source_a.table
-            and other.source_b.table == self.source_b.table
+            and [(x.int_table, x.scale) for x in (other.source_a, other.source_b)]
+            == [(x.int_table, x.scale) for x in (self.source_a, self.source_b)]
         )
 
 
@@ -90,32 +90,22 @@ def _combination(coeffs, vecs, d: int) -> list:
     return out
 
 
-def _differ(lhs: list, rhs: list, p: int) -> bool:
-    """Exact comparison: residues mod p over F_p (equal lists need no
-    reduction), Fractions over Q."""
-    if p and lhs != rhs:
-        return any((x - y) % p for x, y in zip(lhs, rhs))
-    return lhs != rhs
-
-
 def _tau_mul(cols, a: Algebra, b: Algebra):
     """The product (x, y) -> x * y of A (x)_tau B, where ``cols[j*dim_A+k]``
     is tau(e_j^B (x) e_k^A): the sum of x_(i,j) y_(k,l) a_i tau(b_j (x) a_k)
     b_l, on raw scalars or `census_search.Poly` values, left unreduced.
-    Only nonzero entries are multiplied."""
-    da, db, zero = a.dim, b.dim, a.field.zero
+    It reads the integer tables, so it is D_A D_B times the product.  Only
+    nonzero entries are multiplied."""
+    da, db = a.dim, b.dim
     pos = [divmod(r, db) for r in range(da * db)]
     taus = [[(m, n, c) for (m, n), c in zip(pos, col) if c] for col in cols]
-    # the integer form at scale 1, so that over Q a product of two
-    # constants makes no Fraction
-    atab, btab = (x.int_table if x.scale == 1 else x.table for x in (a, b))
     acells = [[(s * db, c) for s, c in enumerate(cell) if c]
-              for plane in atab for cell in plane]
+              for plane in a.int_table for cell in plane]
     bcells = [[(u, c) for u, c in enumerate(cell) if c]
-              for plane in btab for cell in plane]
+              for plane in b.int_table for cell in plane]
 
     def mul(x, y) -> list:
-        out = [zero] * len(pos)
+        out = [0] * len(pos)
         for (k, l), cy in zip(pos, y):
             if cy:
                 for (i, j), cx in zip(pos, x):
@@ -133,12 +123,13 @@ def _tau_mul(cols, a: Algebra, b: Algebra):
 
 
 def _unit_tensors(a: Algebra, b: Algebra) -> tuple:
-    """([a_k (x) 1_B for each k], [1_A (x) b_i for each i])."""
+    """([a_k (x) 1_B for each k], [1_A (x) b_i for each i]), from the
+    integer units: D_B and D_A times the true ones."""
     da, db = a.dim, b.dim
     one_b = [[0] * (da * db) for _ in range(db)]
     for i, v in enumerate(one_b):
-        v[i::db] = a.unit
-    return [[0] * (k * db) + b.unit + [0] * ((da - 1 - k) * db)
+        v[i::db] = a.int_unit
+    return [[0] * (k * db) + b.int_unit + [0] * ((da - 1 - k) * db)
             for k in range(da)], one_b
 
 
@@ -153,23 +144,28 @@ def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
     ``b_idx`` and A-indices from ``a_idx``, each triple in lexicographic
     order; each failure is yielded as ``("tw2", (i, j, k), residual)`` or
     ``("tw3", ...)``, with the unreduced coordinates of lhs - rhs as
-    ``residual``.
+    ``residual``.  Both sides are on the integer forms (scales D_A, D_B):
+    the (tw2) right side is D_A D_B^2 times the true one (`_tau_mul` and
+    the unit in a_k (x) 1_B), so the left side is read from D_B^2 times
+    A's table; likewise (tw3) reads D_A^2 times B's table.
     """
     p = a.field.characteristic
     da, d = a.dim, a.dim * b.dim
     mul = _tau_mul(cols, a, b)
     a_one, one_b = _unit_tensors(a, b)
+    atab, btab = ([[[k * x for x in cell] for cell in plane] for plane in t.int_table]
+                  for k, t in ((b.scale ** 2, a), (a.scale ** 2, b)))
     for i in b_idx:
         for j in a_idx:
             for k in a_idx:
-                lhs = _combination(a.table[j][k], cols[i * da:(i + 1) * da], d)
+                lhs = _combination(atab[j][k], cols[i * da:(i + 1) * da], d)
                 rhs = mul(cols[i * da + j], a_one[k])
                 if _differ(lhs, rhs, p):
                     yield "tw2", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
     for i in b_idx:
         for j in b_idx:
             for k in a_idx:
-                lhs = _combination(b.table[i][j], cols[k::da], d)
+                lhs = _combination(btab[i][j], cols[k::da], d)
                 rhs = mul(one_b[i], cols[j * da + k])
                 if _differ(lhs, rhs, p):
                     yield "tw3", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
@@ -178,7 +174,9 @@ def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
 def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
     """Check (tw1)-(tw3) exactly on basis tensors of the matrix columns.
 
-    (tw1) is read off the columns directly.  (tw2) and (tw3) come from
+    (tw1) is read off the columns directly, on the integer units (each
+    side of tau(b (x) 1) = 1 (x) b is D_A times the true one, and each side
+    of tau(1 (x) a) = a (x) 1 D_B times it).  (tw2) and (tw3) come from
     `_twist_failures` over every basis triple, units included: unlike the
     census filter, which skips the triples with a unit index, this check
     cannot assume (tw1), and the unit need not be a basis vector.
@@ -198,13 +196,13 @@ def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
     failures = {}
     # tw1: tau(b (x) 1) = 1 (x) b and tau(1 (x) a) = a (x) 1
     bad = next((i for i in range(db) if _differ(
-        _combination(a.unit, cols[i * da:(i + 1) * da], d), one_b[i], p)),
+        _combination(a.int_unit, cols[i * da:(i + 1) * da], d), one_b[i], p)),
         None)
     if bad is not None:
         failures["tw1"] = ("b (x) unit_A", bad)
     else:
         bad = next((j for j in range(da) if _differ(
-            _combination(b.unit, cols[j::da], d), a_one[j], p)), None)
+            _combination(b.int_unit, cols[j::da], d), a_one[j], p)), None)
         if bad is not None:
             failures["tw1"] = ("unit_B (x) a", bad)
     for cond, triple, _ in _twist_failures(cols, a, b, range(da), range(db)):
@@ -232,15 +230,20 @@ def flip(a: Algebra, b: Algebra) -> TwistingMap:
 
 def twisted_product(t: TwistingMap) -> Algebra:
     """The algebra on A(x)B with product (mu_A (x) mu_B)(A (x) tau (x) B):
-    `_tau_mul` on pairs of basis tensors, with unit 1_A (x) 1_B, reduced by
-    the `Algebra` constructor."""
+    `_tau_mul` on pairs of basis tensors, with unit 1_A (x) 1_B.  On tau
+    times D_tau (``scale_to_integers``) and the integer forms, the table
+    and unit are D_tau D_A D_B times the true ones, handed over as the
+    product's integer form."""
     a, b = t.source_a, t.source_b
     d = a.dim * b.dim
-    mul = _tau_mul(list(zip(*t.matrix.data)), a, b)
+    tau, dt = scale_to_integers(t.matrix.data, a.field.characteristic)
+    mul = _tau_mul(list(zip(*tau)), a, b)
     basis = [[int(r == s) for r in range(d)] for s in range(d)]
     labels = [f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels]
-    return Algebra(a.field, labels, [[mul(x, y) for y in basis] for x in basis],
-                   [x * y for x in a.unit for y in b.unit], check=True)
+    return Algebra._from_integer_form(
+        a.field, labels, [[mul(x, y) for y in basis] for x in basis],
+        [dt * x * y for x in a.int_unit for y in b.int_unit],
+        dt * a.scale * b.scale)
 
 
 def is_invertible(t: TwistingMap) -> bool:
@@ -252,14 +255,15 @@ def inclusion_maps_are_morphisms(t: TwistingMap) -> bool:
     prod = twisted_product(t)
     a, b = t.source_a, t.source_b
     f = a.field
-    inc_a = Matrix.identity(f, a.dim).kron(Matrix.column_vector(f, b.unit))
-    inc_b = Matrix.column_vector(f, a.unit).kron(Matrix.identity(f, b.dim))
+    ua, ub = (x.unit_element().coords for x in (a, b))
+    inc_a = Matrix.identity(f, a.dim).kron(Matrix.column_vector(f, ub))
+    inc_b = Matrix.column_vector(f, ua).kron(Matrix.identity(f, b.dim))
     return is_algebra_map(inc_a, a, prod) and is_algebra_map(inc_b, b, prod)
 
 
 def _unit_basis_index(alg: Algebra) -> int:
-    nz = [i for i, x in enumerate(alg.unit) if x]
-    if len(nz) != 1 or alg.unit[nz[0]] != alg.field.one:
+    nz = [i for i, x in enumerate(alg.int_unit) if x]
+    if len(nz) != 1 or alg.int_unit[nz[0]] != alg.scale:
         raise ValueError(
             "enumeration requires the unit to be a basis vector; "
             "change basis first"

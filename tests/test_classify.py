@@ -140,12 +140,13 @@ def fraction_gram(a) -> Matrix:
     f = a.field
     d = a.dim
     traces = [trace_of_left_mult(a, a.basis_element(m).coords) for m in range(d)]
+    table = a.table
     g = Matrix(f, d, d)
     for i in range(d):
         for j in range(d):
             acc = f.zero
             for m in range(d):
-                c = a.table[i][j][m]
+                c = table[i][j][m]
                 if c and traces[m]:
                     acc = f.add(acc, f.mul(c, traces[m]))
             g.data[i][j] = acc

@@ -391,6 +391,42 @@ def test_hh_algebra_file_with_wrong_table_shape(tmp_path, capsys):
         assert "table/unit shape does not match the basis" in err, name
 
 
+def test_file_errors_exit_2_with_one_line(tmp_path, capsys):
+    # these used to end in a traceback and exit 1: a missing directory, a
+    # directory given as an input file, and output paths that cannot be
+    # written (a directory, and a path under a plain file)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory")
+    cases = [
+        (("census", "--field", "F5", "-o", str(tmp_path / "missing" / "x.tsv")),
+         "No such file or directory"),
+        (("hh", "--algebra", str(tmp_path), "--N", "2"), "Is a directory"),
+        (("hh", "--quiver", str(tmp_path), "--N", "2"), "Is a directory"),
+        (("census", "--field", "F5", "-o", str(tmp_path)), "Is a directory"),
+        (("classify", "--field", "F3", "-o", str(plain / "x.tsv")), "Not a directory"),
+    ]
+    for argv, reason in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert reason in err, argv
+
+
+@pytest.mark.parametrize("field, table, unit, where", [
+    ("Q", [[["1/0"]]], ["1"], "table[0][0][0] = '1/0'"),
+    ("F5", [[["1"]]], ["1/5"], "unit[0] = '1/5'"),
+], ids=["Q", "F5"])
+def test_hh_algebra_scalar_with_no_image_exits_2(tmp_path, capsys, field, table,
+                                                 unit, where):
+    # used to end in a ZeroDivisionError traceback
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"field": field, "dim": 1, "basis": ["1"],
+                                "unit": unit, "table": table}))
+    code, out, err = run(capsys, "hh", "--algebra", str(path), "--N", "2")
+    assert (code, out, err) == (
+        2, "", f"error: {where} has no image in {field}\n")
+
+
 def test_readme_quickstart_commands_run(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     quickstart = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]

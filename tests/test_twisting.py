@@ -909,9 +909,14 @@ def test_one_twisted_multiplication_matches_the_unrolled_references(monkeypatch)
                     _random_scalar(rng, f)
             cols = list(zip(*data))
             full = (range(a.dim), range(b.dim))
+            # the scan compares the integer forms: a (tw2) residual is
+            # D_A D_B^2 times the true one, a (tw3) residual D_A^2 D_B times it
+            k = {"tw2": a.scale * b.scale ** 2, "tw3": a.scale ** 2 * b.scale}
+            want = [(cond, triple, [k[cond] * x for x in res]) for cond, triple, res
+                    in reference_twist_failures(cols, a, b, *full)]
             assert _reduced_failures(
                 twisting._twist_failures(cols, a, b, *full), f
-            ) == _reduced_failures(reference_twist_failures(cols, a, b, *full), f)
+            ) == _reduced_failures(want, f)
             perturbed = Matrix(f, m.rows, m.cols, data)
             report = verify_twisting(a, b, perturbed)
             assert report == kron_twisting_report(a, b, perturbed)
