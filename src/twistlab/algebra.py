@@ -14,7 +14,9 @@ coboundaries.  Each such quantity is a sum of products of a fixed number
 k of constants, so the integer sum is D^k times the true one: a rank, a
 kernel and d^2 = 0 are unchanged, an equality holds once each side is
 multiplied by the scales it lacks, and a transported constant is
-recovered by one exact division.  The inner loops make no Fraction.
+recovered by one exact division.  A matrix (a base change, an algebra
+map) enters by its own integer form, ``Matrix.ints`` over
+``Matrix.scale``, likewise.  The inner loops make no Fraction.
 Field scalars appear at the boundaries only: ``Algebra(field, labels,
 table, unit)`` converts scalar input once (``from_doc`` goes through it),
 and ``table``, ``unit``, ``multiply_coords`` and ``Element`` compute them
@@ -26,13 +28,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .fields import Field, field_from_name
 from .linalg import (
     Matrix,
+    _field_scalars,
     _first_slot,
     _pack,
     _slot_test,
@@ -43,6 +44,7 @@ from .linalg import (
     rref_scalars,
     scale_to_integers,
     sparse_rank,
+    unique_form,
 )
 
 
@@ -80,19 +82,11 @@ class Algebra:
                            int_unit, scale: int, check=True) -> "Algebra":
         """The algebra with constants int_table / scale and unit
         int_unit / scale, for any integers and a positive scale (1 over
-        F_p), brought to the unique form: reduced mod p over F_p, divided
-        over Q by the gcd of the scale and all the integers, which leaves
-        the lcm of the denominators."""
-        p = field.characteristic
-        if p:
-            int_table = [[[x % p for x in cell] for cell in plane] for plane in int_table]
-            int_unit = [x % p for x in int_unit]
-        else:
-            g = gcd(scale, *int_unit, *(x for plane in int_table
-                                        for cell in plane for x in cell))
-            int_table = [[[x // g for x in cell] for cell in plane] for plane in int_table]
-            int_unit = [x // g for x in int_unit]
-            scale //= g
+        F_p), brought to the unique form (``linalg.unique_form``): reduced
+        mod p over F_p, divided over Q by the gcd of the scale and all the
+        integers, which leaves the lcm of the denominators."""
+        (int_table, int_unit), scale = unique_form(
+            [int_table, int_unit], scale, field.characteristic)
         a = cls.__new__(cls)
         a._fill(field, basis_labels, int_table, int_unit, scale, check)
         return a
@@ -121,6 +115,7 @@ class Algebra:
         return _field_scalars(self.field, self.int_unit, self.scale)
 
     def element(self, coords) -> "Element":
+        self._check_length(coords)
         return Element(self, [self.field.scalar(x) for x in coords])
 
     def basis_element(self, i: int) -> "Element":
@@ -135,9 +130,15 @@ class Algebra:
         """x * y on coordinates given and returned as field scalars: x and
         y times one common scale s are integers, and their ``_product`` on
         the integer table is divided once by s^2 D."""
+        self._check_length(x)
+        self._check_length(y)
         (xs, ys), s = scale_to_integers([list(x), list(y)], self.field.characteristic)
         return _field_scalars(self.field, _product(self.int_table, xs, ys),
                               s * s * self.scale)
+
+    def _check_length(self, coords) -> None:
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates for an algebra of dim {self.dim}")
 
     # serialization
 
@@ -270,13 +271,6 @@ def _no_image(field: Field, table, unit) -> str:
             return f"{where} = {x!r} has no image in {field.name}"
 
 
-def _field_scalars(field: Field, ints: list, scale: int) -> list:
-    """ints / scale as field scalars: Fractions over Q, residues over F_p
-    (where the scale is 1)."""
-    p = field.characteristic
-    return [x % p for x in ints] if p else [Fraction(x, scale) for x in ints]
-
-
 def _product(c: list, x: list, y: list) -> list:
     """The sum of x_i y_j c[i][j] for integer coordinates x, y and an
     integer table c, unreduced."""
@@ -303,17 +297,19 @@ def is_algebra_map(m: Matrix, a: Algebra, b: Algebra) -> bool:
     coordinates, is a unital algebra map a -> b: m(1) = 1 and
     m(e_i e_j) = m(e_i) m(e_j) for every pair of basis vectors.
 
-    On integers: M = D_M m (``scale_to_integers``), and the integer forms
-    C_a, U_a of a (scale D_a) and C_b, U_b of b (scale D_b).  Cleared of
+    On integers: the integer forms M of m (scale D_M), C_a, U_a of a
+    (scale D_a) and C_b, U_b of b (scale D_b).  Cleared of
     their denominators, the conditions read D_b M U_a = D_M D_a U_b and
     D_M D_b M C_a[i][j] = D_a sum over (k, l) of M[k][i] M[l][j] C_b[k][l],
     compared exactly over Q and mod p over F_p.
     """
+    if m.field != a.field or a.field != b.field:
+        raise ValueError("field mismatch")
     if (m.rows, m.cols) != (b.dim, a.dim):
         raise ValueError(f"an algebra map needs a {b.dim}x{a.dim} matrix")
     p = a.field.characteristic
-    ints, dm = scale_to_integers(m.data, p)
-    cols = list(zip(*ints))
+    dm = m.scale
+    cols = list(zip(*m.ints))
     if _differ([b.scale * x for x in _combine(a.int_unit, cols, b.dim)],
                [dm * a.scale * x for x in b.int_unit], p):
         return False
@@ -512,7 +508,8 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
 
     With Q = p^-1 the new constants are
     T[i][j][n] = sum over x, y of p[x][i] p[y][j] (Q c[x][y])[n],
-    on the integer table, P = D_P p and Q times D_Q (``integer_inverse``).
+    on the integer table, P = D_P p (p's integer form) and Q times D_Q
+    (``integer_inverse``).
     Q is applied to each nonzero cell c[x][y] first; then two passes
     contract with P (x, then y), each summing flat d^2 rows over the
     nonzero entries of a column of P.  The result, with scale
@@ -529,7 +526,7 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     if p.rows != d or p.cols != d:
         raise ValueError("change of basis must be square of the algebra dimension")
     char = a.field.characteristic
-    pm, pscale = scale_to_integers(p.data, char)
+    pm, pscale = p.ints, p.scale
     inverse = integer_inverse(pm, char)
     if inverse is None:
         raise ValueError("change of basis matrix is singular")
@@ -552,11 +549,14 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
 
 def _combine(coeffs, rows, width: int) -> list:
     """The sum of x * rows[m] over the nonzero x = coeffs[m], as a list of
-    ``width`` integers."""
+    ``width`` values, unreduced: integers, or `census_search.Poly` values
+    in the census scan.  Only nonzero entries of the rows are multiplied."""
     out = [0] * width
     for x, row in zip(coeffs, rows):
         if x:
-            out = [s + x * y for s, y in zip(out, row)]
+            for k, y in enumerate(row):
+                if y:
+                    out[k] += x * y
     return out
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 
 from .fields import Field
 from .algebra import Algebra, _differ, is_algebra_map
-from .linalg import Matrix, scale_to_integers
+from .linalg import Matrix
 from .twisting import TwistingMap
 
 
@@ -38,9 +39,9 @@ def x_idempotent_algebra(field: Field) -> Algebra:
 
 
 def _integer_pair(d: DuplicateDatum) -> tuple:
-    """(F, Dl, s): f and delta times one common scale s, as integer
-    matrices (``scale_to_integers``), once the base is checked to be k^n in
-    its idempotent basis, where e_i e_j = [i = j] e_i and a product is
+    """(F, Dl, s): f and delta times one common scale s, the lcm of their
+    matrix scales, as integer matrices, once the base is checked to be k^n
+    in its idempotent basis, where e_i e_j = [i = j] e_i and a product is
     taken coordinatewise."""
     base, fm, dm = d.base, d.f_matrix, d.delta_matrix
     n = base.dim
@@ -51,7 +52,8 @@ def _integer_pair(d: DuplicateDatum) -> tuple:
         raise ValueError("field mismatch")
     if (fm.rows, fm.cols) != (n, n) or (dm.rows, dm.cols) != (n, n):
         raise ValueError(f"f and delta must be {n}x{n}")
-    (fi, di), s = scale_to_integers([fm.data, dm.data], base.field.characteristic)
+    s = lcm(fm.scale, dm.scale)
+    fi, di = ([[(s // m.scale) * x for x in row] for row in m.ints] for m in (fm, dm))
     return fi, di, s
 
 
@@ -153,14 +155,13 @@ def roundtrip_candidate(field: Field, a_u, a_v) -> Algebra:
 def duplicate_to_twisting_map(d: DuplicateDatum) -> TwistingMap:
     """tau: k[X]/(X^2-X) (x) k^n -> k^n (x) k[X]/(X^2-X) from the X*a rule."""
     _require_valid_pair(d)
-    base, fm, dm = d.base, d.f_matrix, d.delta_matrix
-    f = base.field
-    n = base.dim
-    b = x_idempotent_algebra(f)
-    m = Matrix(f, n * 2, 2 * n)
+    fi, di, s = _integer_pair(d)
+    n = d.base.dim
+    ints = [[0] * (2 * n) for _ in range(2 * n)]
     for j in range(n):
-        m.data[j * 2][j] = f.one
+        ints[j * 2][j] = s
         for k in range(n):
-            m.data[k * 2][n + j] = dm.data[k][j]
-            m.data[k * 2 + 1][n + j] = fm.data[k][j]
-    return TwistingMap(base, b, m)
+            ints[k * 2][n + j] = di[k][j]
+            ints[k * 2 + 1][n + j] = fi[k][j]
+    m = Matrix._from_integer_form(d.base.field, 2 * n, 2 * n, ints, s)
+    return TwistingMap(d.base, x_idempotent_algebra(d.base.field), m)

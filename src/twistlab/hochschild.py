@@ -40,7 +40,7 @@ from .algebra import (
     is_separable,
     radical_power_dims,
 )
-from .linalg import (Matrix, integer_echelon, rref_scalars, scale_to_integers,
+from .linalg import (Matrix, integer_echelon, scale_to_integers,
                      sparse_compose_zero, sparse_echelon)
 from .quivers import (
     Quiver,
@@ -369,19 +369,22 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
 
     Requires a = E + J with E spanned by the given complete orthogonal
     idempotents e_u, J the radical, and J^2 = 0. The Peirce basis (the
-    e_u, then an echelon basis of each block e_u J e_v, spanned by integer
-    products of the rows of J from ``_radical_chain`` and the idempotents
-    scaled to integers) names the block
+    e_u, then the ``integer_echelon`` rows of each block e_u J e_v, spanned
+    by integer products of the rows of J from ``_radical_chain`` and the
+    idempotents times their common scale D) names the block
     quiver Q: a vertex u per idempotent and an arrow u -> v per vector of
     e_u J e_v, in that order. Under the hypotheses the Peirce basis maps
     the truncated path algebra of Q isomorphically onto a, and one
     ``is_isomorphism`` check certifies all of them at once; a ValueError
-    when it fails. The complex is then Q's parallel-paths complex (Cibils
-    1998): its basis pair (path, m), a path of Q from u to v and a basis
-    vector m of the block (u, v), is ``rsz_layer``'s pair (path, vertex m)
-    or (path, arrow m - |Q_0|), and each column is ``rsz_layer``'s times
-    (-1)^(n+1). So the dims are ``hh_rsz``'s on Q, with its degree bound
-    RSZ_DEGREE_BOUND and its path-layer bound (``walks``).
+    when it fails. Its matrix is the Peirce basis over D: the e_u exactly,
+    each arrow's image a nonzero multiple of its block vector, which is as
+    good for an isomorphism. The complex is then Q's parallel-paths
+    complex (Cibils 1998): its basis pair (path, m), a path of Q from u to
+    v and a basis vector m of the block (u, v), is ``rsz_layer``'s pair
+    (path, vertex m) or (path, arrow m - |Q_0|), and each column is
+    ``rsz_layer``'s times (-1)^(n+1). So the dims are ``hh_rsz``'s on Q,
+    with its degree bound RSZ_DEGREE_BOUND and its path-layer bound
+    (``walks``).
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -392,15 +395,17 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     d = a.dim
     c = a.int_table
     eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
+    if any(len(e) != d for e in eps):
+        raise ValueError(f"each idempotent needs {d} coordinates")
     ne = len(eps)
-    ints, _ = scale_to_integers(eps, p)
+    ints, scale = scale_to_integers(eps, p)
     chain = _radical_chain(a)
     jrows = chain[0] if chain else []
-    peirce, arrows = list(eps), []
+    peirce, arrows = list(ints), []
     for u in range(ne):
         for v in range(ne):
-            part = rref_scalars(f, integer_echelon([
-                _product(c, ints[u], _product(c, w, ints[v])) for w in jrows], p))
+            part = integer_echelon([
+                _product(c, ints[u], _product(c, w, ints[v])) for w in jrows], p)
             peirce.extend(part)
             arrows.extend([(u, v)] * len(part))
     no_split = ("the Peirce basis is not an isomorphism from the block "
@@ -409,7 +414,7 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     if len(peirce) != d:
         raise ValueError(no_split)
     q = Quiver(ne, arrows)
-    iso = Matrix(f, d, d, [list(r) for r in zip(*peirce)])
+    iso = Matrix._from_integer_form(f, d, d, [list(r) for r in zip(*peirce)], scale)
     if not is_isomorphism(iso, truncated_path_algebra(q, f), a):
         raise ValueError(no_split)
     rsz = hh_rsz(q, f, N)

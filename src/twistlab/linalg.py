@@ -6,10 +6,14 @@ long as that coordinate is the pivot of a row kept so far, and then kept
 with it as pivot. Every cochain rank (``sparse_rank``) is one pass of it.
 ``integer_echelon`` adds the back-substitution and returns the reduced
 echelon form as integer rows; the structural computations (ranks,
-kernels, inverses, radicals, base changes) work on those rows, and the
-dense ``Matrix`` methods and ``echelon_basis`` are thin wrappers that make
-Fractions only for their result. The reduced echelon form of a span is
-unique, so kernel bases are byte-stable across runs.
+kernels, inverses, radicals, base changes) work on those rows.  A dense
+``Matrix`` holds one integer form, like an algebra: integer rows ``ints``
+and one ``scale``, converted once from scalar input.  Its arithmetic and
+elimination work on that form, and every other module reads ``ints`` and
+``scale`` rather than re-scaling the matrix; field scalars are made only
+for results (``data``, ``col``, ``apply``, ``kernel_basis``,
+``echelon_basis``).  The reduced echelon form of a span is unique, so
+kernel bases are byte-stable across runs.
 
 The exact d^2 = 0 check ``sparse_compose_zero`` and ``algebra.verify_axioms``
 share one packing toolkit: a vector becomes one integer by Kronecker
@@ -31,169 +35,147 @@ from .fields import Field
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over Q or F_p."""
+    """Dense matrix over Q or F_p by its integer form: entry (i, j) is
+    ``ints[i][j] / scale``, the scale the lcm of the denominators over Q
+    and 1 over F_p, where the integers are residues.  The form is unique,
+    so equal matrices are equal forms."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "ints", "scale")
 
     def __init__(self, field: Field, rows: int, cols: int, entries=None):
+        """The matrix of scalar input (ints, Fractions or strings),
+        converted once; the zero matrix when entries is None."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
         if entries is None:
-            z = field.zero
-            self.data = [[z] * cols for _ in range(rows)]
-        else:
-            data = [[field.scalar(x) for x in row] for row in entries]
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("entries do not match the stated shape")
-            self.data = data
+            entries = [[0] * cols for _ in range(rows)]
+        data = [[field.scalar(x) for x in row] for row in entries]
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError("entries do not match the stated shape")
+        self.field, self.rows, self.cols = field, rows, cols
+        self.ints, self.scale = scale_to_integers(data, field.characteristic)
+
+    @classmethod
+    def _from_integer_form(cls, field: Field, rows: int, cols: int, ints,
+                           scale: int) -> "Matrix":
+        """The matrix ints / scale, for any integer rows and a positive
+        scale (1 over F_p), brought to the unique form (``unique_form``)."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols = field, rows, cols
+        m.ints, m.scale = unique_form(ints, scale, field.characteristic)
+        return m
+
+    @property
+    def data(self) -> list:
+        """The entries as field scalars, made on each call."""
+        return [_field_scalars(self.field, row, self.scale) for row in self.ints]
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        return cls._from_integer_form(
+            field, n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def from_rows(cls, field: Field, rows: list) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(field, nrows, ncols, rows)
+        return cls(field, len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def column_vector(cls, field: Field, entries: list) -> "Matrix":
         return cls(field, len(entries), 1, [[x] for x in entries])
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return _field_scalars(self.field, [row[j] for row in self.ints], self.scale)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.rows == self.rows
-            and other.cols == self.cols
-            and other.data == self.data
-        )
+        return isinstance(other, Matrix) and all(
+            getattr(other, k) == getattr(self, k) for k in self.__slots__)
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        out = Matrix(f, self.rows, self.cols)
-        for i in range(self.rows):
-            out.data[i] = [f.add(x, y) for x, y in zip(self.data[i], other.data[i])]
-        return out
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        out = Matrix(f, self.rows, self.cols)
-        for i in range(self.rows):
-            out.data[i] = [f.sub(x, y) for x, y in zip(self.data[i], other.data[i])]
-        return out
+        return self._combined(other, -1)
+
+    def _combined(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, on the integer forms at their common scale."""
+        if self.field != other.field:
+            raise ValueError("field mismatch")
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        scale = lcm(self.scale, other.scale)
+        a, b = scale // self.scale, sign * (scale // other.scale)
+        return Matrix._from_integer_form(
+            self.field, self.rows, self.cols,
+            [[a * x + b * y for x, y in zip(r, s)]
+             for r, s in zip(self.ints, other.ints)], scale)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        f = self.field
-        p = f.characteristic
-        out = Matrix(f, self.rows, other.cols)
-        bdata = other.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if not a:
-                    continue
-                brow = bdata[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = orow[j] + a * b
-            if p:
-                out.data[i] = [x % p for x in orow]
-        return out
+        out = []
+        for arow in self.ints:
+            orow = [0] * other.cols
+            for a, brow in zip(arow, other.ints):
+                if a:
+                    orow = [o + a * b for o, b in zip(orow, brow)]
+            out.append(orow)
+        return Matrix._from_integer_form(self.field, self.rows, other.cols, out,
+                                         self.scale * other.scale)
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector (a plain list of scalars)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        p = f.characteristic
-        out = []
-        for i in range(self.rows):
-            acc = f.zero
-            row = self.data[i]
-            for j, v in enumerate(vec):
-                if v:
-                    acc = acc + row[j] * v
-            out.append(acc % p if p else acc)
-        return out
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+        return (self * Matrix.column_vector(self.field, vec)).col(0)
 
     # elimination, all through ``integer_echelon``
 
     def rank(self) -> int:
-        p = self.field.characteristic
-        return len(integer_echelon(scale_to_integers(self.data, p)[0], p))
+        return len(integer_echelon(self.ints, self.field.characteristic))
 
     def kernel_basis(self) -> list:
         """Echelon-normalized basis of the right null space."""
         p = self.field.characteristic
-        rows, _ = scale_to_integers(self.data, p)
-        return rref_scalars(self.field, integer_kernel(rows, self.cols, p))
+        return rref_scalars(self.field, integer_kernel(self.ints, self.cols, p))
 
     def inverse(self):
-        """Inverse matrix, or None when singular."""
+        """Inverse matrix, or None when singular: (ints / scale)^-1 is
+        scale Q / D for ``integer_inverse``'s (Q, D)."""
         if self.rows != self.cols:
             return None
-        p = self.field.characteristic
-        ints, scale = scale_to_integers(self.data, p)
-        inv = integer_inverse(ints, p)
+        inv = integer_inverse(self.ints, self.field.characteristic)
         if inv is None:
             return None
         rows, den = inv
-        out = Matrix(self.field, self.rows, self.cols)
-        out.data = rows if p else [[Fraction(x * scale, den) for x in row]
-                                   for row in rows]
-        return out
+        return Matrix._from_integer_form(
+            self.field, self.rows, self.cols,
+            [[self.scale * x for x in row] for row in rows], den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor product: out[(i*rb+k),(j*cb+l)] = self[i,j]*other[k,l]."""
         if self.field != other.field:
             raise ValueError("field mismatch")
-        f = self.field
-        out = Matrix(f, self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if not a:
-                    continue
-                for k in range(other.rows):
-                    orow = out.data[i * other.rows + k]
-                    brow = other.data[k]
-                    for l in range(other.cols):
-                        if brow[l]:
-                            orow[j * other.cols + l] = f.mul(a, brow[l])
-        return out
+        out = [[a * b for a in arow for b in brow]
+               for arow in self.ints for brow in other.ints]
+        return Matrix._from_integer_form(
+            self.field, self.rows * other.rows, self.cols * other.cols, out,
+            self.scale * other.scale)
 
 
 def _leading(row: list) -> int:
     return next(i for i, x in enumerate(row) if x)
+
+
+def _field_scalars(field: Field, ints: list, scale: int) -> list:
+    """ints / scale as field scalars: Fractions over Q, residues over F_p
+    (where the scale is 1)."""
+    p = field.characteristic
+    return [x % p for x in ints] if p else [Fraction(x, scale) for x in ints]
 
 
 def scale_to_integers(values: list, p: int) -> tuple:
@@ -203,24 +185,36 @@ def scale_to_integers(values: list, p: int) -> tuple:
     entry v becomes the integer v * D, where D is the lcm of the
     denominators: the one scale that clears them all.
     """
-    denominators = set()
-    if not p:
-        _collect_denominators(values, denominators)
-    scale = lcm(*denominators)
+    scale = 1 if p else lcm(*{v.denominator for v in _leaves(values)})
     return _scaled(values, p, scale), scale
 
 
-def _collect_denominators(values: list, out: set) -> None:
+def unique_form(values: list, scale: int, p: int) -> tuple:
+    """(ints, D): integers in nested lists over a positive scale (1 over
+    F_p), brought to the unique form of the same scalars: residues over
+    F_p; over Q the integers and the scale divided by their gcd, which
+    leaves D the lcm of the denominators."""
+    if p:
+        return _scaled(values, p, 1), 1
+    g = gcd(scale, *_leaves(values))
+    return _divided(values, g), scale // g
+
+
+def _leaves(values: list):
     for v in values:
         if isinstance(v, list):
-            _collect_denominators(v, out)
+            yield from _leaves(v)
         else:
-            out.add(v.denominator)
+            yield v
 
 
 def _scaled(values: list, p: int, scale: int) -> list:
     return [_scaled(v, p, scale) if isinstance(v, list) else v % p if p
             else v.numerator * (scale // v.denominator) for v in values]
+
+
+def _divided(values: list, g: int) -> list:
+    return [_divided(v, g) if isinstance(v, list) else v // g for v in values]
 
 
 def echelon_basis(field: Field, vectors: list) -> list:

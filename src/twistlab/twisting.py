@@ -18,6 +18,10 @@ flip on unit pairs, (tw2) and (tw3) hold on any triple with the unit), and
 solves the equations it yields mod p by constraint propagation
 (`census_search`).
 
+All of it is on integers: the scan, the product and the unit checks read
+the integer forms of tau (``Matrix.ints``, scale D_tau) and of the two
+algebras, and multiply each side of an identity by the scales it lacks.
+
 `census_rows` gives the census over any field: the enumerated maps over
 F_p, the closed-form families over Q with the line left symbolic.
 `census_row_strings` is the one place a row becomes text.
@@ -29,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field
-from .algebra import Algebra, _differ, is_algebra_map, standard_algebra
-from .linalg import Matrix, scale_to_integers
+from .algebra import Algebra, _combine, _differ, is_algebra_map, standard_algebra
+from .linalg import Matrix
 
 ENUM_BITS_BOUND = 40
 
@@ -79,21 +83,10 @@ class TwistingMap:
         )
 
 
-def _combination(coeffs, vecs, d: int) -> list:
-    """sum_s coeffs[s] * vecs[s] on raw scalars, unreduced over F_p."""
-    out = [0] * d
-    for c, vec in zip(coeffs, vecs):
-        if c:
-            for idx, x in enumerate(vec):
-                if x:
-                    out[idx] += c * x
-    return out
-
-
 def _tau_mul(cols, a: Algebra, b: Algebra):
     """The product (x, y) -> x * y of A (x)_tau B, where ``cols[j*dim_A+k]``
     is tau(e_j^B (x) e_k^A): the sum of x_(i,j) y_(k,l) a_i tau(b_j (x) a_k)
-    b_l, on raw scalars or `census_search.Poly` values, left unreduced.
+    b_l, on integers or `census_search.Poly` values, left unreduced.
     It reads the integer tables, so it is D_A D_B times the product.  Only
     nonzero entries are multiplied."""
     da, db = a.dim, b.dim
@@ -133,39 +126,40 @@ def _unit_tensors(a: Algebra, b: Algebra) -> tuple:
             for k in range(da)], one_b
 
 
-def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
+def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx, scale=1):
     """Yield each basis triple where (tw2) or (tw3) fails, all (tw2) first.
 
-    ``cols[i*dim_A+j]`` is tau(e_i^B (x) e_j^A) in the output basis, as raw
-    scalars or `census_search.Poly` values.  (tw2) is
+    ``cols[i*dim_A+j]`` is scale times tau(e_i^B (x) e_j^A) in the output
+    basis, as integers or `census_search.Poly` values.  (tw2) is
     tau(b_i (x) a_j a_k) = tau(b_i (x) a_j) * (a_k (x) 1_B) and (tw3) is
     tau(b_i b_j (x) a_k) = (1_A (x) b_i) * tau(b_j (x) a_k), both products
     in A (x)_tau B (`_tau_mul`).  They are tried with B-indices from
     ``b_idx`` and A-indices from ``a_idx``, each triple in lexicographic
     order; each failure is yielded as ``("tw2", (i, j, k), residual)`` or
     ``("tw3", ...)``, with the unreduced coordinates of lhs - rhs as
-    ``residual``.  Both sides are on the integer forms (scales D_A, D_B):
-    the (tw2) right side is D_A D_B^2 times the true one (`_tau_mul` and
-    the unit in a_k (x) 1_B), so the left side is read from D_B^2 times
-    A's table; likewise (tw3) reads D_A^2 times B's table.
+    ``residual``.  Both sides are on the integer forms (scales D_A, D_B,
+    and D_tau = ``scale`` for tau): the (tw2) right side is quadratic in
+    tau, D_A D_B^2 D_tau^2 times the true one (`_tau_mul` and the unit in
+    a_k (x) 1_B), and the left side linear, so it is read from D_B^2 D_tau
+    times A's table; likewise (tw3) reads D_A^2 D_tau times B's table.
     """
     p = a.field.characteristic
     da, d = a.dim, a.dim * b.dim
     mul = _tau_mul(cols, a, b)
     a_one, one_b = _unit_tensors(a, b)
     atab, btab = ([[[k * x for x in cell] for cell in plane] for plane in t.int_table]
-                  for k, t in ((b.scale ** 2, a), (a.scale ** 2, b)))
+                  for k, t in ((b.scale ** 2 * scale, a), (a.scale ** 2 * scale, b)))
     for i in b_idx:
         for j in a_idx:
             for k in a_idx:
-                lhs = _combination(atab[j][k], cols[i * da:(i + 1) * da], d)
+                lhs = _combine(atab[j][k], cols[i * da:(i + 1) * da], d)
                 rhs = mul(cols[i * da + j], a_one[k])
                 if _differ(lhs, rhs, p):
                     yield "tw2", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
     for i in b_idx:
         for j in b_idx:
             for k in a_idx:
-                lhs = _combination(btab[i][j], cols[k::da], d)
+                lhs = _combine(btab[i][j], cols[k::da], d)
                 rhs = mul(one_b[i], cols[j * da + k])
                 if _differ(lhs, rhs, p):
                     yield "tw3", (i, j, k), [x - y for x, y in zip(lhs, rhs)]
@@ -174,9 +168,10 @@ def _twist_failures(cols, a: Algebra, b: Algebra, a_idx, b_idx):
 def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
     """Check (tw1)-(tw3) exactly on basis tensors of the matrix columns.
 
-    (tw1) is read off the columns directly, on the integer units (each
-    side of tau(b (x) 1) = 1 (x) b is D_A times the true one, and each side
-    of tau(1 (x) a) = a (x) 1 D_B times it).  (tw2) and (tw3) come from
+    (tw1) is read off the columns directly, on the integer forms (each
+    side of tau(b (x) 1) = 1 (x) b is D_A D_tau times the true one, and
+    each side of tau(1 (x) a) = a (x) 1 D_B D_tau times it, D_tau the
+    matrix scale).  (tw2) and (tw3) come from
     `_twist_failures` over every basis triple, units included: unlike the
     census filter, which skips the triples with a unit index, this check
     cannot assume (tw1), and the unit need not be a basis vector.
@@ -190,22 +185,24 @@ def verify_twisting(a: Algebra, b: Algebra, m: Matrix) -> dict:
         raise ValueError(f"twisting matrix must be {da * db}x{db * da}")
     p = a.field.characteristic
     d = da * db
-    cols = list(zip(*m.data))
-    a_one, one_b = _unit_tensors(a, b)
+    cols = list(zip(*m.ints))
+    a_one, one_b = ([[m.scale * x for x in v] for v in side]
+                    for side in _unit_tensors(a, b))
 
     failures = {}
     # tw1: tau(b (x) 1) = 1 (x) b and tau(1 (x) a) = a (x) 1
     bad = next((i for i in range(db) if _differ(
-        _combination(a.int_unit, cols[i * da:(i + 1) * da], d), one_b[i], p)),
+        _combine(a.int_unit, cols[i * da:(i + 1) * da], d), one_b[i], p)),
         None)
     if bad is not None:
         failures["tw1"] = ("b (x) unit_A", bad)
     else:
         bad = next((j for j in range(da) if _differ(
-            _combination(b.int_unit, cols[j::da], d), a_one[j], p)), None)
+            _combine(b.int_unit, cols[j::da], d), a_one[j], p)), None)
         if bad is not None:
             failures["tw1"] = ("unit_B (x) a", bad)
-    for cond, triple, _ in _twist_failures(cols, a, b, range(da), range(db)):
+    for cond, triple, _ in _twist_failures(cols, a, b, range(da), range(db),
+                                           m.scale):
         failures.setdefault(cond, triple)
     return {
         "tw1": "tw1" not in failures,
@@ -219,25 +216,23 @@ def flip(a: Algebra, b: Algebra) -> TwistingMap:
     """tau(b (x) a) = a (x) b on every basis pair."""
     if a.field != b.field:
         raise ValueError("field mismatch")
-    f = a.field
     da, db = a.dim, b.dim
-    m = Matrix(f, da * db, db * da)
-    for i in range(db):
-        for j in range(da):
-            m.data[j * db + i][i * da + j] = f.one
-    return TwistingMap(a, b, m)
+    d = da * db
+    # column i*da + j, for b_i (x) a_j, is 1 at row j*db + i, for a_j (x) b_i
+    ints = [[int(r == c % da * db + c // da) for c in range(d)] for r in range(d)]
+    return TwistingMap(a, b, Matrix._from_integer_form(a.field, d, d, ints, 1))
 
 
 def twisted_product(t: TwistingMap) -> Algebra:
     """The algebra on A(x)B with product (mu_A (x) mu_B)(A (x) tau (x) B):
-    `_tau_mul` on pairs of basis tensors, with unit 1_A (x) 1_B.  On tau
-    times D_tau (``scale_to_integers``) and the integer forms, the table
-    and unit are D_tau D_A D_B times the true ones, handed over as the
-    product's integer form."""
+    `_tau_mul` on pairs of basis tensors, with unit 1_A (x) 1_B.  On the
+    integer forms of tau (scale D_tau), A and B, the table and unit are
+    D_tau D_A D_B times the true ones, handed over as the product's
+    integer form."""
     a, b = t.source_a, t.source_b
     d = a.dim * b.dim
-    tau, dt = scale_to_integers(t.matrix.data, a.field.characteristic)
-    mul = _tau_mul(list(zip(*tau)), a, b)
+    dt = t.matrix.scale
+    mul = _tau_mul(list(zip(*t.matrix.ints)), a, b)
     basis = [[int(r == s) for r in range(d)] for s in range(d)]
     labels = [f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels]
     return Algebra._from_integer_form(
@@ -404,18 +399,14 @@ def family_member(d: TwistFamilyDescriptor, a: Algebra, b: Algebra) -> TwistingM
     if a.dim != 2 or b.dim != 2 or _unit_basis_index(a) != 0 or _unit_basis_index(b) != 0:
         raise ValueError("census families live on 2-dim algebras with unit first")
     pv, qv, rv, sv = descriptor_scalars(d, f)
-    m = Matrix(f, 4, 4)
-    m.data[0][0] = f.one          # 1(x)1 -> 1(x)1
-    m.data[2][1] = f.one          # 1(x)a -> a(x)1
-    m.data[1][2] = f.one          # b(x)1 -> 1(x)b
-    m.data[0][3], m.data[1][3], m.data[2][3], m.data[3][3] = pv, qv, rv, sv
-    return TwistingMap(a, b, m)
+    # columns: 1(x)1 -> 1(x)1, 1(x)a -> a(x)1, b(x)1 -> 1(x)b, then tau(b(x)a)
+    cols = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [pv, qv, rv, sv]]
+    return TwistingMap(a, b, Matrix(f, 4, 4, list(zip(*cols))))
 
 
 def scalars_of_map(t: TwistingMap) -> tuple:
     """(p, q, r, s) of tau(b(x)a) for a 2-dim census member."""
-    col = [t.matrix.data[r][3] for r in range(4)]
-    return tuple(col)
+    return tuple(t.matrix.col(3))
 
 
 def identify_family(t: TwistingMap) -> TwistFamilyDescriptor:

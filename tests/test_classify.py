@@ -126,10 +126,8 @@ def random_invertible(field, d, rng):
     else:
         pool = list(range(field.characteristic))
     while True:
-        m = Matrix(field, d, d)
-        for i in range(d):
-            for j in range(d):
-                m.data[i][j] = field.scalar(rng.choice(pool))
+        m = Matrix(field, d, d, [[rng.choice(pool) for _ in range(d)]
+                                 for _ in range(d)])
         if m.inverse() is not None:
             return m
 
@@ -141,7 +139,7 @@ def fraction_gram(a) -> Matrix:
     d = a.dim
     traces = [trace_of_left_mult(a, a.basis_element(m).coords) for m in range(d)]
     table = a.table
-    g = Matrix(f, d, d)
+    rows = [[f.zero] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
             acc = f.zero
@@ -149,8 +147,8 @@ def fraction_gram(a) -> Matrix:
                 c = table[i][j][m]
                 if c and traces[m]:
                     acc = f.add(acc, f.mul(c, traces[m]))
-            g.data[i][j] = acc
-    return g
+            rows[i][j] = acc
+    return Matrix(f, d, d, rows)
 
 
 def fraction_span_product(a, basis1, basis2) -> list:
@@ -351,10 +349,7 @@ def test_aq_to_matrix_rejected_at_plus_minus_2():
             [qh, xh, yh, f.neg(qh)],
             [qh, xh, f.neg(yh), qh],
         ]
-        m = Matrix(f, 4, 4)
-        for c, col in enumerate(cols):
-            for r, x in enumerate(col):
-                m.data[r][c] = x
+        m = Matrix(f, 4, 4, list(zip(*cols)))
         assert m.inverse() is None
         assert not is_isomorphism(
             m, standard_algebra("a_q", f, q=q), standard_algebra("matrix2", f)

@@ -419,6 +419,10 @@ def test_e_complex_hypothesis_errors():
     x = alg.basis_element(2)
     with pytest.raises(ValueError):
         hh_e_complex(alg, [e, f, x], 2)
+    # a fifth coordinate used to be dropped without a word
+    for coords in (e.coords + [5], e.coords[:3]):
+        with pytest.raises(ValueError, match="^each idempotent needs 4 coordinates$"):
+            hh_e_complex(alg, [coords, f.coords], 2)
     cubic = path_algebra_acyclic(L3, QQ)
     idems = [cubic.basis_element(i) for i in range(3)]
     with pytest.raises(ValueError):

@@ -271,3 +271,29 @@ def test_fractional_doc_round_trips_byte_identically():
     assert alg.scale == 12
     assert alg.int_table == [[[6, 0], [0, 0]], [[0, 0], [0, -9]]]
     assert alg.int_unit == [24, -16]
+
+
+def test_is_algebra_map_refuses_mixed_fields():
+    # both of these used to pass the check: the integers agree mod 5
+    kq, k5 = (standard_algebra("k_n", f, n=2) for f in (QQ, GF(5)))
+    for m, a, b in ((Matrix.identity(GF(5), 2), kq, k5),
+                    (Matrix.identity(QQ, 2), k5, k5),
+                    (Matrix.identity(GF(5), 2), kq, kq)):
+        with pytest.raises(ValueError, match="field mismatch"):
+            is_algebra_map(m, a, b)
+    assert is_algebra_map(Matrix.identity(GF(5), 2), k5, k5)
+    assert is_algebra_map(Matrix.identity(QQ, 2), kq, kq)
+
+
+def test_coordinates_must_match_the_dimension():
+    # a third coordinate used to be kept by element and dropped by the product
+    alg = standard_algebra("k_n", QQ, n=2)
+    for coords in ([1, 2, 3], [1], []):
+        with pytest.raises(ValueError, match=f"^{len(coords)} coordinates for an "
+                           "algebra of dim 2$"):
+            alg.element(coords)
+        for x, y in ((coords, [1, 0]), ([1, 0], coords)):
+            with pytest.raises(ValueError, match="coordinates for an algebra of dim 2"):
+                alg.multiply_coords(x, y)
+    assert alg.multiply_coords([1, 2], [Fraction(1, 2), 4]) == [Fraction(1, 2), 8]
+    assert (alg.element([1, 2]) * alg.element([3, 4])).coords == [3, 8]

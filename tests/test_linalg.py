@@ -253,9 +253,8 @@ def test_kron_examples():
     assert (k.rows, k.cols) == (8, 15)
     swap = Matrix(QQ, 2, 2, [[0, 1], [1, 0]])
     s2 = swap.kron(swap)
-    expected = Matrix(QQ, 4, 4)
-    for i, j in ((0, 3), (1, 2), (2, 1), (3, 0)):
-        expected.data[i][j] = QQ.one
+    expected = Matrix(QQ, 4, 4, [[int(i + j == 3) for j in range(4)]
+                                 for i in range(4)])
     assert s2 == expected
     with pytest.raises(ValueError):
         Matrix.identity(QQ, 2).kron(Matrix.identity(GF(3), 2))
@@ -308,6 +307,53 @@ def test_matrix_product_and_inverse():
     a = Matrix(f5, 2, 3, [[1, 2, 3], [4, 0, 1]])
     v = a.apply([1, 1, 1])
     assert v == [1, 0]
+
+
+def _dot(f, u, v):
+    acc = f.zero
+    for x, y in zip(u, v):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def test_matrix_holds_one_integer_form():
+    # the form is unique: the integers and the scale multiplied alike (over
+    # Q), or shifted by multiples of p (over F_p), give the same slots
+    rng = random.Random(37)
+    for field in (QQ, GF(2), GF(13)):
+        f, p = field, field.characteristic
+        for m in _corpus(field, rng):
+            data = m.data
+            assert (m.ints, m.scale) == scale_to_integers(data, p)
+            k = rng.randint(2, 9)
+            same = Matrix._from_integer_form(
+                f, m.rows, m.cols,
+                [[x + p * rng.randint(-2, 2) if p else k * x for x in row]
+                 for row in m.ints], 1 if p else k * m.scale)
+            assert (same.ints, same.scale) == (m.ints, m.scale) and same == m
+            # data is a fresh copy: writing into it leaves m as it was
+            if m.rows and m.cols:
+                data[0][0] = None
+                assert m.data[0][0] is not None
+        # the operations against the same sums and products of field scalars
+        for _ in range(20):
+            r, c, s = (rng.randint(1, 4) for _ in range(3))
+            a, b = (Matrix(f, r, c, [[_corpus_scalar(f, rng) for _ in range(c)]
+                                     for _ in range(r)]) for _ in range(2))
+            t = Matrix(f, c, s, [[_corpus_scalar(f, rng) for _ in range(s)]
+                                 for _ in range(c)])
+            ad, bd, td = a.data, b.data, t.data
+            assert (a + b).data == [[f.add(x, y) for x, y in zip(u, v)]
+                                    for u, v in zip(ad, bd)]
+            assert (a - b).data == [[f.sub(x, y) for x, y in zip(u, v)]
+                                    for u, v in zip(ad, bd)]
+            assert a - a == Matrix(f, r, c)
+            assert (a * t).data == [[_dot(f, u, v) for v in zip(*td)] for u in ad]
+            assert a.kron(t).data == [[f.mul(x, y) for x in u for y in v]
+                                      for u in ad for v in td]
+            vec = [_corpus_scalar(f, rng) for _ in range(c)]
+            assert a.apply(vec) == [_dot(f, u, vec) for u in ad]
+            assert [a.col(j) for j in range(c)] == [list(col) for col in zip(*ad)]
 
 
 def test_echelon_basis_and_coords():

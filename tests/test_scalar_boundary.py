@@ -1,4 +1,5 @@
-"""Field scalars of an algebra's constants stay at the boundary.
+"""Field scalars of an algebra's constants and of a matrix stay at the
+boundary.
 
 An algebra holds only its integer form (``int_table``, ``int_unit``,
 ``scale``); ``Algebra.table`` and ``Algebra.unit`` compute field scalars
@@ -6,6 +7,13 @@ from it on each call, for output and for callers outside the package.
 Every ``src/twistlab/*.py`` is parsed, not imported: no module but
 algebra.py reads an attribute named ``table`` or ``unit``, and inside
 algebra.py only the boundary functions do.  The slots of an algebra hold
+no Fraction.
+
+A matrix likewise holds ``ints`` and one ``scale``, and ``Matrix.data``
+makes fresh lists of field scalars on each call.  So no module in
+``src/`` scales a ``.data`` read back to integers (it reads ``ints`` and
+``scale``), and no file in ``src/`` or ``tests/`` assigns into
+``.data[...]``, a write that would be lost.  The slots of a matrix hold
 no Fraction.
 """
 
@@ -16,10 +24,14 @@ from pathlib import Path
 
 from twistlab.fields import GF, QQ
 from twistlab.algebra import Algebra, change_of_basis, standard_algebra
+from twistlab.duplicates import duplicate_to_twisting_map, roundtrip_datum
+from twistlab.linalg import Matrix
+from twistlab.twisting import TwistFamilyDescriptor, family_member
 
 from test_algebra import random_basis_change
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "twistlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "twistlab"
 
 # where algebra.py may turn the integer form into field scalars
 BOUNDARY = {"to_doc", "unit_element"}
@@ -67,13 +79,18 @@ def fractions_in(value) -> int:
     return 0
 
 
-def test_algebra_slots_hold_no_fraction():
-    tree = ast.parse((SRC / "algebra.py").read_text())
+def class_slots(path: Path, name: str) -> tuple:
+    """The ``__slots__`` literal of the class name in the file at path."""
+    tree = ast.parse(path.read_text())
     cls = next(node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "Algebra")
-    slots = next(ast.literal_eval(node.value) for node in cls.body
-                 if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets] == ["__slots__"])
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return next(ast.literal_eval(node.value) for node in cls.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["__slots__"])
+
+
+def test_algebra_slots_hold_no_fraction():
+    slots = class_slots(SRC / "algebra.py", "Algebra")
     assert slots == Algebra.__slots__
     assert not {"table", "unit"} & set(slots)
     # over Q with denominators in the constants, from each constructor
@@ -85,3 +102,100 @@ def test_algebra_slots_hold_no_fraction():
         assert fractions_in(case.table) or case.field.characteristic
         for name in slots:
             assert fractions_in(getattr(case, name)) == 0, (case, name)
+
+
+def test_matrix_slots_hold_no_fraction():
+    slots = class_slots(SRC / "linalg.py", "Matrix")
+    assert slots == Matrix.__slots__ == ("field", "rows", "cols", "ints", "scale")
+    # over Q with denominators in the entries, from each constructor and
+    # each operation that makes a matrix
+    rng = random.Random(11)
+    m = random_basis_change(QQ, 3, rng)
+    half = Matrix(QQ, 3, 3, [[Fraction(1, 2)] * 3] * 3)
+    z2 = standard_algebra("group_algebra_z2", QQ)
+    cases = [m, m.inverse(), m * half, m + half, m - half, m.kron(half),
+             Matrix.from_rows(QQ, [["1/3", "2"]]), Matrix.column_vector(QQ, ["-5/7"]),
+             family_member(TwistFamilyDescriptor("line_char_ne_2", "3/4"), z2, z2).matrix,
+             duplicate_to_twisting_map(roundtrip_datum(QQ, "1/2", "-3/2")).matrix]
+    for case in cases:
+        assert fractions_in(case.data), case
+        for name in slots:
+            assert fractions_in(getattr(case, name)) == 0, (case, name)
+
+
+def called_name(node) -> str:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def scaled_data_reads(tree) -> list:
+    """Line of every ``scale_to_integers`` call with a ``.data`` read in
+    its arguments."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and called_name(node) == "scale_to_integers"
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "data"
+                    for arg in node.args + [k.value for k in node.keywords]
+                    for sub in ast.walk(arg))]
+
+
+def assigned(target):
+    """The single targets of an assignment target, through tuples."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from assigned(elt)
+    elif isinstance(target, ast.Starred):
+        yield from assigned(target.value)
+    else:
+        yield target
+
+
+def data_writes(tree) -> list:
+    """Line of every assignment into a subscript of an attribute named
+    data, such as ``m.data[i][j] = x``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = [node.target]
+        else:
+            continue
+        for target in (t for top in targets for t in assigned(top)):
+            base = target
+            while isinstance(base, ast.Subscript):
+                base = base.value
+            if (base is not target and isinstance(base, ast.Attribute)
+                    and base.attr == "data"):
+                out.append(target.lineno)
+    return out
+
+
+def test_the_matrix_checks_find_what_they_look_for():
+    writes = ast.parse("m.data[0][1] = 2\nx, m.data[0] = 1, [2]\n"
+                       "m.data[0][0] += 1\ndata[0][0] = 1\ny = m.data[0][0]\n"
+                       "z[m.data[0][0]] = 1\n")
+    assert data_writes(writes) == [1, 2, 3]
+    calls = ast.parse("scale_to_integers(m.data, p)\nlinalg.scale_to_integers([a.data], p)\n"
+                      "scale_to_integers(data, p)\nscale_to_integers(m.ints, p)\n")
+    assert scaled_data_reads(calls) == [1, 2]
+
+
+def test_no_module_rescales_a_matrix():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        lines = scaled_data_reads(ast.parse(path.read_text(), filename=str(path)))
+        assert lines == [], f"{path.name} scales a .data read at {lines}"
+
+
+def test_nothing_assigns_into_matrix_data():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(files) >= 25
+    for path in files:
+        lines = data_writes(ast.parse(path.read_text(), filename=str(path)))
+        assert lines == [], f"{path.name} assigns into .data at {lines}"
+    # each read of data is a fresh copy, so such a write is lost
+    m = Matrix.identity(QQ, 2)
+    rows = m.data
+    rows[0][1] = QQ.one
+    assert m.data == [[1, 0], [0, 1]] and m == Matrix.identity(QQ, 2)

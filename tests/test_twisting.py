@@ -75,33 +75,27 @@ def z2_pair(field):
 
 
 def pqrs_matrix(field, p, q, r, s):
-    m = Matrix(field, 4, 4)
-    m.data[0][0] = field.one
-    m.data[2][1] = field.one
-    m.data[1][2] = field.one
-    m.data[0][3] = field.scalar(p)
-    m.data[1][3] = field.scalar(q)
-    m.data[2][3] = field.scalar(r)
-    m.data[3][3] = field.scalar(s)
-    return m
+    return Matrix(field, 4, 4, [
+        [1, 0, 0, p],
+        [0, 0, 1, q],
+        [0, 1, 0, r],
+        [0, 0, 0, s],
+    ])
 
 
 def _mult_matrix(a):
     """mu_A as a matrix A(x)A -> A: column i*d+j is e_i*e_j."""
     d = a.dim
-    m = Matrix(a.field, d, d * d)
-    for i in range(d):
-        for j in range(d):
-            col = a.table[i][j]
-            for k in range(d):
-                m.data[k][i * d + j] = col[k]
-    return m
+    table = a.table
+    cols = [table[i][j] for i in range(d) for j in range(d)]
+    return Matrix(a.field, d, d * d, list(zip(*cols)))
 
 
 def _first_bad_column(got, want):
+    g, w = got.data, want.data
     for c in range(got.cols):
         for r in range(got.rows):
-            if got.data[r][c] != want.data[r][c]:
+            if g[r][c] != w[r][c]:
                 return c
     return None
 
@@ -785,7 +779,11 @@ def reference_twist_failures(cols, a, b, a_idx, b_idx):
         for j in a_idx:
             col1 = cols[i * da + j]
             for k in a_idx:
-                lhs = twisting._combination(atab[j][k], cols[i * da:(i + 1) * da], d)
+                lhs = [0] * d
+                for c, col in zip(atab[j][k], cols[i * da:(i + 1) * da]):
+                    for r in range(d):
+                        if c and col[r]:
+                            lhs[r] += c * col[r]
                 rhs = [0] * d
                 for mm in range(da):
                     arow = atab[mm]
@@ -810,7 +808,11 @@ def reference_twist_failures(cols, a, b, a_idx, b_idx):
         for j in b_idx:
             for k in a_idx:
                 col1 = cols[j * da + k]
-                lhs = twisting._combination(btab[i][j], cols[k::da], d)
+                lhs = [0] * d
+                for c, col in zip(btab[i][j], cols[k::da]):
+                    for r in range(d):
+                        if c and col[r]:
+                            lhs[r] += c * col[r]
                 rhs = [0] * d
                 for mm in range(da):
                     col2 = cols[i * da + mm]
