@@ -40,8 +40,8 @@ from .algebra import (
     is_separable,
     radical_power_dims,
 )
-from .linalg import (Matrix, integer_echelon, scale_to_integers,
-                     sparse_compose_zero, sparse_echelon)
+from .linalg import (Matrix, entry_values, integer_echelon,
+                     scale_to_integers, sparse_compose_zero, sparse_echelon)
 from .quivers import (
     Quiver,
     is_connected,
@@ -108,10 +108,10 @@ class HHProfile:
 
 def _reduced(col: dict, p: int) -> dict:
     """A sparse integer column without its zero entries, reduced mod p
-    over F_p (p > 0)."""
+    over F_p (p > 0); over Q the column itself when no entry cancelled."""
     if p:
         return {r: x % p for r, x in col.items() if x % p}
-    return {r: x for r, x in col.items() if x}
+    return col if all(col.values()) else {r: x for r, x in col.items() if x}
 
 
 def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
@@ -127,6 +127,8 @@ def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
     mask, decide exactly by the uniqueness of signed-digit forms; the
     bound and both arguments are in its docstring and ``linalg._slot_test``);
     then rank-nullity gives dim H^n = dim C^n - rank d^n - rank d^(n-1).
+    The check reads each degree's set of entry values at most once, and
+    only for the pairs that its vacuity test does not settle.
 
     Clearing: rank d^(n+1) is the rank of its columns j that are not
     pivots of d^n, so only those are eliminated. Each row ``sparse_echelon``
@@ -142,12 +144,22 @@ def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
     ``rank`` of d^n, the columns of d^n that clearing skipped
     (``cleared``), its nonzeros (``nnz``), and the seconds spent on the
     check that d^(n+1) d^n = 0 (``d2_s``, 0 in the top degree) and on the
-    rank (``rank_s``).
+    rank (``rank_s``). The routes add the seconds each degree's columns
+    took to build (``build_s``, see ``_timed_dims``).
     """
+    value_sets = {}
+
+    # each degree's entry values, made when the check first reads them
+    def values(cols: list) -> set:
+        key = id(cols)
+        if key not in value_sets:
+            value_sets[key] = entry_values(cols)
+        return value_sets[key]
+
     d2_s = []
     for n in range(len(deltas) - 1):
         start = perf_counter()
-        if not sparse_compose_zero(deltas[n + 1], deltas[n], p):
+        if not sparse_compose_zero(deltas[n + 1], deltas[n], p, values):
             raise AssertionError(f"coboundary square nonzero at degree {n}")
         d2_s.append(perf_counter() - start)
     d2_s.append(0.0)
@@ -168,6 +180,23 @@ def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
         rec["cochain_dim"] - rec["rank"] - (records[n - 1]["rank"] if n else 0)
         for n, rec in enumerate(records)
     ]
+
+
+def _timed_dims(build, N: int, p: int, start: float) -> tuple:
+    """(dims, stats) of ``complex_dims`` on the columns build(n), n = 0..N;
+    each record gains ``build_s``, the seconds build(n) took, the first
+    counted from start."""
+    deltas, build_s = [], []
+    for n in range(N + 1):
+        deltas.append(build(n))
+        now = perf_counter()
+        build_s.append(now - start)
+        start = now
+    stats = []
+    dims = complex_dims(deltas, p, stats)
+    for record, seconds in zip(stats, build_s):
+        record["build_s"] = seconds
+    return dims, stats
 
 
 @dataclass
@@ -230,18 +259,19 @@ def hh_rsz(q: Quiver, field: Field = QQ, N: int = 10) -> HHProfile:
 
     One ``rsz_pairs`` pass enumerates the paths up to length N+1, at most
     PATH_LAYER_BOUND of each length (``walks``), and ``rsz_layer`` builds
-    each degree's block map from it. The d^2 = 0 check
-    that `complex_dims` runs here holds by the block shape (0 0; D 0) for
-    any D, so it certifies nothing for this route; the route is
-    cross-checked by `hh_bar` and the closed forms.
+    each degree's block map from it; degree 0's ``build_s`` includes
+    that pass. The d^2 = 0 check that `complex_dims` runs here holds by
+    the block shape (0 0; D 0) for any D, so it certifies nothing for
+    this route; the route is cross-checked by `hh_bar` and the closed
+    forms.
     """
     if not (0 <= N <= RSZ_DEGREE_BOUND):
         raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
     p = field.characteristic
+    start = perf_counter()
     pairs = rsz_pairs(q, N + 1)
-    layers = [rsz_layer(q, pairs, n, p) for n in range(N + 1)]
-    stats = []
-    dims = complex_dims([layer.columns for layer in layers], p, stats)
+    dims, stats = _timed_dims(lambda n: rsz_layer(q, pairs, n, p).columns,
+                              N, p, start)
     return HHProfile(dims, "rsz-complex",
                      f"rsz:{q.vertex_count}v{len(q.arrows)}a", stats)
 
@@ -358,9 +388,8 @@ def hh_bar(a: Algebra, N: int) -> HHProfile:
             f"the bar budget of {budget} caps d (d-1)^(N+1), which is {rows} "
             f"for dim {d} at degree {N}; lower N or raise TWISTLAB_BUDGET"
         )
-    deltas = [bar_coboundary_columns(a, n) for n in range(N + 1)]
-    stats = []
-    dims = complex_dims(deltas, a.field.characteristic, stats)
+    dims, stats = _timed_dims(lambda n: bar_coboundary_columns(a, n), N,
+                              a.field.characteristic, perf_counter())
     return HHProfile(dims, "bar-complex", f"bar:dim{d}", stats)
 
 

@@ -243,7 +243,8 @@ def rref_scalars(field: Field, rows: list) -> list:
 def integer_echelon(rows: list, p: int) -> list:
     """Reduced echelon form of the span of integer rows (residues over
     F_p), as integer rows by ascending leading column: each is the RREF
-    row times its leading entry (1 over F_p; over Q the row is primitive).
+    row times its leading entry (1 over F_p; over Q the row is primitive
+    and its leading entry positive), so the rows depend on the span alone.
 
     Coordinate j is numbered n - 1 - j, so that the pivot ``sparse_echelon``
     picks is the leading column.  Back-substitution takes the kept rows by
@@ -262,8 +263,8 @@ def integer_echelon(rows: list, p: int) -> list:
         vec = [0] * (top + 1)
         for c, x in pivots[k].items():
             vec[top - c] = x
-        g = 1 if p else gcd(*vec)
-        out.append([x // g for x in vec] if g > 1 else vec)
+        g = 1 if p else (gcd(*vec) if vec[top - k] > 0 else -gcd(*vec))
+        out.append([x // g for x in vec] if g != 1 else vec)
     return out
 
 
@@ -313,13 +314,15 @@ def sparse_echelon(vectors: list, p: int = 0) -> dict:
     kept row may be nonzero at smaller pivots; rows with distinct largest
     coordinates are triangular all the same, and the pivot set is that of
     full reduction.  Over Q a kept row is gcd-reduced, which keeps the
-    integers small on the incidence-like matrices this is used for; over
-    F_p it is scaled to pivot 1.
+    integers small on the incidence-like matrices this is used for, and
+    its sign is whatever ``_eliminate`` left (it never rescales a row by
+    -1 alone); over F_p it is scaled to pivot 1.
     """
     pivots = {}
     for vec in vectors:
         if not p:
-            v = {k: x for k, x in vec.items() if x}
+            v = dict(vec) if all(vec.values()) else {
+                k: x for k, x in vec.items() if x}
         else:
             v = {}
             for k, x in vec.items():
@@ -346,8 +349,12 @@ def sparse_echelon(vectors: list, p: int = 0) -> dict:
 def _eliminate(v: dict, piv: dict, k: int, p: int) -> None:
     """Clear coordinate k of v, in place, with the row piv (nonzero at k).
 
-    Over F_p piv[k] is 1.  Over Q v is scaled by piv[k] / gcd before the
-    subtraction and divided by the gcd of its entries after it.
+    Over F_p piv[k] is 1.  Over Q, with g = gcd(piv[k], v[k]), v becomes
+    (piv[k] / g) v - (v[k] / g) piv, divided by the gcd of its entries.
+    When piv[k] / g is negative, both coefficients change sign instead,
+    which negates the result: the span is the same, and no pass over v
+    rescales it by -1 (fraction-free elimination spends no pass that
+    does not clear an entry; Bareiss 1968).
     """
     if p:
         c = v[k]
@@ -359,7 +366,7 @@ def _eliminate(v: dict, piv: dict, k: int, p: int) -> None:
                 v.pop(j, None)
         return
     a, b = piv[k], v[k]
-    g = gcd(a, b)
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
     ca, cb = a // g, b // g
     if ca != 1:
         for j in v:
@@ -386,42 +393,50 @@ def sparse_rank(vectors: list, p: int = 0) -> int:
     return len(sparse_echelon(vectors, p))
 
 
-def sparse_compose_zero(outer: list, inner: list, p: int = 0) -> bool:
+def entry_values(cols: list) -> set:
+    """The set of entry values of a sparse column family."""
+    return set(chain.from_iterable(map(dict.values, cols)))
+
+
+def sparse_compose_zero(outer: list, inner: list, p: int = 0,
+                        values=entry_values) -> bool:
     """Whether outer∘inner = 0 for sparse column families, exactly.
 
     ``inner[j]`` is the j-th column of the first map as {row: int}; the
     rows of ``inner`` index the columns of ``outer``.  Over F_p each entry
     is read as the integer in (-p/2, p/2] of its residue class.
+    ``values`` gives the set of entry values of a family
+    (``entry_values``); ``complex_dims`` passes one that makes each
+    degree's set at most once.
 
     Kronecker substitution: row r of ``inner`` becomes one integer
     I[r] = sum_j inner[j][r] 2^(w j), so that R[rr] = sum_r outer[r][rr] I[r]
-    holds entry (rr, j) of the composite in slot j.  That entry is at most
-    B = (largest sum of |entries| of an inner column) times (largest
-    |entry| of ``outer``) in absolute value, and B is at most (longest
-    inner column) max|inner| max|outer|; w is ``_slot_width(B, p)``, and
-    ``_slot_test`` tests all slots of R[rr] at once (see there for why it
-    is exact).  No slot is read in Python.
+    holds entry (rr, j) of the composite in slot j.  That entry is a sum
+    of at most len(inner[j]) products, so it is at most
+    B = (longest inner column) max|inner| max|outer| in absolute value,
+    the maxima taken over the two value sets; w is ``_slot_width(B, p)``,
+    and ``_slot_test`` tests all slots of R[rr] at once (see there for
+    why it is exact).  No slot is read in Python.
 
     The R[rr] hold w bits for each inner column and each outer row.  So
     that they never take more bytes than the columns being checked (their
     dicts, and an integer key per entry), the inner columns are taken in
     blocks of at most that many; on the bar complex of the alpha = 2
     product a second block first appears at the pair (d^5, d^6).  Each
-    I[r] is freed once it is consumed.  The check returns before packing
-    anything when no inner entry meets a nonzero outer column (the block
+    I[r] is freed once it is consumed.  The check returns before reading
+    any value when no inner entry meets a nonzero outer column (the block
     shape of the parallel-paths complex).
     """
-    if not any(outer[r] for col in inner for r in col):
+    if not any(map(outer.__getitem__, chain.from_iterable(inner))):
         return True
-    seen = set(chain.from_iterable(map(dict.values, inner)))
-    used = set(chain.from_iterable(map(dict.values, outer)))
+    seen, used = values(inner), values(outer)
     if p:
         half = p // 2
         lift = {x: x % p - p if x % p > half else x % p for x in seen | used}
+        size = {x: abs(y) for x, y in lift.items()}.__getitem__
     else:
-        lift = {x: x for x in seen | used}
-    size = {x: abs(y) for x, y in lift.items()}.__getitem__
-    bound = (max(sum(map(size, col.values())) for col in inner)
+        size = abs
+    bound = (max(map(len, inner)) * max(map(size, seen))
              * max(map(size, used)))
     if not bound:
         return True
@@ -434,15 +449,19 @@ def sparse_compose_zero(outer: list, inner: list, p: int = 0) -> bool:
     step = max(1, min(len(inner), 8 * held // (rows * w)))
     zero = _slot_test(bound, p, w, step)
     for start in range(0, len(inner), step):
+        # the hot loops: over Q the entries need no lift
         packed = {}
         for j, col in enumerate(inner[start:start + step]):
             shift = w * j
-            for r, x in col.items():
-                packed[r] = packed.get(r, 0) + (lift[x] << shift)
+            if p:
+                for r, x in col.items():
+                    packed[r] = packed.get(r, 0) + (lift[x] << shift)
+            else:
+                for r, x in col.items():
+                    packed[r] = packed.get(r, 0) + (x << shift)
         acc = {}
         while packed:
             r, x = packed.popitem()
-            # the hottest loop: over Q it skips the (identity) lift
             if p:
                 for rr, v in outer[r].items():
                     acc[rr] = acc.get(rr, 0) + lift[v] * x

@@ -159,7 +159,7 @@ def test_hh_stats(capsys):
     assert [s["degree"] for s in stats] == list(range(5))
     for n, s in enumerate(stats):
         assert set(s) == {"degree", "cochain_dim", "rank", "cleared", "nnz",
-                          "d2_s", "rank_s"}
+                          "build_s", "d2_s", "rank_s"}
         below = stats[n - 1]["rank"] if n else 0
         assert s["cochain_dim"] == doc["dims"][n] + s["rank"] + below
     code, out, _ = run(capsys, "hh", "--quiver", "roundtrip", "--N", "4")

@@ -39,7 +39,8 @@ from twistlab.hochschild import (
     thm_formula,
     verify_counterexample,
 )
-from twistlab.linalg import Matrix, echelon_basis, sparse_compose_zero, sparse_rank
+from twistlab.linalg import (Matrix, echelon_basis, entry_values,
+                             sparse_compose_zero, sparse_rank)
 from twistlab.twisting import (
     TwistFamilyDescriptor,
     family_member,
@@ -725,9 +726,9 @@ def test_routes_check_every_consecutive_pair_once(monkeypatch):
     # pairs included, though there it returns before packing anything
     calls = []
 
-    def spy(outer, inner, p=0):
+    def spy(outer, inner, p=0, values=entry_values):
         calls.append((len(inner), len(outer)))
-        return sparse_compose_zero(outer, inner, p)
+        return sparse_compose_zero(outer, inner, p, values)
 
     monkeypatch.setattr(hochschild, "sparse_compose_zero", spy)
     prod = z2_product(GF(5), "line_char_ne_2", 2)
@@ -757,6 +758,7 @@ def test_stats_records_recheck_rank_nullity():
             assert 0 <= s["cleared"] <= below
             assert s["nnz"] >= s["rank"]
             assert s["d2_s"] >= 0 and s["rank_s"] >= 0
+            assert s["build_s"] >= 0
         assert stats[-1]["d2_s"] == 0.0
         assert sum(s["cleared"] for s in stats) > 0
         assert set(prof.to_doc()) == {"algebra_tag", "method", "dims"}

@@ -39,7 +39,7 @@ from twistlab.twisting import (
     twisted_product,
 )
 
-from test_hochschild import random_invertible
+from test_hochschild import random_invertible, z2_product
 
 
 def gauss_jordan_rref(m: Matrix) -> tuple:
@@ -437,6 +437,27 @@ def test_sparse_echelon_matches_full_reduction():
                 field.name, family)
 
 
+def test_sparse_echelon_matches_full_reduction_on_bar_coboundaries(monkeypatch):
+    # the bar coboundaries over Q of the flip and of the class III product
+    # are where most eliminations meet a negative pivot, whose ratio
+    # _eliminate folds into its coefficients instead of negating the row
+    folded = []
+
+    def spy(v, piv, k, p):
+        folded.append(piv[k] < 0)
+        return eliminate(v, piv, k, p)
+
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    for family in ("flip", "isolated_iii"):
+        prod = z2_product(QQ, family)
+        for n in range(5):
+            folded.clear()
+            reference_pivots(bar_coboundary_columns(prod, n), 0)
+            if n:
+                assert sum(folded) > 0, (family, n)
+
+
 def _corpus_scalar(field, rng):
     p = field.characteristic
     if p:
@@ -512,6 +533,23 @@ def _wide_corpus(field, rng):
             shapes.append(Matrix.from_rows(field, rows))
             shapes.append(Matrix.from_rows(field, rows[:-1] + [rows[0]]))
     return shapes
+
+
+def test_integer_echelon_depends_on_the_span_alone():
+    # over Q each row is primitive with a positive leading entry, so
+    # shuffling the rows and negating some of them changes nothing
+    rng = random.Random(41)
+    for _ in range(400):
+        width = rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(width)]
+                for _ in range(rng.randint(1, 6))]
+        rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        moved = [[-x for x in row] if rng.random() < 0.5 else row
+                 for row in rng.sample(rows, len(rows))]
+        want = integer_echelon(rows, 0)
+        assert integer_echelon(moved, 0) == want, rows
+        for row in want:
+            assert gcd(*row) == 1 and next(x for x in row if x) > 0
 
 
 def test_integer_core_matches_gauss_jordan_reference():
