@@ -109,10 +109,10 @@ def _load_algebra(spec: str, field) -> Algebra:
         with open(spec) as fh:
             return Algebra.from_json(fh.read())
     name, _, par = spec.partition(":")
-    if name == "k_n":
-        return standard_algebra(name, field, n=int(par))
-    if name == "a_q":
-        return standard_algebra(name, field, q=int(par))
+    if name in ("k_n", "a_q"):
+        if not par.removeprefix("-").isdecimal():
+            raise ValueError(f"{name} takes an integer parameter, got {par!r}")
+        return standard_algebra(name, field, **{name[-1]: int(par)})  # n or q
     if par:
         raise ValueError(f"{name} takes no parameter")
     return standard_algebra(name, field)

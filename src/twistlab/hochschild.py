@@ -107,10 +107,16 @@ class HHProfile:
 
 
 def _reduced(col: dict, p: int) -> dict:
-    """A sparse integer column without its zero entries, reduced mod p
-    over F_p (p > 0); over Q the column itself when no entry cancelled."""
+    """A sparse integer column without its zero entries: over Q the column
+    itself when no entry cancelled; over F_p (p > 0) the signed residues in
+    (-p/2, p/2], the one form of an F_p cochain column."""
     if p:
-        return {r: x % p for r, x in col.items() if x % p}
+        half, out = p >> 1, {}
+        for r, x in col.items():
+            x %= p
+            if x:
+                out[r] = x - p if x > half else x
+        return out
     return col if all(col.values()) else {r: x for r, x in col.items() if x}
 
 
@@ -119,13 +125,14 @@ def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
 
     ``deltas[n]`` maps degree n into degree n+1, one dict {row: int} per
     basis element of degree n, so dim C^n is its length; entries are
-    integers over Q (p = 0) and residues over F_p. The composite of each
-    consecutive pair is checked to vanish, on the full columns, before any
-    rank is taken (``sparse_compose_zero``: every entry of the composite
-    packed by Kronecker substitution into slots wider than its bound B, so
-    that a zero integer over Q, and over F_p one divisibility test and one
-    mask, decide exactly by the uniqueness of signed-digit forms; the
-    bound and both arguments are in its docstring and ``linalg._slot_test``);
+    integers over Q (p = 0) and signed residues over F_p (``_reduced``).
+    The composite of each consecutive pair is checked to vanish, on the
+    full columns, before any rank is taken (``sparse_compose_zero``: every
+    entry of the composite packed by Kronecker substitution into slots
+    wider than its bound B, so that a zero integer over Q, and over F_p one
+    divisibility test and one mask, decide exactly by the uniqueness of
+    signed-digit forms; the bound and both arguments are in its docstring
+    and ``linalg._slot_test``);
     then rank-nullity gives dim H^n = dim C^n - rank d^n - rank d^(n-1).
     The check reads each degree's set of entry values at most once, and
     only for the pairs that its vacuity test does not settle.
@@ -234,7 +241,7 @@ def rsz_layer(q: Quiver, pairs: tuple, n: int, p: int) -> RszComplexLayer:
     D(gamma, e) = sum over arrows a leaving e of (gamma.a, a), plus
     (-1)^(n+1) times the sum over arrows a entering e of (a.gamma, a),
     and each Q_1 pair maps to zero. Entries are integers over Q (p = 0)
-    and residues over F_p.
+    and signed residues in (-p/2, p/2] over F_p (``_reduced``).
     """
     p0, p1 = pairs[0][n], pairs[1][n]
     shift = len(pairs[0][n + 1])
@@ -320,8 +327,8 @@ def bar_coboundary_columns(a: Algebra, n: int) -> list:
     Column (t, k), t in comp^n, is the normalized cochain sending e_t to
     e_k; row (s, m), s in comp^(n+1), is the e_m coordinate of its
     coboundary at e_s. Tuples over comp are numbered in base e = d - 1,
-    and (s, m) sits at s * d + m. Entries are integers over Q and residues
-    over F_p.
+    and (s, m) sits at s * d + m. Entries are integers over Q and signed
+    residues in (-p/2, p/2] over F_p (``_reduced``).
     """
     d = a.dim
     p = a.field.characteristic

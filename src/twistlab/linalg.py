@@ -19,7 +19,8 @@ The exact d^2 = 0 check ``sparse_compose_zero`` and ``algebra.verify_axioms``
 share one packing toolkit: a vector becomes one integer by Kronecker
 substitution (``_pack``), ``_slot_width`` takes the slot width from a
 bound on the slots, and ``_slot_test`` tests all of them at once, so the
-inner loops are big-integer sums.
+inner loops are big-integer sums.  The check reads its entries as given
+(F_p cochain columns hold signed residues, ``hochschild._reduced``).
 
 ``p`` is the characteristic throughout: 0 for Q, a prime for F_p.
 """
@@ -403,8 +404,9 @@ def sparse_compose_zero(outer: list, inner: list, p: int = 0,
     """Whether outer∘inner = 0 for sparse column families, exactly.
 
     ``inner[j]`` is the j-th column of the first map as {row: int}; the
-    rows of ``inner`` index the columns of ``outer``.  Over F_p each entry
-    is read as the integer in (-p/2, p/2] of its residue class.
+    rows of ``inner`` index the columns of ``outer``.  Each entry is read
+    as given, so over F_p any representatives give the same answer; small
+    ones (``hochschild._reduced``'s signed residues) keep the slots narrow.
     ``values`` gives the set of entry values of a family
     (``entry_values``); ``complex_dims`` passes one that makes each
     degree's set at most once.
@@ -429,15 +431,8 @@ def sparse_compose_zero(outer: list, inner: list, p: int = 0,
     """
     if not any(map(outer.__getitem__, chain.from_iterable(inner))):
         return True
-    seen, used = values(inner), values(outer)
-    if p:
-        half = p // 2
-        lift = {x: x % p - p if x % p > half else x % p for x in seen | used}
-        size = {x: abs(y) for x, y in lift.items()}.__getitem__
-    else:
-        size = abs
-    bound = (max(map(len, inner)) * max(map(size, seen))
-             * max(map(size, used)))
+    bound = (max(map(len, inner)) * max(map(abs, values(inner)))
+             * max(map(abs, values(outer))))
     if not bound:
         return True
     w = _slot_width(bound, p)
@@ -449,25 +444,16 @@ def sparse_compose_zero(outer: list, inner: list, p: int = 0,
     step = max(1, min(len(inner), 8 * held // (rows * w)))
     zero = _slot_test(bound, p, w, step)
     for start in range(0, len(inner), step):
-        # the hot loops: over Q the entries need no lift
         packed = {}
         for j, col in enumerate(inner[start:start + step]):
             shift = w * j
-            if p:
-                for r, x in col.items():
-                    packed[r] = packed.get(r, 0) + (lift[x] << shift)
-            else:
-                for r, x in col.items():
-                    packed[r] = packed.get(r, 0) + (x << shift)
+            for r, x in col.items():
+                packed[r] = packed.get(r, 0) + (x << shift)
         acc = {}
         while packed:
             r, x = packed.popitem()
-            if p:
-                for rr, v in outer[r].items():
-                    acc[rr] = acc.get(rr, 0) + lift[v] * x
-            else:
-                for rr, v in outer[r].items():
-                    acc[rr] = acc.get(rr, 0) + v * x
+            for rr, v in outer[r].items():
+                acc[rr] = acc.get(rr, 0) + v * x
         if not all(map(zero, acc.values())):
             return False
     return True

@@ -73,23 +73,26 @@ def walks(q: Quiver, top: int) -> list:
     Q_0 holds (v, v, ()) and Q_1 the arrows in index order; each longer
     layer extends the one before by the arrows leaving each target, so
     every layer is in lexicographic arrow order.  A ValueError, before it
-    is built, for a layer of more than PATH_LAYER_BOUND paths.
+    is built, for a layer of more than PATH_LAYER_BOUND paths, Q_0 included.
     """
-    out = [q.arrows_from(v) for v in range(q.vertex_count)]
-    layers = [
-        [(v, v, ()) for v in range(q.vertex_count)],
-        [(s, t, (a,)) for a, (s, t) in enumerate(q.arrows)],
-    ]
-    for n in range(2, top + 1):
-        count = sum(len(out[t]) for _, t, _ in layers[-1])
+    layers = []
+    for n in range(top + 1):
+        count = (q.vertex_count if n == 0 else len(q.arrows) if n == 1
+                 else sum(len(out[t]) for _, t, _ in layers[-1]))
         if count > PATH_LAYER_BOUND:
             raise ValueError(
                 f"{count} paths of length {n} exceed the "
                 f"{PATH_LAYER_BOUND}-path layer bound"
             )
-        layers.append([(s, q.arrows[a][1], arrows + (a,))
-                       for s, t, arrows in layers[-1] for a in out[t]])
-    return layers[: top + 1]
+        if n == 0:
+            layers.append([(v, v, ()) for v in range(q.vertex_count)])
+        elif n == 1:
+            layers.append([(s, t, (a,)) for a, (s, t) in enumerate(q.arrows)])
+            out = [q.arrows_from(v) for v in range(q.vertex_count)]
+        else:
+            layers.append([(s, q.arrows[a][1], arrows + (a,))
+                           for s, t, arrows in layers[-1] for a in out[t]])
+    return layers
 
 
 def is_crown(q: Quiver):

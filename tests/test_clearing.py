@@ -43,6 +43,16 @@ def reference_dims(deltas, p):
             for n, cols in enumerate(deltas)]
 
 
+def assert_signed_residues(deltas, p):
+    """Over F_p every entry is a nonzero signed residue in (-p/2, p/2]:
+    |x| <= (p - 1) // 2 for odd p, and x = 1 over GF(2)."""
+    if p:
+        for cols in deltas:
+            for col in cols:
+                for x in col.values():
+                    assert x and -p < 2 * x <= p, (p, x)
+
+
 def census_products(field):
     """Every census product over F_p; over Q the isolated members and three
     points of the line family."""
@@ -79,6 +89,7 @@ def test_clearing_matches_reference_on_bar_complex():
             # dense Fraction constants make the un-cleared ranks slow over Q
             for alg, N in ((prod, 3), (transport, 3 if p else 2)):
                 deltas = [bar_coboundary_columns(alg, n) for n in range(N + 1)]
+                assert_signed_residues(deltas, p)
                 assert complex_dims(deltas, p) == reference_dims(deltas, p), (
                     field.name, alg.table)
     assert moved >= 5
@@ -93,6 +104,7 @@ def test_clearing_matches_reference_on_rsz_complex():
         N = 5
         pairs = rsz_pairs(q, N + 1)
         deltas = [rsz_layer(q, pairs, n, p).columns for n in range(N + 1)]
+        assert_signed_residues(deltas, p)
         assert complex_dims(deltas, p) == reference_dims(deltas, p), (
             field.name, q.arrows)
 

@@ -251,6 +251,13 @@ def test_hh_input_validation(capsys):
     assert code == 2 and "needs a quiver" in err
 
 
+@pytest.mark.parametrize("spec, name, par", [
+    ("a_q:1/2", "a_q", "'1/2'"), ("k_n:", "k_n", "''"), ("k_n:x", "k_n", "'x'")])
+def test_hh_algebra_parameter_not_an_integer(capsys, spec, name, par):
+    assert run(capsys, "hh", "--algebra", spec, "--N", "1") == (
+        2, "", f"error: {name} takes an integer parameter, got {par}\n")
+
+
 def test_hh_malformed_json_inputs(tmp_path, capsys):
     # a missing key or a non-object document used to end in a traceback
     cases = (

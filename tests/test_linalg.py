@@ -652,28 +652,40 @@ def _planted(columns: list, rows: int, p: int, rng) -> list:
     return out
 
 
+def _shifted(columns: list, p: int, rng) -> list:
+    """The columns with each entry x replaced by x + k p, k in -3..3."""
+    return [{r: x + rng.randint(-3, 3) * p for r, x in col.items()}
+            for col in columns]
+
+
 def test_sparse_compose_zero_matches_reference_on_bar_columns():
     # every consecutive pair of bar coboundaries of census products and
     # their transports, and the same pairs with one planted change in an
-    # inner or an outer column
-    rng = random.Random(83)
+    # inner or an outer column; over F_p also each pair with its entries
+    # moved to other representatives of their residue classes, canonical
+    # residues and representatives far from any reduced form included
+    rng, shift = random.Random(83), random.Random(89)
     checked = caught = 0
     for field in (QQ, GF(3), GF(5), GF(7), GF(101)):
         p = field.characteristic
         for alg in _compose_products(field, rng):
             deltas = [bar_coboundary_columns(alg, n) for n in range(4)]
             for n in range(3):
-                outer, inner = deltas[n + 1], deltas[n]
-                assert sparse_compose_zero(outer, inner, p)
-                assert reference_compose_zero(outer, inner, p)
                 rows = alg.dim * (alg.dim - 1) ** (n + 2)
-                for pair in ((outer, _planted(inner, len(outer), p, rng)),
-                             (_planted(outer, rows, p, rng), inner)):
-                    want = reference_compose_zero(*pair, p)
-                    assert sparse_compose_zero(*pair, p) == want, (field, n)
-                    checked += 1
-                    caught += not want
-    assert checked == 240 and caught > 200
+                forms = [(deltas[n + 1], deltas[n])]
+                if p:
+                    forms.append((_shifted(deltas[n + 1], p, shift),
+                                  _shifted(deltas[n], p, shift)))
+                for (outer, inner), draw in zip(forms, (rng, shift)):
+                    assert sparse_compose_zero(outer, inner, p)
+                    assert reference_compose_zero(outer, inner, p)
+                    for pair in ((outer, _planted(inner, len(outer), p, draw)),
+                                 (_planted(outer, rows, p, draw), inner)):
+                        want = reference_compose_zero(*pair, p)
+                        assert sparse_compose_zero(*pair, p) == want, (field, n)
+                        checked += 1
+                        caught += not want
+    assert checked == 432 and caught > 360
 
 
 def test_sparse_compose_zero_matches_reference_in_blocks(monkeypatch):

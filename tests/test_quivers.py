@@ -67,6 +67,29 @@ def test_path_layer_bound_edge_on_two_loops():
         hh_rsz(q, GF(7), 31)
 
 
+def test_path_layer_bound_edge_on_vertices_and_arrows(monkeypatch):
+    wide = Quiver(PATH_LAYER_BOUND, [])
+    assert len(walks(wide, 2)[0]) == PATH_LAYER_BOUND
+    loops = Quiver(1, [(0, 0)] * PATH_LAYER_BOUND)
+    assert len(walks(loops, 1)[1]) == PATH_LAYER_BOUND
+    more = Quiver(1, [(0, 0)] * (PATH_LAYER_BOUND + 1))
+    # Q_1 is not checked when only Q_0 is asked for
+    assert walks(more, 0) == [[(0, 0, ())]]
+    past = f"{PATH_LAYER_BOUND + 1} paths of length"
+
+    # one step past the bound is refused before any layer is built
+    def refuse(self, v):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(Quiver, "arrows_from", refuse)
+    for top in (0, 1, 2):
+        with pytest.raises(ValueError, match=past + " 0 exceed"):
+            walks(Quiver(PATH_LAYER_BOUND + 1, []), top)
+    for top in (1, 2):
+        with pytest.raises(ValueError, match=past + " 1 exceed"):
+            walks(more, top)
+
+
 def test_crown_path_count_invariant():
     for c in (1, 2, 3, 4):
         q = standard_quiver("crown", c)
