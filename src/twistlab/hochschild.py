@@ -6,17 +6,18 @@ Hom((A/k*1)^(x)n, A) for arbitrary small algebras (quasi-isomorphic to
 the full bar complex, with cochain dimension d (d-1)^n instead of
 d^(n+1)), and the reduced complex Hom_(E-E)(J^(x)_E n, A) of a
 decomposition A = E + J with J^2 = 0, where E is spanned by complete
-orthogonal idempotents. The last one reads the block quiver off the
-Peirce basis (the idempotents, then a basis of each block e_u J e_v) and
-certifies the split by one explicit isomorphism from that quiver's
-truncated path algebra; the reduced complex is then the quiver's
-parallel-paths complex, so it runs the first route on the quiver. The two
-column builders, ``rsz_layer`` and ``bar_coboundary_columns``, emit
-sparse integer columns into one function, ``complex_dims``, which checks
-d^2 = 0 and then takes the ranks with clearing: each degree eliminates
-only the columns that are not pivots of the degree before. The bar route
-reads an integer table (``Algebra.int_table``). Closed-form evaluators
-cover connected non-crown quivers and crowns.
+orthogonal idempotents. ``block_quiver`` reads the block quiver of such
+a decomposition off the Peirce basis and certifies it by one explicit
+isomorphism from the quiver's truncated path algebra; the reduced complex
+is then the quiver's parallel-paths complex, so the last route runs the
+first on the quiver, and the counterexample runs the bar route on that
+path algebra. The two column builders, ``rsz_layer`` and
+``bar_coboundary_columns``, emit sparse integer columns into one
+function, ``complex_dims``, which checks d^2 = 0 and then takes the ranks
+with clearing: each degree eliminates only the columns that are not
+pivots of the degree before. The bar route reads an integer table
+(``Algebra.int_table``). Closed-form evaluators cover connected
+non-crown quivers and crowns.
 
 Ground-truth hierarchy when values disagree: normalized bar complex, then
 the two structural complexes, then closed-form formulas, then printed
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from time import perf_counter
 
 from .fields import Field, QQ
@@ -400,32 +402,23 @@ def hh_bar(a: Algebra, N: int) -> HHProfile:
     return HHProfile(dims, "bar-complex", f"bar:dim{d}", stats)
 
 
-def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
-    """Cohomology of 0 -> R^E -> Hom(J, R) -> Hom(J (x)_E J, R) -> ...
+def block_quiver(a: Algebra, idempotents: list) -> Quiver:
+    """The block quiver of a = E + J, certified by one isomorphism.
 
-    Requires a = E + J with E spanned by the given complete orthogonal
-    idempotents e_u, J the radical, and J^2 = 0. The Peirce basis (the
-    e_u, then the ``integer_echelon`` rows of each block e_u J e_v, spanned
-    by integer products of the rows of J from ``_radical_chain`` and the
-    idempotents times their common scale D) names the block
-    quiver Q: a vertex u per idempotent and an arrow u -> v per vector of
-    e_u J e_v, in that order. Under the hypotheses the Peirce basis maps
-    the truncated path algebra of Q isomorphically onto a, and one
-    ``is_isomorphism`` check certifies all of them at once; a ValueError
-    when it fails. Its matrix is the Peirce basis over D: the e_u exactly,
-    each arrow's image a nonzero multiple of its block vector, which is as
-    good for an isomorphism. The complex is then Q's parallel-paths
-    complex (Cibils 1998): its basis pair (path, m), a path of Q from u to
-    v and a basis vector m of the block (u, v), is ``rsz_layer``'s pair
-    (path, vertex m) or (path, arrow m - |Q_0|), and each column is
-    ``rsz_layer``'s times (-1)^(n+1). So the dims are ``hh_rsz``'s on Q,
-    with its degree bound RSZ_DEGREE_BOUND and its path-layer bound
-    (``walks``).
+    Requires E spanned by the given complete orthogonal idempotents e_u, J
+    the radical, and J^2 = 0. The Peirce basis (the e_u, then the
+    ``integer_echelon`` rows of each block e_u J e_v, spanned by integer
+    products of the rows of J from ``_radical_chain`` and the idempotents
+    times their common scale D) names the block quiver Q: a vertex u per
+    idempotent and an arrow u -> v per vector of e_u J e_v, in that order.
+    Under the hypotheses the Peirce basis maps the truncated path algebra
+    of Q isomorphically onto a, and one ``is_isomorphism`` check certifies
+    all of them at once; a ValueError when it fails. Its matrix is the
+    Peirce basis over D: the e_u exactly, each arrow's image a nonzero
+    multiple of its block vector, which is as good for an isomorphism. So
+    every isomorphism invariant of a, HH among them, may be computed on
+    ``truncated_path_algebra(Q)``.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if N > RSZ_DEGREE_BOUND:
-        raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
     f = a.field
     p = f.characteristic
     d = a.dim
@@ -453,8 +446,29 @@ def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
     iso = Matrix._from_integer_form(f, d, d, [list(r) for r in zip(*peirce)], scale)
     if not is_isomorphism(iso, truncated_path_algebra(q, f), a):
         raise ValueError(no_split)
-    rsz = hh_rsz(q, f, N)
-    return HHProfile(rsz.dims, "e-complex", f"e-complex:dim{d}", rsz.stats)
+    return q
+
+
+def hh_e_complex(a: Algebra, idempotents: list, N: int) -> HHProfile:
+    """Cohomology of 0 -> R^E -> Hom(J, R) -> Hom(J (x)_E J, R) -> ...
+
+    Requires a = E + J with E spanned by the given complete orthogonal
+    idempotents, J the radical, and J^2 = 0; ``block_quiver`` reads the
+    block quiver Q off the Peirce basis and certifies the split, a
+    ValueError when it fails. The complex is then Q's parallel-paths
+    complex (Cibils 1998): its basis pair (path, m), a path of Q from u to
+    v and a basis vector m of the block (u, v), is ``rsz_layer``'s pair
+    (path, vertex m) or (path, arrow m - |Q_0|), and each column is
+    ``rsz_layer``'s times (-1)^(n+1). So the dims are ``hh_rsz``'s on Q,
+    with its degree bound RSZ_DEGREE_BOUND and its path-layer bound
+    (``walks``).
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if N > RSZ_DEGREE_BOUND:
+        raise ValueError(f"N must be between 0 and {RSZ_DEGREE_BOUND}")
+    rsz = hh_rsz(block_quiver(a, idempotents), a.field, N)
+    return HHProfile(rsz.dims, "e-complex", f"e-complex:dim{a.dim}", rsz.stats)
 
 
 def thm_formula(q: Quiver, n: int):
@@ -499,7 +513,11 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
 
     Builds the line-family map at alpha = 2, checks both factors are
     separable and the map invertible, and certifies nonvanishing
-    cohomology of the product through degree N by two routes. Refutes
+    cohomology of the product through degree N by two routes, both on
+    the block quiver of the split e = (-1/2, -1, 1/2, 1), 1 - e, which
+    ``block_quiver`` certifies: ``hh_rsz`` through N, and ``hh_bar``
+    through 4 over Q and 5 over F_p on its truncated path algebra, with 6
+    nonzero structure constants to the product's 20. Refutes
     any bound of the form 'Hochschild dimension of a twisted tensor
     product is at most the sum of the factors' dimensions' (both
     factors have dimension 0 here).
@@ -520,9 +538,14 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
     b = standard_algebra("group_algebra_z2", field)
     t = family_member(TwistFamilyDescriptor("line_char_ne_2", 2), a, b)
     prod = twisted_product(t)
-    rsz = hh_rsz(standard_quiver("roundtrip"), field, N)
+    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
+    if e * e != e:
+        raise RuntimeError("e = (-1/2, -1, 1/2, 1) is not idempotent in the "
+                           "alpha = 2 product")
+    q = block_quiver(prod, [e, prod.unit_element() - e])
+    rsz = hh_rsz(q, field, N)
     n_bar = min(N, 4 if field.characteristic == 0 else 5)
-    bar = hh_bar(prod, n_bar)
+    bar = hh_bar(truncated_path_algebra(q, field), n_bar)
     report = {
         "field": field.name,
         "alpha": field.scalar_to_str(field.scalar(2)),
@@ -531,6 +554,7 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
         "twist_invertible": is_invertible(t),
         "product_radical_dims": radical_power_dims(prod),
         "product_center_dim": len(center(prod)),
+        "block_quiver": q.to_doc(),
         "rsz_dims": rsz.dims,
         "bar_dims": bar.dims,
         "nonvanishing_through": N,
@@ -542,6 +566,7 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
         and report["twist_invertible"]
         and report["product_radical_dims"] == [2, 0]
         and report["product_center_dim"] == 1
+        and q == standard_quiver("roundtrip")
         and all(x == 1 for x in rsz.dims)
         and all(x == 1 for x in bar.dims)
     )

@@ -45,8 +45,13 @@ class Quiver:
             and other.arrows == self.arrows
         )
 
-    def arrows_from(self, v: int) -> list:
-        return [i for i, (s, _) in enumerate(self.arrows) if s == v]
+    def out_lists(self) -> list:
+        """Per vertex, the indices of the arrows leaving it in index order,
+        from one pass over the arrows."""
+        out = [[] for _ in range(self.vertex_count)]
+        for a, (s, _) in enumerate(self.arrows):
+            out[s].append(a)
+        return out
 
     def to_doc(self) -> dict:
         return {
@@ -88,7 +93,7 @@ def walks(q: Quiver, top: int) -> list:
             layers.append([(v, v, ()) for v in range(q.vertex_count)])
         elif n == 1:
             layers.append([(s, t, (a,)) for a, (s, t) in enumerate(q.arrows)])
-            out = [q.arrows_from(v) for v in range(q.vertex_count)]
+            out = q.out_lists()
         else:
             layers.append([(s, q.arrows[a][1], arrows + (a,))
                            for s, t, arrows in layers[-1] for a in out[t]])
@@ -138,7 +143,7 @@ _WHITE, _GREY, _BLACK = 0, 1, 2
 
 def has_oriented_cycle(q: Quiver) -> bool:
     color = [_WHITE] * q.vertex_count
-    out = [q.arrows_from(v) for v in range(q.vertex_count)]
+    out = q.out_lists()
     return any(color[v] == _WHITE and _reaches_grey(q, out, color, v)
                for v in range(q.vertex_count))
 

@@ -29,6 +29,7 @@ from twistlab.hochschild import (
     READING_NOTES,
     bar_budget,
     bar_coboundary_columns,
+    block_quiver,
     complex_dims,
     crown_formula,
     hh_bar,
@@ -875,6 +876,7 @@ def test_counterexample_confirmed_over_q():
     assert report["bar_dims"] == [1] * 5
     assert report["product_radical_dims"] == [2, 0]
     assert report["product_center_dim"] == 1
+    assert report["block_quiver"] == {"vertex_count": 2, "arrows": [[0, 1], [1, 0]]}
 
 
 def test_counterexample_minimal_and_finite_field():
@@ -883,6 +885,58 @@ def test_counterexample_minimal_and_finite_field():
     assert rep["verdict"] == "counterexample confirmed"
     assert rep["rsz_dims"] == [1] * 5
     assert rep["bar_dims"] == [1] * 5
+    assert rep["block_quiver"] == standard_quiver("roundtrip").to_doc()
+
+
+def test_counterexample_bar_matches_product_basis(monkeypatch):
+    # the report's bar route runs on the certified block quiver's path
+    # algebra; the reference is hh_bar on the product's own table, and the
+    # certificate must be an isomorphism onto that product
+    certified = []
+    real = hochschild.is_isomorphism
+
+    def spy(p, a, b):
+        ok = real(p, a, b)
+        certified.append((a.int_table, b.int_table, ok))
+        return ok
+
+    monkeypatch.setattr(hochschild, "is_isomorphism", spy)
+    for field in (QQ, GF(3), GF(5), GF(7), GF(13)):
+        certified.clear()
+        report = verify_counterexample(5, field)
+        n_bar = 4 if field == QQ else 5
+        prod = z2_product(field, "line_char_ne_2", 2)
+        assert report["bar_dims"] == hh_bar(prod, n_bar).dims == [1] * (n_bar + 1)
+        path_table = truncated_path_algebra(standard_quiver("roundtrip"), field).int_table
+        assert certified == [(path_table, prod.int_table, True)], field.name
+
+
+def test_block_quiver_under_base_change():
+    # a random base change P moves the alpha = 2 product and its split
+    # e, 1 - e to P^-1 e, P^-1 (1 - e); the certified quiver stays the
+    # round trip and its path algebra keeps the moved table's HH
+    rng = random.Random(89)
+    roundtrip = standard_quiver("roundtrip")
+    no_split = "^the Peirce basis is not an isomorphism"
+    for field in (QQ, GF(5), GF(7)):
+        prod = z2_product(field, "line_char_ne_2", 2)
+        e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
+        one_minus_e = prod.unit_element() - e
+        for _ in range(3):
+            p = random_invertible(rng, field, prod.dim)
+            moved = change_of_basis(prod, p)
+            pinv = p.inverse()
+            idems = [pinv.apply(x.coords) for x in (e, one_minus_e)]
+            q = block_quiver(moved, idems)
+            assert q == roundtrip, field.name
+            assert (hh_bar(truncated_path_algebra(q, field), 3).dims
+                    == hh_bar(moved, 3).dims == [1] * 4), field.name
+            # 2e is not idempotent, but its Peirce blocks are e's, so only
+            # the isomorphism check can refuse it
+            with pytest.raises(ValueError, match=no_split):
+                block_quiver(moved, [pinv.apply(e.scale(2).coords), idems[1]])
+            with pytest.raises(ValueError, match=no_split):
+                block_quiver(moved, idems[:1])
 
 
 def test_counterexample_guards():

@@ -78,10 +78,10 @@ def test_path_layer_bound_edge_on_vertices_and_arrows(monkeypatch):
     past = f"{PATH_LAYER_BOUND + 1} paths of length"
 
     # one step past the bound is refused before any layer is built
-    def refuse(self, v):
+    def refuse(self):
         raise AssertionError("built")
 
-    monkeypatch.setattr(Quiver, "arrows_from", refuse)
+    monkeypatch.setattr(Quiver, "out_lists", refuse)
     for top in (0, 1, 2):
         with pytest.raises(ValueError, match=past + " 0 exceed"):
             walks(Quiver(PATH_LAYER_BOUND + 1, []), top)

@@ -56,11 +56,16 @@ class Path:
         return (self.arrow_indices, None if self.arrow_indices else self.base_vertex)
 
 
+def arrows_from(q, v):
+    """The arrows leaving v in index order, by one scan of all arrows."""
+    return [i for i, (s, _) in enumerate(q.arrows) if s == v]
+
+
 def reference_paths(q, n):
     """All length-n paths in lexicographic arrow order, by recursion."""
     if n == 0:
         return [Path(q, (), v) for v in range(q.vertex_count)]
-    out_by_vertex = [q.arrows_from(v) for v in range(q.vertex_count)]
+    out_by_vertex = [arrows_from(q, v) for v in range(q.vertex_count)]
     paths = []
 
     def extend(prefix, at, remaining):
@@ -97,7 +102,7 @@ def reference_layer(q, p, n):
     for gamma, e in p0:
         col = {}
         v = e.base_vertex
-        for a in q.arrows_from(v):
+        for a in arrows_from(q, v):
             x = Path(q, gamma.arrow_indices + (a,))
             row = index[x.key(), Path(q, (a,)).key()]
             col[row] = col.get(row, 0) + 1
@@ -166,6 +171,23 @@ def test_walks_layers():
     assert q2 == [(1, 1, (0, 1)), (1, 0, (0, 2)), (0, 0, (1, 0)),
                   (0, 1, (2, 1)), (0, 0, (2, 2))]
     assert walks(standard_quiver("qtilde"), 3)[2:] == [[], []]
+
+
+def test_out_lists_match_per_vertex_scan():
+    # up to 6 vertices and 3 arrows per vertex on average, so loops,
+    # multiple arrows and vertices with no arrow out all occur
+    rng = random.Random(47)
+    seen = {"loop": 0, "multiple": 0}
+    for q in FIXED + [random_quiver(rng) for _ in range(100)]:
+        assert q.out_lists() == [arrows_from(q, v) for v in range(q.vertex_count)], q
+    for _ in range(200):
+        v = rng.randint(1, 6)
+        q = Quiver(v, [(rng.randrange(v), rng.randrange(v))
+                       for _ in range(rng.randint(0, 3 * v))])
+        seen["loop"] += any(s == t for s, t in q.arrows)
+        seen["multiple"] += len(set(q.arrows)) < len(q.arrows)
+        assert q.out_lists() == [arrows_from(q, u) for u in range(v)], q
+    assert min(seen.values()) > 50
 
 
 def test_walks_match_recursive_enumerator():
