@@ -7,13 +7,13 @@ with it as pivot. Every cochain rank (``sparse_rank``) is one pass of it.
 ``integer_echelon`` adds the back-substitution and returns the reduced
 echelon form as integer rows; the structural computations (ranks,
 kernels, inverses, radicals, base changes) work on those rows.  A dense
-``Matrix`` holds one integer form, like an algebra: integer rows ``ints``
-and one ``scale``, converted once from scalar input.  Its arithmetic and
-elimination work on that form, and every other module reads ``ints`` and
-``scale`` rather than re-scaling the matrix; field scalars are made only
-for results (``data``, ``col``, ``apply``, ``kernel_basis``,
-``echelon_basis``).  The reduced echelon form of a span is unique, so
-kernel bases are byte-stable across runs.
+``Matrix`` is a record of one integer form, like an algebra: integer rows
+``ints`` and one ``scale``, converted once from scalar input.  Its rank
+works on that form, and every other module reads ``ints`` and ``scale``
+rather than re-scaling the matrix; field scalars are made only for
+results (``data``, ``col``, ``echelon_basis``, ``rref_scalars``).  The
+reduced echelon form of a span is unique, so kernel bases are
+byte-stable across runs.
 
 The exact d^2 = 0 check ``sparse_compose_zero`` and ``algebra.verify_axioms``
 share one packing toolkit: a vector becomes one integer by Kronecker
@@ -36,10 +36,11 @@ from .fields import Field
 
 
 class Matrix:
-    """Dense matrix over Q or F_p by its integer form: entry (i, j) is
+    """A matrix over Q or F_p as its integer form: entry (i, j) is
     ``ints[i][j] / scale``, the scale the lcm of the denominators over Q
     and 1 over F_p, where the integers are residues.  The form is unique,
-    so equal matrices are equal forms."""
+    so equal matrices are equal forms.  It holds no arithmetic: callers
+    read ``ints`` and ``scale`` and work on the integers."""
 
     __slots__ = ("field", "rows", "cols", "ints", "scale")
 
@@ -72,17 +73,8 @@ class Matrix:
         return [_field_scalars(self.field, row, self.scale) for row in self.ints]
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._from_integer_form(
-            field, n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
-
-    @classmethod
     def from_rows(cls, field: Field, rows: list) -> "Matrix":
         return cls(field, len(rows), len(rows[0]) if rows else 0, rows)
-
-    @classmethod
-    def column_vector(cls, field: Field, entries: list) -> "Matrix":
-        return cls(field, len(entries), 1, [[x] for x in entries])
 
     def col(self, j: int) -> list:
         return _field_scalars(self.field, [row[j] for row in self.ints], self.scale)
@@ -94,78 +86,8 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combined(other, -1)
-
-    def _combined(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, on the integer forms at their common scale."""
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        scale = lcm(self.scale, other.scale)
-        a, b = scale // self.scale, sign * (scale // other.scale)
-        return Matrix._from_integer_form(
-            self.field, self.rows, self.cols,
-            [[a * x + b * y for x, y in zip(r, s)]
-             for r, s in zip(self.ints, other.ints)], scale)
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        out = []
-        for arow in self.ints:
-            orow = [0] * other.cols
-            for a, brow in zip(arow, other.ints):
-                if a:
-                    orow = [o + a * b for o, b in zip(orow, brow)]
-            out.append(orow)
-        return Matrix._from_integer_form(self.field, self.rows, other.cols, out,
-                                         self.scale * other.scale)
-
-    def apply(self, vec: list) -> list:
-        """Matrix times column vector (a plain list of scalars)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return (self * Matrix.column_vector(self.field, vec)).col(0)
-
-    # elimination, all through ``integer_echelon``
-
     def rank(self) -> int:
         return len(integer_echelon(self.ints, self.field.characteristic))
-
-    def kernel_basis(self) -> list:
-        """Echelon-normalized basis of the right null space."""
-        p = self.field.characteristic
-        return rref_scalars(self.field, integer_kernel(self.ints, self.cols, p))
-
-    def inverse(self):
-        """Inverse matrix, or None when singular: (ints / scale)^-1 is
-        scale Q / D for ``integer_inverse``'s (Q, D)."""
-        if self.rows != self.cols:
-            return None
-        inv = integer_inverse(self.ints, self.field.characteristic)
-        if inv is None:
-            return None
-        rows, den = inv
-        return Matrix._from_integer_form(
-            self.field, self.rows, self.cols,
-            [[self.scale * x for x in row] for row in rows], den)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Tensor product: out[(i*rb+k),(j*cb+l)] = self[i,j]*other[k,l]."""
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        out = [[a * b for a in arow for b in brow]
-               for arow in self.ints for brow in other.ints]
-        return Matrix._from_integer_form(
-            self.field, self.rows * other.rows, self.cols * other.cols, out,
-            self.scale * other.scale)
 
 
 def _leading(row: list) -> int:

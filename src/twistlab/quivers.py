@@ -138,35 +138,39 @@ def is_connected(q: Quiver) -> bool:
     return len(seen) == q.vertex_count
 
 
-_WHITE, _GREY, _BLACK = 0, 1, 2
+def _path_depths(q: Quiver):
+    """Per vertex, the length of the longest path ending there, from one
+    Kahn topological pass; None when some vertex is never popped, that
+    is, when the quiver has an oriented cycle."""
+    indegree = [0] * q.vertex_count
+    for _, t in q.arrows:
+        indegree[t] += 1
+    out = q.out_lists()
+    depth = [0] * q.vertex_count
+    ready = [v for v, k in enumerate(indegree) if not k]
+    popped = 0
+    while ready:
+        v = ready.pop()
+        popped += 1
+        for a in out[v]:
+            w = q.arrows[a][1]
+            depth[w] = max(depth[w], depth[v] + 1)
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return depth if popped == q.vertex_count else None
 
 
 def has_oriented_cycle(q: Quiver) -> bool:
-    color = [_WHITE] * q.vertex_count
-    out = q.out_lists()
-    return any(color[v] == _WHITE and _reaches_grey(q, out, color, v)
-               for v in range(q.vertex_count))
-
-
-def _reaches_grey(q: Quiver, out: list, color: list, v: int) -> bool:
-    """Depth-first visit of v: whether it reaches a vertex still on the
-    stack (grey), that is, closes an oriented cycle."""
-    color[v] = _GREY
-    for a in out[v]:
-        w = q.arrows[a][1]
-        if color[w] == _GREY:
-            return True
-        if color[w] == _WHITE and _reaches_grey(q, out, color, w):
-            return True
-    color[v] = _BLACK
-    return False
+    return _path_depths(q) is None
 
 
 def longest_path_length(q: Quiver) -> int:
     """Longest path length in an acyclic quiver."""
-    if has_oriented_cycle(q):
+    depth = _path_depths(q)
+    if depth is None:
         raise ValueError("quiver has an oriented cycle")
-    return max(n for n, layer in enumerate(walks(q, q.vertex_count - 1)) if layer)
+    return max(depth)
 
 
 def truncated_path_algebra(q: Quiver, field: Field) -> Algebra:

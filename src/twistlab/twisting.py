@@ -249,10 +249,12 @@ def inclusion_maps_are_morphisms(t: TwistingMap) -> bool:
     """Whether a -> a(x)1 and b -> 1(x)b are algebra maps into the product."""
     prod = twisted_product(t)
     a, b = t.source_a, t.source_b
-    f = a.field
-    ua, ub = (x.unit_element().coords for x in (a, b))
-    inc_a = Matrix.identity(f, a.dim).kron(Matrix.column_vector(f, ub))
-    inc_b = Matrix.column_vector(f, ua).kron(Matrix.identity(f, b.dim))
+    # columns a_j (x) 1 over D_B and 1 (x) b_l over D_A
+    a_one, one_b = _unit_tensors(a, b)
+    inc_a, inc_b = (
+        Matrix._from_integer_form(a.field, prod.dim, len(cols),
+                                  [list(row) for row in zip(*cols)], scale)
+        for cols, scale in ((a_one, b.scale), (one_b, a.scale)))
     return is_algebra_map(inc_a, a, prod) and is_algebra_map(inc_b, b, prod)
 
 

@@ -48,10 +48,12 @@ def test_tracer_hooks_resolve_and_count():
     finally:
         tracer.uninstall()
     assert twistlab.algebra.sparse_rank is original
-    # parallel_pairs was deleted when walks became the only path enumerator,
-    # and _fast_candidate_ok with the brute-force census; these are the two
-    # known stale names
-    assert tracer.missing == ["quivers.parallel_pairs", "twisting._fast_candidate_ok"]
+    # Matrix.kernel_basis and Matrix.__mul__ were deleted when Matrix became
+    # a record of its integer form, parallel_pairs when walks became the
+    # only path enumerator, and _fast_candidate_ok with the brute-force
+    # census; these are the four known stale names
+    assert tracer.missing == ["linalg.Matrix.kernel_basis", "linalg.Matrix.__mul__",
+                              "quivers.parallel_pairs", "twisting._fast_candidate_ok"]
     assert rsz.dims == hh_rsz(standard_quiver("roundtrip"), QQ, 3).dims
     assert bar.dims == hh_bar(standard_algebra("group_algebra_z2", QQ), 2).dims
     assert separable

@@ -24,8 +24,11 @@ from twistlab.quivers import Quiver, truncated_path_algebra
 from test_algebra import trace_of_left_mult
 from test_linalg import (
     gauss_jordan_rref,
+    identity_matrix,
+    reference_apply,
     reference_echelon_basis,
     reference_kernel_basis,
+    reference_product,
 )
 from twistlab.twisting import (
     TwistFamilyDescriptor,
@@ -128,7 +131,7 @@ def random_invertible(field, d, rng):
     while True:
         m = Matrix(field, d, d, [[rng.choice(pool) for _ in range(d)]
                                  for _ in range(d)])
-        if m.inverse() is not None:
+        if m.rank() == d:
             return m
 
 
@@ -252,7 +255,7 @@ def test_fingerprint_matches_fraction_reference():
                     p = Matrix(field, alg.dim, alg.dim, [
                         [Fraction(x, rng.randint(1, 3)) for x in row] for row in p.data
                     ])
-                    if p.inverse() is None:
+                    if p.rank() < alg.dim:
                         continue
                 algebras.append(change_of_basis(alg, p))
         for alg in algebras:
@@ -350,7 +353,7 @@ def test_aq_to_matrix_rejected_at_plus_minus_2():
             [qh, xh, f.neg(yh), qh],
         ]
         m = Matrix(f, 4, 4, list(zip(*cols)))
-        assert m.inverse() is None
+        assert m.rank() < 4
         assert not is_isomorphism(
             m, standard_algebra("a_q", f, q=q), standard_algebra("matrix2", f)
         )
@@ -368,20 +371,20 @@ def test_a_minus2_to_a2_and_r_fixtures():
 def test_fixture_composition_r_to_a2():
     phi, r_alg, aminus2 = reference_isomorphism("r_to_a_minus2", QQ)
     f_map, src, a2 = reference_isomorphism("a_minus2_to_a2", QQ)
-    composed = f_map * phi
+    composed = Matrix.from_rows(QQ, reference_product(QQ, f_map.data, phi.data))
     assert is_isomorphism(composed, r_alg, a2)
 
 
 def test_is_isomorphism_guards_and_negatives():
     k4 = standard_algebra("k_n", QQ, n=4)
-    ident = Matrix.identity(QQ, 4)
+    ident = identity_matrix(QQ, 4)
     assert is_isomorphism(ident, k4, k4)
     m2 = standard_algebra("matrix2", QQ)
     assert not is_isomorphism(ident, k4, m2)
     with pytest.raises(ValueError):
-        is_isomorphism(Matrix.identity(QQ, 3), k4, k4)
+        is_isomorphism(identity_matrix(QQ, 3), k4, k4)
     with pytest.raises(ValueError):
-        is_isomorphism(Matrix.identity(GF(3), 4), k4, k4)
+        is_isomorphism(identity_matrix(GF(3), 4), k4, k4)
     # columns sum to the all-ones unit, so only multiplicativity can fail
     shear = Matrix.from_rows(QQ, [
         [QQ.one, QQ.zero, QQ.zero, QQ.zero],
@@ -389,7 +392,7 @@ def test_is_isomorphism_guards_and_negatives():
         [QQ.zero, QQ.zero, QQ.one, QQ.zero],
         [QQ.zero, QQ.zero, QQ.zero, QQ.one],
     ])
-    assert shear.apply(k4.unit) == k4.unit
+    assert reference_apply(QQ, shear.data, k4.unit) == k4.unit
     assert not is_isomorphism(shear, k4, k4)
 
 

@@ -26,11 +26,13 @@ from twistlab.duplicates import (
 )
 from twistlab.twisting import flip, is_invertible, twisted_product
 
+from test_linalg import identity_matrix
+
 
 def identity_datum(field, n=2):
     base = standard_algebra("k_n", field, n=n)
     return DuplicateDatum(
-        base, Matrix.identity(field, n), Matrix(field, n, n)
+        base, identity_matrix(field, n), Matrix(field, n, n)
     )
 
 
@@ -83,16 +85,16 @@ def test_verify_pair_rejects_bad_base_and_shapes():
     z2 = standard_algebra("group_algebra_z2", QQ)
     with pytest.raises(ValueError):
         verify_pair(
-            DuplicateDatum(z2, Matrix.identity(QQ, 2), Matrix(QQ, 2, 2))
+            DuplicateDatum(z2, identity_matrix(QQ, 2), Matrix(QQ, 2, 2))
         )
     base = standard_algebra("k_n", QQ, n=2)
     with pytest.raises(ValueError):
         verify_pair(
-            DuplicateDatum(base, Matrix.identity(QQ, 3), Matrix(QQ, 2, 2))
+            DuplicateDatum(base, identity_matrix(QQ, 3), Matrix(QQ, 2, 2))
         )
     with pytest.raises(ValueError):
         verify_pair(
-            DuplicateDatum(base, Matrix.identity(GF(3), 2), Matrix(QQ, 2, 2))
+            DuplicateDatum(base, identity_matrix(GF(3), 2), Matrix(QQ, 2, 2))
         )
 
 

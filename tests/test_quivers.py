@@ -166,6 +166,49 @@ def test_longest_path_length():
         longest_path_length(standard_quiver("roundtrip"))
 
 
+def test_cycle_and_longest_path_on_1500_vertices():
+    # one topological pass, nothing per vertex on the call stack: each of
+    # these is deeper than the default recursion limit
+    assert has_oriented_cycle(standard_quiver("crown(1500)"))
+    line = Quiver(1500, [(i, i + 1) for i in range(1499)])
+    assert not has_oriented_cycle(line)
+    assert longest_path_length(line) == 1499
+    backwards = Quiver(1500, [(i + 1, i) for i in range(1499)])
+    assert longest_path_length(backwards) == 1499
+    # a cycle reached only at the end of a long line
+    tail = Quiver(1500, line.arrows + [(1499, 1498)])
+    assert has_oriented_cycle(tail)
+    with pytest.raises(ValueError, match="oriented cycle"):
+        longest_path_length(tail)
+
+
+def test_topological_pass_matches_walks():
+    # a quiver on n vertices has an oriented cycle exactly when it has a
+    # path of length n, and when it has none its longest path is the last
+    # nonempty layer of walks; acyclic quivers are drawn as arrows up a
+    # shuffled order, with parallel arrows, and then a back arrow is added
+    rng = random.Random(59)
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        order = rng.sample(range(n), n)
+        arrows = []
+        for _ in range(rng.randint(0, n + 2) if n > 1 else 0):
+            i, j = sorted(rng.sample(range(n), 2))
+            arrows.append((order[i], order[j]))
+        q = Quiver(n, arrows)
+        layers = walks(q, n)
+        assert not has_oriented_cycle(q) and not layers[n], q
+        assert longest_path_length(q) == max(k for k, layer in enumerate(layers)
+                                             if layer), q
+        if arrows and rng.random() < 0.5:
+            s, t = rng.choice(arrows)
+            back = Quiver(n, arrows + [(t, s)])
+            assert has_oriented_cycle(back) and walks(back, n)[n], back
+            cyclic += 1
+    assert cyclic > 50
+
+
 def test_truncated_roundtrip_matches_reference_table():
     built = truncated_path_algebra(standard_quiver("roundtrip"), QQ)
     ref = standard_algebra("truncated_roundtrip", QQ)

@@ -108,19 +108,29 @@ def test_matrix_slots_hold_no_fraction():
     slots = class_slots(SRC / "linalg.py", "Matrix")
     assert slots == Matrix.__slots__ == ("field", "rows", "cols", "ints", "scale")
     # over Q with denominators in the entries, from each constructor and
-    # each operation that makes a matrix
+    # each function that makes a matrix
     rng = random.Random(11)
     m = random_basis_change(QQ, 3, rng)
-    half = Matrix(QQ, 3, 3, [[Fraction(1, 2)] * 3] * 3)
     z2 = standard_algebra("group_algebra_z2", QQ)
-    cases = [m, m.inverse(), m * half, m + half, m - half, m.kron(half),
-             Matrix.from_rows(QQ, [["1/3", "2"]]), Matrix.column_vector(QQ, ["-5/7"]),
+    cases = [m, Matrix.from_rows(QQ, [["1/3", "2"]]),
              family_member(TwistFamilyDescriptor("line_char_ne_2", "3/4"), z2, z2).matrix,
              duplicate_to_twisting_map(roundtrip_datum(QQ, "1/2", "-3/2")).matrix]
     for case in cases:
         assert fractions_in(case.data), case
         for name in slots:
             assert fractions_in(getattr(case, name)) == 0, (case, name)
+
+
+def test_matrix_is_a_record_of_its_integer_form():
+    # build, rank, read a column or the entries, compare: callers work on
+    # ints and scale, so a dense operation that nothing in src/ calls does
+    # not come back unnoticed; __hash__ is the None that __eq__ leaves
+    assert set(vars(Matrix)) == {
+        "__module__", "__doc__", "__slots__", "__hash__",
+        "field", "rows", "cols", "ints", "scale",
+        "__init__", "_from_integer_form", "from_rows", "data", "col", "rank",
+        "__eq__", "__repr__",
+    }
 
 
 def called_name(node) -> str:
@@ -195,7 +205,7 @@ def test_nothing_assigns_into_matrix_data():
         lines = data_writes(ast.parse(path.read_text(), filename=str(path)))
         assert lines == [], f"{path.name} assigns into .data at {lines}"
     # each read of data is a fresh copy, so such a write is lost
-    m = Matrix.identity(QQ, 2)
+    m = Matrix.from_rows(QQ, [[1, 0], [0, 1]])
     rows = m.data
     rows[0][1] = QQ.one
-    assert m.data == [[1, 0], [0, 1]] and m == Matrix.identity(QQ, 2)
+    assert m.data == [[1, 0], [0, 1]] and m == Matrix.from_rows(QQ, [[1, 0], [0, 1]])

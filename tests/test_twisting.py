@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial, reduce
 
 import pytest
 
@@ -42,6 +43,13 @@ from twistlab.twisting import (
     twisted_product,
     verify_twisting,
     _search_space_bits,
+)
+
+from test_linalg import (
+    identity_matrix,
+    reference_inverse,
+    reference_kron,
+    reference_product,
 )
 
 
@@ -84,20 +92,22 @@ def pqrs_matrix(field, p, q, r, s):
 
 
 def _mult_matrix(a):
-    """mu_A as a matrix A(x)A -> A: column i*d+j is e_i*e_j."""
+    """mu_A as rows of scalars A(x)A -> A: column i*d+j is e_i*e_j."""
     d = a.dim
     table = a.table
     cols = [table[i][j] for i in range(d) for j in range(d)]
-    return Matrix(a.field, d, d * d, list(zip(*cols)))
+    return [list(row) for row in zip(*cols)]
 
 
 def _first_bad_column(got, want):
-    g, w = got.data, want.data
-    for c in range(got.cols):
-        for r in range(got.rows):
-            if g[r][c] != w[r][c]:
-                return c
-    return None
+    """The first column where two matrices of field scalars differ."""
+    return next((c for c, (g, w) in enumerate(zip(zip(*got), zip(*want)))
+                 if g != w), None)
+
+
+def _product(f, *factors):
+    """The product of matrices of field scalars, taken left to right."""
+    return reduce(partial(reference_product, f), factors)
 
 
 def kron_twisting_report(a, b, m):
@@ -105,16 +115,18 @@ def kron_twisting_report(a, b, m):
     matrix identities on full basis tensors, with the same report."""
     da, db = a.dim, b.dim
     f = a.field
-    ia = Matrix.identity(f, da)
-    ib = Matrix.identity(f, db)
-    ua = Matrix.column_vector(f, a.unit)
-    ub = Matrix.column_vector(f, b.unit)
+    kron = partial(reference_kron, f)
+    ia = identity_matrix(f, da).data
+    ib = identity_matrix(f, db).data
+    ua = [[x] for x in a.unit]
+    ub = [[x] for x in b.unit]
+    m = m.data
 
     failures = {}
     # tw1: tau(b (x) 1) = 1 (x) b and tau(1 (x) a) = a (x) 1
-    bad = _first_bad_column(m * ib.kron(ua), ua.kron(ib))
+    bad = _first_bad_column(_product(f, m, kron(ib, ua)), kron(ua, ib))
     if bad is None:
-        bad = _first_bad_column(m * ub.kron(ia), ia.kron(ub))
+        bad = _first_bad_column(_product(f, m, kron(ub, ia)), kron(ia, ub))
         tw1 = bad is None
         if bad is not None:
             failures["tw1"] = ("unit_B (x) a", bad)
@@ -125,15 +137,15 @@ def kron_twisting_report(a, b, m):
     ma = _mult_matrix(a)
     mb = _mult_matrix(b)
     # tw2 on B(x)A(x)A
-    lhs = m * ib.kron(ma)
-    rhs = ma.kron(ib) * ia.kron(m) * m.kron(ia)
+    lhs = _product(f, m, kron(ib, ma))
+    rhs = _product(f, kron(ma, ib), kron(ia, m), kron(m, ia))
     bad = _first_bad_column(lhs, rhs)
     tw2 = bad is None
     if bad is not None:
         failures["tw2"] = (bad // (da * da), (bad // da) % da, bad % da)
     # tw3 on B(x)B(x)A
-    lhs = m * mb.kron(ia)
-    rhs = ia.kron(mb) * m.kron(ib) * ib.kron(m)
+    lhs = _product(f, m, kron(mb, ia))
+    rhs = _product(f, kron(ia, mb), kron(m, ib), kron(ib, m))
     bad = _first_bad_column(lhs, rhs)
     tw3 = bad is None
     if bad is not None:
@@ -221,9 +233,9 @@ def test_printed_variant_line_at_alpha_0_fails_tw3():
 def test_verify_twisting_rejects_bad_shape_and_field():
     a, b = z2_pair(QQ)
     with pytest.raises(ValueError):
-        verify_twisting(a, b, Matrix.identity(QQ, 3))
+        verify_twisting(a, b, identity_matrix(QQ, 3))
     with pytest.raises(ValueError):
-        verify_twisting(a, b, Matrix.identity(GF(3), 4))
+        verify_twisting(a, b, identity_matrix(GF(3), 4))
 
 
 def test_twisted_product_of_flip_is_class_I_like():
@@ -416,6 +428,30 @@ def test_inclusions_are_algebra_maps():
         family_member(TwistFamilyDescriptor("isolated_vi"), a, b),
     ):
         assert inclusion_maps_are_morphisms(t)
+
+
+def test_inclusion_maps_are_kronecker_products(monkeypatch):
+    # the matrices of a -> a (x) 1 and b -> 1 (x) b, built from the integer
+    # units, are I (x) 1_B and 1_A (x) I on the algebras' own scalars; most
+    # of the moved units are off the basis
+    seen = []
+    is_algebra_map = twisting.is_algebra_map
+
+    def spy(m, a, b):
+        seen.append(m.data)
+        return is_algebra_map(m, a, b)
+
+    monkeypatch.setattr(twisting, "is_algebra_map", spy)
+    maps = _seeded_twisting_maps(random.Random(53))
+    assert sum(sum(map(bool, t.source_a.unit)) > 1 for t in maps) > 100
+    for t in maps:
+        a, b = t.source_a, t.source_b
+        f = a.field
+        seen.clear()
+        assert inclusion_maps_are_morphisms(t)
+        ua, ub = [[x] for x in a.unit], [[x] for x in b.unit]
+        assert seen == [reference_kron(f, identity_matrix(f, a.dim).data, ub),
+                        reference_kron(f, ua, identity_matrix(f, b.dim).data)]
 
 
 def _verified_candidates(a, b):
@@ -845,8 +881,11 @@ def _reduced_failures(failures, field):
 def _transport(m, a, b, pa, pb):
     """(A', B', tau') for A and B in the bases pa and pb (their columns):
     tau' = (pa (x) pb)^-1 tau (pb (x) pa)."""
-    return (change_of_basis(a, pa), change_of_basis(b, pb),
-            pa.kron(pb).inverse() * m * pb.kron(pa))
+    f = m.field
+    kron = partial(reference_kron, f)
+    inverse = reference_inverse(Matrix.from_rows(f, kron(pa.data, pb.data)))
+    return (change_of_basis(a, pa), change_of_basis(b, pb), Matrix.from_rows(
+        f, _product(f, inverse, m.data, kron(pb.data, pa.data))))
 
 
 def _seeded_twisting_maps(rng):
