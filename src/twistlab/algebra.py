@@ -19,8 +19,9 @@ map) enters by its own integer form, ``Matrix.ints`` over
 ``Matrix.scale``, likewise.  The inner loops make no Fraction.
 Field scalars appear at the boundaries only: ``Algebra(field, labels,
 table, unit)`` converts scalar input once (``from_doc`` goes through it),
-and ``table``, ``unit``, ``multiply_coords`` and ``Element`` compute them
-from the integer form on each call.  Internal constructors hand an
+and ``table``, ``unit`` and ``multiply_coords`` compute them from the
+integer form on each call; an ``Element`` is a record of such
+coordinates and holds no arithmetic.  Internal constructors hand an
 integer form over whole (``Algebra._from_integer_form``).
 """
 
@@ -143,17 +144,14 @@ class Algebra:
     # serialization
 
     def to_doc(self) -> dict:
-        f = self.field
-        d = self.dim
+        text = self.field.scalar_to_str
         return {
-            "field": f.name,
-            "dim": d,
+            "field": self.field.name,
+            "dim": self.dim,
             "basis": list(self.basis_labels),
-            "unit": [f.scalar_to_str(x) for x in self.unit],
-            "table": [
-                [[f.scalar_to_str(self.table[i][j][k]) for k in range(d)] for j in range(d)]
-                for i in range(d)
-            ],
+            "unit": [text(x) for x in self.unit],
+            "table": [[[text(x) for x in cell] for cell in plane]
+                      for plane in self.table],
         }
 
     def to_json(self) -> str:
@@ -205,29 +203,13 @@ def _shape_name(shape, plural: bool = False) -> str:
 
 
 class Element:
+    """Coordinates in an algebra's basis as field scalars, and no more."""
+
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: Algebra, coords: list):
         self.algebra = algebra
         self.coords = coords
-
-    def __mul__(self, other: "Element") -> "Element":
-        return multiply(self, other)
-
-    def __add__(self, other: "Element") -> "Element":
-        _check_same_algebra(self, other)
-        f = self.algebra.field
-        return Element(self.algebra, [f.add(x, y) for x, y in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "Element") -> "Element":
-        _check_same_algebra(self, other)
-        f = self.algebra.field
-        return Element(self.algebra, [f.sub(x, y) for x, y in zip(self.coords, other.coords)])
-
-    def scale(self, c) -> "Element":
-        f = self.algebra.field
-        c = f.scalar(c)
-        return Element(self.algebra, [f.mul(c, x) for x in self.coords])
 
     def __eq__(self, other) -> bool:
         return (
@@ -235,9 +217,6 @@ class Element:
             and other.algebra is self.algebra
             and other.coords == self.coords
         )
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __repr__(self) -> str:
         f = self.algebra.field
@@ -247,16 +226,6 @@ class Element:
             if c
         ]
         return " + ".join(terms) if terms else "0"
-
-
-def _check_same_algebra(a: Element, b: Element) -> None:
-    if a.algebra is not b.algebra:
-        raise ValueError("elements from different algebras")
-
-
-def multiply(a: Element, b: Element) -> Element:
-    _check_same_algebra(a, b)
-    return Element(a.algebra, a.algebra.multiply_coords(a.coords, b.coords))
 
 
 def _no_image(field: Field, table, unit) -> str:
@@ -497,7 +466,9 @@ def is_separable(a: Algebra) -> bool:
     """Nondegeneracy of the trace form T(x,y) = trace(L_{xy}).
 
     Caveat: the criterion can report false negatives when char(k) divides
-    the matrix size of a simple block; no desk-scale case here hits that.
+    the matrix size of a simple block.  ``matrix2`` over GF(2) is one:
+    M_2(F_2) is separable, but every L_{xy} has trace 2 tr(xy) = 0, so
+    the answer is False (and ``radical_power_dims`` refuses it).
     """
     return integer_rank(trace_form_gram(a.int_table), a.field.characteristic) == a.dim
 

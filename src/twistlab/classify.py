@@ -13,6 +13,7 @@ decided by computing invariants, never by searching for an isomorphism.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fields import Field
 from .linalg import Matrix
@@ -109,27 +110,24 @@ def reference_isomorphism(name: str, field: Field, q=None) -> tuple:
     f = field
     if f.characteristic == 2:
         raise ValueError("the reference isomorphisms need characteristic != 2")
-    z, o = f.zero, f.one
-    half = f.inv(f.scalar(2))
+    h, u = Fraction(1, 2), Fraction(1, 4)
     if name == "aq_to_matrix":
         if q is None:
             raise ValueError("aq_to_matrix needs the parameter q")
         qv = f.scalar(q)
-        if f.mul(qv, qv) == f.scalar(4):
+        if not f.scalar(qv * qv - 4):
             raise ValueError(
                 "no isomorphism at q = 2 or q = -2: "
                 "the induced linear map is singular there"
             )
         src = standard_algebra("a_q", f, q=q)
         tgt = standard_algebra("matrix2", f)
-        qh = f.mul(qv, half)
-        xh = f.mul(f.sub(f.scalar(2), qv), half)
-        yh = f.mul(f.add(f.scalar(2), qv), half)
+        qh, xh, yh = qv * h, (2 - qv) * h, (2 + qv) * h
         cols = [
-            [o, z, z, o],
-            [o, z, z, f.neg(o)],
-            [qh, xh, yh, f.neg(qh)],
-            [qh, xh, f.neg(yh), qh],
+            [1, 0, 0, 1],
+            [1, 0, 0, -1],
+            [qh, xh, yh, -qh],
+            [qh, xh, -yh, qh],
         ]
     elif q is not None:
         raise ValueError(f"{name} takes no parameter")
@@ -137,21 +135,19 @@ def reference_isomorphism(name: str, field: Field, q=None) -> tuple:
         src = standard_algebra("a_q", f, q=-2)
         tgt = standard_algebra("a_q", f, q=2)
         cols = [
-            [o, z, z, z],
-            [z, f.scalar(-2), o, z],
-            [z, o, z, z],
-            [z, z, z, f.neg(o)],
+            [1, 0, 0, 0],
+            [0, -2, 1, 0],
+            [0, 1, 0, 0],
+            [0, 0, 0, -1],
         ]
     elif name == "r_to_a_minus2":
         src = standard_algebra("truncated_roundtrip", f)
         tgt = standard_algebra("a_q", f, q=-2)
-        h = half
-        u = f.mul(half, half)
         cols = [
-            [h, f.neg(h), z, z],
-            [h, h, z, z],
+            [h, -h, 0, 0],
+            [h, h, 0, 0],
             [u, u, u, u],
-            [u, f.neg(u), f.neg(u), u],
+            [u, -u, -u, u],
         ]
     else:
         raise ValueError(f"unknown reference isomorphism {name!r}")

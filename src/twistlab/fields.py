@@ -1,8 +1,11 @@
-"""Exact scalar arithmetic over the rationals and over prime fields F_p.
+"""The fields Q and F_p: a descriptor that parses scalars and prints them.
 
 Scalars are plain values: ``fractions.Fraction`` over Q and canonical
 residues 0..p-1 (plain ``int``) over F_p.  Canonical form is unique, so
 ``==`` on scalars is structural equality and bool(x) tests nonzero.
+Arithmetic is Python's own on ints and Fractions; ``Field.scalar``
+canonicalizes the result once, and ``Field.scalar_to_str`` is the one
+point where a scalar becomes text.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Field descriptor (Q or F_p) bundled with arithmetic on raw scalars."""
+    """Field descriptor (Q or F_p): canonical scalars in, text out."""
 
     __slots__ = ("characteristic", "zero", "one")
 
@@ -56,8 +59,6 @@ class Field:
     def __repr__(self) -> str:
         return f"Field({self.name})"
 
-    # construction
-
     def scalar(self, x):
         """Coerce an int, Fraction or string to a canonical scalar."""
         p = self.characteristic
@@ -76,37 +77,6 @@ class Field:
                 raise ZeroDivisionError(f"{x} has no image in F{p}")
             return x.numerator * pow(x.denominator, -1, p) % p
         raise TypeError(f"cannot coerce {x!r} into F{p}")
-
-    # arithmetic
-
-    def add(self, x, y):
-        p = self.characteristic
-        return x + y if p == 0 else (x + y) % p
-
-    def sub(self, x, y):
-        p = self.characteristic
-        return x - y if p == 0 else (x - y) % p
-
-    def mul(self, x, y):
-        p = self.characteristic
-        return x * y if p == 0 else (x * y) % p
-
-    def neg(self, x):
-        p = self.characteristic
-        return -x if p == 0 else (-x) % p
-
-    def inv(self, x):
-        if not x:
-            raise ZeroDivisionError("inverse of zero")
-        p = self.characteristic
-        return 1 / x if p == 0 else pow(x, -1, p)
-
-    # enumeration and serialization
-
-    def elements(self) -> list:
-        if self.characteristic == 0:
-            raise ValueError("Q has infinitely many elements")
-        return list(range(self.characteristic))
 
     def scalar_to_str(self, x) -> str:
         return str(x)

@@ -538,11 +538,12 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
     b = standard_algebra("group_algebra_z2", field)
     t = family_member(TwistFamilyDescriptor("line_char_ne_2", 2), a, b)
     prod = twisted_product(t)
-    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
-    if e * e != e:
+    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1]).coords
+    if prod.multiply_coords(e, e) != e:
         raise RuntimeError("e = (-1/2, -1, 1/2, 1) is not idempotent in the "
                            "alpha = 2 product")
-    q = block_quiver(prod, [e, prod.unit_element() - e])
+    q = block_quiver(prod, [e, [field.scalar(u - x) for u, x
+                                in zip(prod.unit_element().coords, e)]])
     rsz = hh_rsz(q, field, N)
     n_bar = min(N, 4 if field.characteristic == 0 else 5)
     bar = hh_bar(truncated_path_algebra(q, field), n_bar)

@@ -212,6 +212,8 @@ def path_algebra_acyclic(q: Quiver, field: Field) -> Algebra:
 def standard_quiver(name: str, c: int = None) -> Quiver:
     """Fixed layouts: roundtrip, qtilde, four_points, loop, kronecker, crown(c)."""
     if name.startswith("crown(") and name.endswith(")"):
+        if not name[6:-1].isdecimal():
+            raise ValueError(f"crown(c) takes a decimal integer c, got {name!r}")
         c = int(name[6:-1])
         name = "crown"
     if name == "roundtrip":

@@ -361,36 +361,35 @@ def solve_2dim_twist(field: Field) -> list:
 
 def descriptor_scalars(d: TwistFamilyDescriptor, field: Field) -> tuple:
     """The (p, q, r, s) coordinates of tau(b(x)a) for a census family."""
-    f = field
-    char2 = f.characteristic == 2
+    char2 = field.characteristic == 2
     if d.family_id == "flip":
         if char2:
             raise ValueError("the char-2 census lists the flip inside family (i)")
-        return (f.zero, f.zero, f.zero, f.one)
-    if d.family_id == "line_char_ne_2":
+        pqrs = (0, 0, 0, 1)
+    elif d.family_id == "line_char_ne_2":
         if char2:
             raise ValueError("line_char_ne_2 requires characteristic != 2")
         if d.parameter is None:
             raise ValueError("line family needs a parameter value")
-        return (f.scalar(d.parameter), f.zero, f.zero, f.neg(f.one))
-    if d.family_id in _ISOLATED_QR:
+        pqrs = (d.parameter, 0, 0, -1)
+    elif d.family_id in _ISOLATED_QR:
         if char2:
             raise ValueError("the isolated maps require characteristic != 2")
         if d.parameter is not None:
             raise ValueError("isolated maps carry no parameter")
         q, r = _ISOLATED_QR[d.family_id]
-        qv, rv = f.scalar(q), f.scalar(r)
-        return (f.neg(f.mul(qv, rv)), qv, rv, f.zero)
-    if d.family_id in ("char2_line_i", "char2_line_ii"):
+        pqrs = (-q * r, q, r, 0)
+    elif d.family_id in ("char2_line_i", "char2_line_ii"):
         if not char2:
             raise ValueError(f"{d.family_id} requires characteristic 2")
         if d.parameter is None:
             raise ValueError("line family needs a parameter value")
-        alpha = f.scalar(d.parameter)
-        if d.family_id == "char2_line_i":
-            return (alpha, f.zero, f.zero, f.one)
-        return (alpha, alpha, alpha, f.add(alpha, f.one))
-    raise ValueError(f"unknown family {d.family_id!r}")
+        alpha = field.scalar(d.parameter)
+        pqrs = ((alpha, 0, 0, 1) if d.family_id == "char2_line_i"
+                else (alpha, alpha, alpha, alpha + 1))
+    else:
+        raise ValueError(f"unknown family {d.family_id!r}")
+    return tuple(map(field.scalar, pqrs))
 
 
 def family_member(d: TwistFamilyDescriptor, a: Algebra, b: Algebra) -> TwistingMap:
@@ -449,7 +448,7 @@ def census_rows(field: Field) -> list:
     rows = []
     for desc, t in members:
         if t is None:
-            pv, qv, rv, sv = "alpha", f.zero, f.zero, f.neg(f.one)
+            pv, qv, rv, sv = "alpha", f.zero, f.zero, f.scalar(-1)
         else:
             pv, qv, rv, sv = scalars_of_map(t)
         rows.append({

@@ -118,16 +118,15 @@ def test_criterion_02_census_structure_and_errata():
         assert len(line) == p
         assert {r["parameter"] for r in line} == set(range(p))
         for r in line:
-            assert (r["q"], r["r"], r["s"]) == (f.zero, f.zero, f.neg(f.one))
+            assert (r["q"], r["r"], r["s"]) == (f.zero, f.zero, f.scalar(-1))
             assert r["invertible"]
 
         for name, (qi, ri) in ISOLATED_QR.items():
             (row,) = by_family[name]
-            qv, rv = f.scalar(qi), f.scalar(ri)
             assert (row["p"], row["q"], row["r"], row["s"]) == (
-                f.neg(f.mul(qv, rv)),
-                qv,
-                rv,
+                f.scalar(-qi * ri),
+                f.scalar(qi),
+                f.scalar(ri),
                 f.zero,
             )
             assert not row["invertible"]
@@ -207,10 +206,10 @@ def test_criterion_05_duplicates():
         assert alg.basis_labels == ["u", "uX", "v", "vX"]
         assert alg.table[1][2] == [auv, one, zero, zero]
         assert alg.table[3][0] == [zero, zero, avv, one]
-        assert alg.table[1][0] == [QQ.neg(auv), zero, zero, zero]
-        assert alg.table[3][2] == [zero, zero, QQ.neg(avv), zero]
-        assert alg.table[1][1] == [zero, QQ.neg(auv), zero, zero]
-        assert alg.table[3][3] == [zero, zero, zero, QQ.neg(avv)]
+        assert alg.table[1][0] == [-auv, zero, zero, zero]
+        assert alg.table[3][2] == [zero, zero, -avv, zero]
+        assert alg.table[1][1] == [zero, -auv, zero, zero]
+        assert alg.table[3][3] == [zero, zero, zero, -avv]
         assert alg.table[0][1] == [zero, one, zero, zero]
         assert alg.table[0][3] == [zero, zero, zero, zero]
 

@@ -149,7 +149,7 @@ def fraction_gram(a) -> Matrix:
             for m in range(d):
                 c = table[i][j][m]
                 if c and traces[m]:
-                    acc = f.add(acc, f.mul(c, traces[m]))
+                    acc = f.scalar(acc + c * traces[m])
             rows[i][j] = acc
     return Matrix(f, d, d, rows)
 
@@ -340,17 +340,13 @@ def test_aq_to_matrix_rejected_at_plus_minus_2():
             reference_isomorphism("aq_to_matrix", QQ, q=q)
     # the same displayed assignment, built by hand, is not bijective
     f = QQ
-    half = f.inv(f.scalar(2))
     for q in (2, -2):
-        qv = f.scalar(q)
-        qh = f.mul(qv, half)
-        xh = f.mul(f.sub(f.scalar(2), qv), half)
-        yh = f.mul(f.add(f.scalar(2), qv), half)
+        qh, xh, yh = Fraction(q, 2), Fraction(2 - q, 2), Fraction(2 + q, 2)
         cols = [
-            [f.one, f.zero, f.zero, f.one],
-            [f.one, f.zero, f.zero, f.neg(f.one)],
-            [qh, xh, yh, f.neg(qh)],
-            [qh, xh, f.neg(yh), qh],
+            [1, 0, 0, 1],
+            [1, 0, 0, -1],
+            [qh, xh, yh, -qh],
+            [qh, xh, -yh, qh],
         ]
         m = Matrix(f, 4, 4, list(zip(*cols)))
         assert m.rank() < 4

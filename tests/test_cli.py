@@ -97,7 +97,7 @@ def test_census_at_the_search_space_edge(capsys):
     assert len(rows) == 1026
     closed_form = set()
     for desc in solve_2dim_twist(f):
-        params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
+        params = range(1021) if desc.family_id in LINE_FAMILIES else [None]
         for x in params:
             closed_form.add(descriptor_scalars(TwistFamilyDescriptor(desc.family_id, x), f))
     assert {(r["p"], r["q"], r["r"], r["s"]) for r in rows} == closed_form
@@ -256,6 +256,13 @@ def test_hh_input_validation(capsys):
 def test_hh_algebra_parameter_not_an_integer(capsys, spec, name, par):
     assert run(capsys, "hh", "--algebra", spec, "--N", "1") == (
         2, "", f"error: {name} takes an integer parameter, got {par}\n")
+
+
+@pytest.mark.parametrize("par", ["x", "", " 2"], ids=["x", "empty", "space"])
+def test_hh_crown_parameter_not_an_integer(capsys, par):
+    # decimal digits only: int() alone reads " 2" as 2
+    assert run(capsys, "hh", "--quiver", f"crown({par})", "--N", "1") == (
+        2, "", f"error: crown(c) takes a decimal integer c, got 'crown({par})'\n")
 
 
 def test_hh_malformed_json_inputs(tmp_path, capsys):

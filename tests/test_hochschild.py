@@ -182,6 +182,14 @@ def z2_product(field, family, parameter=None):
     return twisted_product(family_member(desc, z2, z2))
 
 
+def alpha_2_idempotents(prod) -> list:
+    """e = (-1/2, -1, 1/2, 1) and 1 - e, as coordinates, in the alpha = 2
+    product ``prod``."""
+    f = prod.field
+    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1]).coords
+    return [e, [f.scalar(u - x) for u, x in zip(prod.unit_element().coords, e)]]
+
+
 def test_normalized_bar_matches_full_bar_complex():
     # several of these have a unit that is not a basis vector (k_n, matrix2,
     # truncated path algebras), so the complement of k*1 is not trivial;
@@ -243,7 +251,7 @@ def fraction_bar_tables(a) -> tuple:
     c = a.table
     cbar = [
         [
-            [f.sub(c[x][y][m], f.mul(c[x][y][j], f.mul(u[m], f.inv(u[j])))) for m in range(d)]
+            [f.scalar(c[x][y][m] - c[x][y][j] * u[m] * Fraction(1, u[j])) for m in range(d)]
             for y in range(d)
         ]
         for x in range(d)
@@ -407,9 +415,10 @@ def test_e_complex_alpha_2_product_with_non_basis_idempotents():
     # e = (-1/2, -1, 1/2, 1) and 1 - e split the alpha = 2 product, J^2 = 0
     for field in (QQ, GF(5)):
         prod = z2_product(field, "line_char_ne_2", 2)
-        e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
-        assert e * e == e
-        assert hh_e_complex(prod, [e, prod.unit_element() - e], 8).dims == [1] * 9
+        idems = alpha_2_idempotents(prod)
+        e = idems[0]
+        assert prod.multiply_coords(e, e) == e
+        assert hh_e_complex(prod, idems, 8).dims == [1] * 9
 
 
 def test_e_complex_rejects_negative_degree():
@@ -485,7 +494,7 @@ def reference_hh_e_complex(a, idempotents, N, basis=None):
                 raise ValueError(f"idempotents {i}, {j} are not orthogonal")
     total = [f.zero] * d
     for e in eps:
-        total = [f.add(x, y) for x, y in zip(total, e)]
+        total = [f.scalar(x + y) for x, y in zip(total, e)]
     if total != a.unit:
         raise ValueError("idempotents do not sum to the unit")
     if len(echelon_basis(f, eps)) != ne:
@@ -577,14 +586,14 @@ def e_complex_differential_inputs(rng):
         yield alg, idems
     for field in (QQ, GF(5)):
         prod = z2_product(field, "line_char_ne_2", 2)
-        e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
-        yield prod, [e, prod.unit_element() - e]
+        yield prod, alpha_2_idempotents(prod)
     for field in (QQ, GF(3), GF(5)):
         alg = standard_algebra("truncated_roundtrip", field)
         e, f, x = (alg.basis_element(i) for i in range(3))
         one = alg.unit_element()
+        e_plus_x = [field.scalar(a + b) for a, b in zip(e.coords, x.coords)]
         for idems in ([], [e], [one], [one, e], [e, e], [e, f, f],
-                      [e, f, x], [e + x, f]):
+                      [e, f, x], [e_plus_x, f]):
             yield alg, idems
     cubic = path_algebra_acyclic(L3, QQ)
     yield cubic, [cubic.basis_element(i) for i in range(3)]
@@ -741,11 +750,11 @@ def test_routes_check_every_consecutive_pair_once(monkeypatch):
 
     monkeypatch.setattr(hochschild, "sparse_compose_zero", spy)
     prod = z2_product(GF(5), "line_char_ne_2", 2)
-    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
+    idems = alpha_2_idempotents(prod)
     for run, N in (
         (lambda N: hh_rsz(standard_quiver("roundtrip"), QQ, N), 6),
         (lambda N: hh_bar(prod, N), 4),
-        (lambda N: hh_e_complex(prod, [e, prod.unit_element() - e], N), 5),
+        (lambda N: hh_e_complex(prod, idems, N), 5),
     ):
         calls.clear()
         prof = run(N)
@@ -928,21 +937,20 @@ def test_block_quiver_under_base_change():
     no_split = "^the Peirce basis is not an isomorphism"
     for field in (QQ, GF(5), GF(7)):
         prod = z2_product(field, "line_char_ne_2", 2)
-        e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1])
-        one_minus_e = prod.unit_element() - e
+        e, one_minus_e = alpha_2_idempotents(prod)
         for _ in range(3):
             p = random_invertible(rng, field, prod.dim)
             moved = change_of_basis(prod, p)
-            idems = inverse_images(p, [x.coords for x in (e, one_minus_e)])
+            idems = inverse_images(p, [e, one_minus_e])
             q = block_quiver(moved, idems)
             assert q == roundtrip, field.name
             assert (hh_bar(truncated_path_algebra(q, field), 3).dims
                     == hh_bar(moved, 3).dims == [1] * 4), field.name
             # 2e is not idempotent, but its Peirce blocks are e's, so only
             # the isomorphism check can refuse it
+            two_e = [field.scalar(2 * x) for x in e]
             with pytest.raises(ValueError, match=no_split):
-                block_quiver(moved, inverse_images(p, [e.scale(2).coords])
-                             + idems[1:])
+                block_quiver(moved, inverse_images(p, [two_e]) + idems[1:])
             with pytest.raises(ValueError, match=no_split):
                 block_quiver(moved, idems[:1])
 

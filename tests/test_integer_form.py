@@ -75,10 +75,10 @@ def fraction_verify_pair(d) -> dict:
         for j in range(base.dim):
             lhs = reference_apply(f, dd, table[i][j])
             ei, ej = base.basis_element(i).coords, base.basis_element(j).coords
-            v1 = [f.add(x, y) for x, y in zip(
+            v1 = [f.scalar(x + y) for x, y in zip(
                 fraction_multiply(f, table, dm.col(i), fm.col(j)),
                 fraction_multiply(f, table, ei, dm.col(j)))]
-            v2 = [f.add(x, y) for x, y in zip(
+            v2 = [f.scalar(x + y) for x, y in zip(
                 fraction_multiply(f, table, dm.col(i), ej),
                 fraction_multiply(f, table, fm.col(i), dm.col(j)))]
             first = first and lhs == v1
@@ -90,7 +90,7 @@ def fraction_verify_pair(d) -> dict:
     return {
         "endomorphism": fraction_is_algebra_map(fm, base, base),
         "idempotent_delta": reference_product(f, dd, dd) == dd,
-        "compatibility": fd == [[f.add(f.add(x, y), z) for x, y, z in zip(*rows)]
+        "compatibility": fd == [[f.scalar(x + y + z) for x, y, z in zip(*rows)]
                                 for rows in zip(*terms)],
         "leibniz_variant": variants[first, second],
     }
@@ -115,7 +115,7 @@ def fraction_duplicate_algebra(d) -> Algebra:
                 table[2 * i][2 * j + 1][2 * k + 1] = plain[k]
                 table[2 * i + 1][2 * j][2 * k] = u[k]
                 table[2 * i + 1][2 * j][2 * k + 1] = w[k]
-                table[2 * i + 1][2 * j + 1][2 * k + 1] = f.add(u[k], w[k])
+                table[2 * i + 1][2 * j + 1][2 * k + 1] = f.scalar(u[k] + w[k])
     labels = [x for lbl in base.basis_labels for x in (lbl, f"{lbl}X")]
     unit = [x for u in base.unit for x in (u, f.zero)]
     return Algebra(f, labels, table, unit)
@@ -126,7 +126,7 @@ def planted(m, rng):
     data = [row[:] for row in m.data]
     i, j = rng.randrange(m.rows), rng.randrange(m.cols)
     f = m.field
-    data[i][j] = f.add(data[i][j], random_scalar(f, rng) or f.one)
+    data[i][j] = f.scalar(data[i][j] + (random_scalar(f, rng) or f.one))
     return Matrix(f, m.rows, m.cols, data)
 
 
@@ -168,7 +168,7 @@ def test_is_algebra_map_matches_fraction_reference():
         for name in ("a_minus2_to_a2", "r_to_a_minus2"):
             cases.append(reference_isomorphism(name, field))
         for q in map(field.scalar, (0, 1, 3, "1/2")):
-            if field.mul(q, q) != field.scalar(4):  # q = +-2 has none
+            if field.scalar(q * q - 4):  # q = +-2 has none
                 cases.append(reference_isomorphism("aq_to_matrix", field, q=q))
         for row in census_rows(field):
             if row["map"] is not None:
@@ -314,4 +314,5 @@ def test_coordinates_must_match_the_dimension():
             with pytest.raises(ValueError, match="coordinates for an algebra of dim 2"):
                 alg.multiply_coords(x, y)
     assert alg.multiply_coords([1, 2], [Fraction(1, 2), 4]) == [Fraction(1, 2), 8]
-    assert (alg.element([1, 2]) * alg.element([3, 4])).coords == [3, 8]
+    assert alg.multiply_coords(alg.element([1, 2]).coords,
+                               alg.element([3, 4]).coords) == [3, 8]

@@ -19,13 +19,16 @@ no Fraction.
 
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
-from twistlab.fields import GF, QQ
-from twistlab.algebra import Algebra, change_of_basis, standard_algebra
+import twistlab
+from twistlab.fields import GF, QQ, Field
+from twistlab.algebra import Algebra, Element, change_of_basis, standard_algebra
 from twistlab.duplicates import duplicate_to_twisting_map, roundtrip_datum
 from twistlab.linalg import Matrix
+from twistlab.quivers import standard_quiver, truncated_path_algebra
 from twistlab.twisting import TwistFamilyDescriptor, family_member
 
 from test_algebra import random_basis_change
@@ -131,6 +134,38 @@ def test_matrix_is_a_record_of_its_integer_form():
         "__init__", "_from_integer_form", "from_rows", "data", "col", "rank",
         "__eq__", "__repr__",
     }
+
+
+def test_field_and_element_hold_no_arithmetic():
+    # a field parses and prints scalars and an element is a record of
+    # coordinates: sums and products are Python's own on ints and
+    # Fractions, made canonical by Field.scalar, and products in an
+    # algebra go through Algebra.multiply_coords
+    assert set(vars(Field)) == {
+        "__module__", "__doc__", "__slots__", "__hash__",
+        "characteristic", "zero", "one",
+        "__init__", "name", "__eq__", "__repr__", "scalar", "scalar_to_str",
+    }
+    assert set(vars(Element)) == {
+        "__module__", "__doc__", "__slots__", "__hash__",
+        "algebra", "coords", "__init__", "__eq__", "__repr__",
+    }
+    assert not hasattr(twistlab, "multiply")
+    assert "multiply" not in twistlab.__all__
+
+
+def test_to_doc_reads_the_scalars_once():
+    # each read of table makes all d^3 scalars again, so reading it per
+    # entry took seconds at dim 16
+    alg = truncated_path_algebra(standard_quiver("crown(8)"), QQ)
+    assert alg.dim == 16
+    start = time.perf_counter()
+    doc = alg.to_doc()
+    assert time.perf_counter() - start < 0.5
+    back = Algebra.from_doc(doc)
+    assert (back.int_table, back.int_unit, back.scale) == (
+        alg.int_table, alg.int_unit, alg.scale)
+    assert back.to_doc() == doc
 
 
 def called_name(node) -> str:

@@ -335,7 +335,8 @@ def test_solve_matches_enumeration_pointwise():
         solved = set()
         for desc in solve_2dim_twist(f):
             if desc.family_id in ("line_char_ne_2", "char2_line_i", "char2_line_ii"):
-                members = [TwistFamilyDescriptor(desc.family_id, x) for x in f.elements()]
+                members = [TwistFamilyDescriptor(desc.family_id, x)
+                           for x in range(f.characteristic)]
             else:
                 members = [desc]
             for d in members:
@@ -465,7 +466,7 @@ def _verified_candidates(a, b):
             if i != ub and j != ua]
     base = flip(a, b).matrix.data
     hits = set()
-    for values in itertools.product(f.elements(), repeat=len(free) * d):
+    for values in itertools.product(range(f.characteristic), repeat=len(free) * d):
         data = [row[:] for row in base]
         for n, c in enumerate(free):
             for r in range(d):
@@ -524,7 +525,7 @@ def random_unit_first(rng, alg):
     u0, u1 = alg.unit
     while True:
         v0, v1 = rng.randrange(f.characteristic), rng.randrange(f.characteristic)
-        if f.sub(f.mul(u0, v1), f.mul(u1, v0)):
+        if f.scalar(u0 * v1 - u1 * v0):
             return change_of_basis(alg, Matrix.from_rows(f, [[u0, v0], [u1, v1]]))
 
 
@@ -559,7 +560,7 @@ def test_census_matches_closed_form_at_every_prime_below_200():
         got = [(r["p"], r["q"], r["r"], r["s"]) for r in rows]
         closed_form = set()
         for desc in solve_2dim_twist(f):
-            params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
+            params = range(p) if desc.family_id in LINE_FAMILIES else [None]
             for x in params:
                 closed_form.add(descriptor_scalars(TwistFamilyDescriptor(desc.family_id, x), f))
         assert len(got) == len(set(got)) == (3 if p == 2 else p + 5), p
@@ -598,7 +599,7 @@ def test_verifier_census_and_closed_form_agree_on_random_pqrs():
         census = {scalars_of_map(t) for t in enumerate_twisting_maps(a, b)}
         closed_form = set()
         for desc in solve_2dim_twist(f):
-            params = f.elements() if desc.family_id in LINE_FAMILIES else [None]
+            params = range(p) if desc.family_id in LINE_FAMILIES else [None]
             for x in params:
                 closed_form.add(descriptor_scalars(TwistFamilyDescriptor(desc.family_id, x), f))
         # every claimed solution, one random coordinate changed in each,
@@ -709,7 +710,7 @@ def reference_census_rows_char0() -> list:
             rows.append({
                 "family": desc.family_id,
                 "parameter": None,
-                "p": "alpha", "q": QQ.zero, "r": QQ.zero, "s": QQ.neg(QQ.one),
+                "p": "alpha", "q": QQ.zero, "r": QQ.zero, "s": QQ.scalar(-1),
                 "invertible": True,
                 "map": None,
             })
@@ -768,7 +769,7 @@ def test_census_errata_records():
 
 def reference_twisted_product(t):
     """The twisted product with its multiplication written out on its own,
-    in Field arithmetic: the form ``twisted_product`` had before it
+    on the field's own scalars: the form ``twisted_product`` had before it
     tabulated ``_tau_mul``."""
     a, b = t.source_a, t.source_b
     f = a.field
@@ -792,14 +793,14 @@ def reference_twisted_product(t):
                             for s in range(da):
                                 if not arow[s]:
                                     continue
-                                cs = f.mul(c, arow[s])
+                                cs = c * arow[s]
                                 for u in range(db):
                                     if brow[u]:
-                                        out[s * db + u] = f.add(
-                                            out[s * db + u], f.mul(cs, brow[u]))
+                                        out[s * db + u] = f.scalar(
+                                            out[s * db + u] + cs * brow[u])
                     table[i * db + j][k * db + l] = out
     labels = [f"{la}⊗{lb}" for la in a.basis_labels for lb in b.basis_labels]
-    unit = [f.mul(x, y) for x in a.unit for y in b.unit]
+    unit = [f.scalar(x * y) for x in a.unit for y in b.unit]
     return Algebra(f, labels, table, unit, check=True)
 
 
