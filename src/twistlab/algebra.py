@@ -20,8 +20,8 @@ map) enters by its own integer form, ``Matrix.ints`` over
 Field scalars appear at the boundaries only: ``Algebra(field, labels,
 table, unit)`` converts scalar input once (``from_doc`` goes through it),
 and ``table``, ``unit`` and ``multiply_coords`` compute them from the
-integer form on each call; an ``Element`` is a record of such
-coordinates and holds no arithmetic.  Internal constructors hand an
+integer form on each call.  An element is its list of coordinates as
+field scalars (``basis_element``).  Internal constructors hand an
 integer form over whole (``Algebra._from_integer_form``).
 """
 
@@ -115,31 +115,23 @@ class Algebra:
         """The unit as field scalars, made on each call."""
         return _field_scalars(self.field, self.int_unit, self.scale)
 
-    def element(self, coords) -> "Element":
-        self._check_length(coords)
-        return Element(self, [self.field.scalar(x) for x in coords])
-
-    def basis_element(self, i: int) -> "Element":
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
-        return Element(self, coords)
-
-    def unit_element(self) -> "Element":
-        return Element(self, self.unit)
+    def basis_element(self, i: int) -> list:
+        """The coordinates of e_i as field scalars, for i in 0..dim-1."""
+        if not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i} is outside 0..{self.dim - 1} "
+                             f"for an algebra of dim {self.dim}")
+        return [self.field.scalar(int(k == i)) for k in range(self.dim)]
 
     def multiply_coords(self, x: list, y: list) -> list:
         """x * y on coordinates given and returned as field scalars: x and
         y times one common scale s are integers, and their ``_product`` on
         the integer table is divided once by s^2 D."""
-        self._check_length(x)
-        self._check_length(y)
+        for v in (x, y):
+            if len(v) != self.dim:
+                raise ValueError(f"{len(v)} coordinates for an algebra of dim {self.dim}")
         (xs, ys), s = scale_to_integers([list(x), list(y)], self.field.characteristic)
         return _field_scalars(self.field, _product(self.int_table, xs, ys),
                               s * s * self.scale)
-
-    def _check_length(self, coords) -> None:
-        if len(coords) != self.dim:
-            raise ValueError(f"{len(coords)} coordinates for an algebra of dim {self.dim}")
 
     # serialization
 
@@ -200,32 +192,6 @@ def _shape_name(shape, plural: bool = False) -> str:
         return ("arrays of " if plural else "an array of ") + _shape_name(shape[0], True)
     kinds = shape if isinstance(shape, tuple) else (shape,)
     return " or ".join(_NOUNS[k][plural] for k in kinds)
-
-
-class Element:
-    """Coordinates in an algebra's basis as field scalars, and no more."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: Algebra, coords: list):
-        self.algebra = algebra
-        self.coords = coords
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and other.algebra is self.algebra
-            and other.coords == self.coords
-        )
-
-    def __repr__(self) -> str:
-        f = self.algebra.field
-        terms = [
-            f"{f.scalar_to_str(c)}*{lbl}"
-            for c, lbl in zip(self.coords, self.algebra.basis_labels)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
 
 
 def _no_image(field: Field, table, unit) -> str:
@@ -420,12 +386,6 @@ def jacobson_radical(a: Algebra) -> list:
     """
     chain = _radical_chain(a)
     return rref_scalars(a.field, chain[0]) if chain else []
-
-
-def radical_powers(a: Algebra) -> list:
-    """[J, J^2, ...], echelon bases down to the last nonzero power; [] when
-    J = 0."""
-    return [rref_scalars(a.field, rows) for rows in _radical_chain(a)]
 
 
 def radical_power_dims(a: Algebra) -> list:

@@ -37,6 +37,7 @@ from .classify import (
 )
 from .hochschild import (
     HH_ERRATA,
+    check_bar_budget,
     crown_formula,
     hh_bar,
     hh_e_complex,
@@ -152,6 +153,8 @@ def run_hh(args) -> int:
         method = "rsz" if args.method == "auto" else args.method
         if _is_three_vertex_one_arrow(q):
             notes.extend(HH_ERRATA)
+        if method == "bar":  # before the d^3 table of the path algebra
+            check_bar_budget(f, q.vertex_count + len(q.arrows), args.N)
         alg = None if method == "rsz" else truncated_path_algebra(q, f)
     else:
         alg = _load_algebra(args.algebra, f)

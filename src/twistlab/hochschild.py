@@ -34,7 +34,6 @@ from time import perf_counter
 from .fields import Field, QQ
 from .algebra import (
     Algebra,
-    Element,
     _product,
     _radical_chain,
     center,
@@ -384,22 +383,27 @@ def bar_coboundary_columns(a: Algebra, n: int) -> list:
     return cols
 
 
-def hh_bar(a: Algebra, N: int) -> HHProfile:
-    """Cohomology dims, degrees 0..N, from the normalized bar complex
-    Hom((A/k*1)^(x)n, A), by exact sparse elimination."""
+def check_bar_budget(field: Field, d: int, N: int) -> None:
+    """A ValueError unless N >= 0 and d (d-1)^(N+1), the rows of hh_bar's
+    top coboundary for a dim-d algebra to degree N, is within the budget."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    d = a.dim
-    budget = bar_budget(a.field)
+    budget = bar_budget(field)
     rows = d * (d - 1) ** (N + 1)
     if rows > budget:
         raise ValueError(
             f"the bar budget of {budget} caps d (d-1)^(N+1), which is {rows} "
             f"for dim {d} at degree {N}; lower N or raise TWISTLAB_BUDGET"
         )
+
+
+def hh_bar(a: Algebra, N: int) -> HHProfile:
+    """Cohomology dims, degrees 0..N, from the normalized bar complex
+    Hom((A/k*1)^(x)n, A), by exact sparse elimination."""
+    check_bar_budget(a.field, a.dim, N)
     dims, stats = _timed_dims(lambda n: bar_coboundary_columns(a, n), N,
                               a.field.characteristic, perf_counter())
-    return HHProfile(dims, "bar-complex", f"bar:dim{d}", stats)
+    return HHProfile(dims, "bar-complex", f"bar:dim{a.dim}", stats)
 
 
 def block_quiver(a: Algebra, idempotents: list) -> Quiver:
@@ -423,11 +427,10 @@ def block_quiver(a: Algebra, idempotents: list) -> Quiver:
     p = f.characteristic
     d = a.dim
     c = a.int_table
-    eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
-    if any(len(e) != d for e in eps):
+    if any(len(e) != d for e in idempotents):
         raise ValueError(f"each idempotent needs {d} coordinates")
-    ne = len(eps)
-    ints, scale = scale_to_integers(eps, p)
+    ne = len(idempotents)
+    ints, scale = scale_to_integers(idempotents, p)
     chain = _radical_chain(a)
     jrows = chain[0] if chain else []
     peirce, arrows = list(ints), []
@@ -538,12 +541,13 @@ def verify_counterexample(N: int, field: Field = QQ) -> dict:
     b = standard_algebra("group_algebra_z2", field)
     t = family_member(TwistFamilyDescriptor("line_char_ne_2", 2), a, b)
     prod = twisted_product(t)
-    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1]).coords
+    e = [field.scalar(x) for x in (Fraction(-1, 2), -1, Fraction(1, 2), 1)]
     if prod.multiply_coords(e, e) != e:
         raise RuntimeError("e = (-1/2, -1, 1/2, 1) is not idempotent in the "
                            "alpha = 2 product")
-    q = block_quiver(prod, [e, [field.scalar(u - x) for u, x
-                                in zip(prod.unit_element().coords, e)]])
+    # 1 - e, the unit being e_0: block_quiver's isomorphism needs e + (1 - e) = 1
+    e_bar = [field.scalar(x) for x in (Fraction(3, 2), 1, Fraction(-1, 2), -1)]
+    q = block_quiver(prod, [e, e_bar])
     rsz = hh_rsz(q, field, N)
     n_bar = min(N, 4 if field.characteristic == 0 else 5)
     bar = hh_bar(truncated_path_algebra(q, field), n_bar)

@@ -11,7 +11,7 @@ kernels, inverses, radicals, base changes) work on those rows.  A dense
 ``ints`` and one ``scale``, converted once from scalar input.  Its rank
 works on that form, and every other module reads ``ints`` and ``scale``
 rather than re-scaling the matrix; field scalars are made only for
-results (``data``, ``col``, ``echelon_basis``, ``rref_scalars``).  The
+results (``data``, ``col``, ``rref_scalars``).  The
 reduced echelon form of a span is unique, so kernel bases are
 byte-stable across runs.
 
@@ -138,17 +138,6 @@ def _scaled(values: list, p: int, scale: int) -> list:
 
 def _divided(values: list, g: int) -> list:
     return [_divided(v, g) if isinstance(v, list) else v // g for v in values]
-
-
-def echelon_basis(field: Field, vectors: list) -> list:
-    """Reduced echelon normal form of the span of the given vectors.
-
-    Returns the nonzero RREF rows, the canonical basis of the subspace:
-    ``integer_echelon`` on the vectors scaled to integers (which does not
-    move the span), each row divided by its leading entry.
-    """
-    p = field.characteristic
-    return rref_scalars(field, integer_echelon(scale_to_integers(vectors, p)[0], p))
 
 
 def rref_scalars(field: Field, rows: list) -> list:

@@ -16,12 +16,12 @@ from twistlab.algebra import (
     is_commutative,
     is_separable,
     jacobson_radical,
+    _radical_chain,
     radical_power_dims,
-    radical_powers,
     standard_algebra,
     verify_axioms,
 )
-from twistlab.linalg import Matrix
+from twistlab.linalg import Matrix, rref_scalars
 from twistlab.quivers import Quiver, truncated_path_algebra
 
 from test_linalg import (
@@ -87,7 +87,7 @@ def fraction_verify_axioms(a) -> dict:
     unit_failing = None
     unit = a.unit
     for j in range(d):
-        e = a.basis_element(j).coords
+        e = a.basis_element(j)
         if (fraction_multiply(f, table, unit, e) != e
                 or fraction_multiply(f, table, e, unit) != e):
             unital = False
@@ -106,7 +106,7 @@ def trace_of_left_mult(a, x: list):
     f = a.field
     acc = f.zero
     for l in range(a.dim):
-        acc = f.scalar(acc + a.multiply_coords(x, a.basis_element(l).coords)[l])
+        acc = f.scalar(acc + a.multiply_coords(x, a.basis_element(l))[l])
     return acc
 
 
@@ -137,9 +137,9 @@ def dense_center(a) -> list:
     d = a.dim
     rows = []
     for i in range(d):
-        e = a.basis_element(i).coords
-        left = [a.multiply_coords(e, a.basis_element(j).coords) for j in range(d)]
-        right = [a.multiply_coords(a.basis_element(j).coords, e) for j in range(d)]
+        e = a.basis_element(i)
+        left = [a.multiply_coords(e, a.basis_element(j)) for j in range(d)]
+        right = [a.multiply_coords(a.basis_element(j), e) for j in range(d)]
         rows.extend([a.field.scalar(x - y) for x, y in zip(u, v)]
                     for u, v in zip(zip(*left), zip(*right)))
     return reference_kernel_basis(Matrix(a.field, len(rows), d, rows))
@@ -337,25 +337,37 @@ def test_a_q_verifies_at_q7():
 
 def test_multiply_examples():
     z2 = standard_algebra("group_algebra_z2", QQ)
-    a = z2.basis_element(1).coords
+    a = z2.basis_element(1)
     assert z2.multiply_coords(a, a) == [QQ.one, QQ.zero]
     m2 = standard_algebra("matrix2", QQ)
-    e11, e12 = m2.basis_element(0).coords, m2.basis_element(1).coords
+    e11, e12 = m2.basis_element(0), m2.basis_element(1)
     assert m2.multiply_coords(e11, e12) == e12
     for alg in (z2, m2):
-        one = alg.unit_element().coords
+        one = alg.unit
         for i in range(alg.dim):
-            e = alg.basis_element(i).coords
+            e = alg.basis_element(i)
             assert alg.multiply_coords(one, e) == e
             assert alg.multiply_coords(e, one) == e
     with pytest.raises(ValueError):
-        z2.multiply_coords(z2.basis_element(0).coords, m2.basis_element(0).coords)
+        z2.multiply_coords(z2.basis_element(0), m2.basis_element(0))
+
+
+def test_basis_element_index_edges():
+    # 0..d-1 is the range: -1 used to give e_(d-1) without a word
+    for field in (QQ, GF(5)):
+        alg = standard_algebra("matrix2", field)
+        assert alg.basis_element(0) == [field.one] + [field.zero] * 3
+        assert alg.basis_element(3) == [field.zero] * 3 + [field.one]
+        for i in (-1, 4):
+            with pytest.raises(ValueError, match=f"^basis index {i} is outside "
+                               "0..3 for an algebra of dim 4$"):
+                alg.basis_element(i)
 
 
 def test_a_q_relations():
     q = 5
     alg = standard_algebra("a_q", QQ, q=q)
-    one, a, b, ab = (alg.basis_element(i).coords for i in range(4))
+    one, a, b, ab = (alg.basis_element(i) for i in range(4))
     mul = alg.multiply_coords
     assert mul(a, a) == one
     assert mul(b, b) == one
@@ -375,7 +387,7 @@ def test_center_commutes_with_basis():
     alg = standard_algebra("truncated_roundtrip", QQ)
     for v in center(alg):
         for i in range(alg.dim):
-            e = alg.basis_element(i).coords
+            e = alg.basis_element(i)
             assert alg.multiply_coords(v, e) == alg.multiply_coords(e, v)
 
 
@@ -410,7 +422,7 @@ def test_radical_is_nilpotent_ideal():
     rad = jacobson_radical(alg)
 
     for i in range(alg.dim):
-        e = alg.basis_element(i).coords
+        e = alg.basis_element(i)
         for v in rad:
             assert Matrix.from_rows(QQ, rad + [alg.multiply_coords(e, v)]).rank() == len(rad)
             assert Matrix.from_rows(QQ, rad + [alg.multiply_coords(v, e)]).rank() == len(rad)
@@ -520,7 +532,7 @@ def test_change_of_basis_rejects_a_matrix_over_another_field():
 
 def test_truncated_roundtrip_table_entries():
     alg = standard_algebra("truncated_roundtrip", QQ)
-    e, f_, x, y = (alg.basis_element(i).coords for i in range(4))
+    e, f_, x, y = (alg.basis_element(i) for i in range(4))
     mul = alg.multiply_coords
     assert mul(x, e) == x
     assert not any(mul(e, x))
@@ -533,11 +545,11 @@ def test_truncated_roundtrip_table_entries():
 
 def test_k_n_orthogonal_idempotents():
     alg = standard_algebra("k_n", QQ, n=4)
-    basis = [alg.basis_element(i).coords for i in range(4)]
+    basis = [alg.basis_element(i) for i in range(4)]
     for i in range(4):
         for j in range(4):
             prod = alg.multiply_coords(basis[i], basis[j])
-            assert prod == (basis[i] if i == j else alg.element([0] * 4).coords)
+            assert prod == (basis[i] if i == j else [QQ.zero] * 4)
 
 
 def test_standard_algebra_rejections():
@@ -773,14 +785,14 @@ def test_structural_kernels_match_gauss_jordan_reference():
             for case in (alg, change_of_basis(alg, random_basis_change(
                     field, alg.dim, rng))):
                 d = case.dim
-                basis = [case.basis_element(i).coords for i in range(d)]
+                basis = [case.basis_element(i) for i in range(d)]
                 commutators = Matrix(field, d * d, d, [
                     [field.scalar(case.multiply_coords(x, e)[n]
                                   - case.multiply_coords(e, x)[n]) for x in basis]
                     for e in basis for n in range(d)])
                 assert center(case) == reference_kernel_basis(commutators)
                 try:
-                    powers = radical_powers(case)
+                    powers = [rref_scalars(field, rows) for rows in _radical_chain(case)]
                 except CriterionInapplicable:
                     refused += 1
                     continue

@@ -140,7 +140,7 @@ def fraction_gram(a) -> Matrix:
     algebra's own scalars."""
     f = a.field
     d = a.dim
-    traces = [trace_of_left_mult(a, a.basis_element(m).coords) for m in range(d)]
+    traces = [trace_of_left_mult(a, a.basis_element(m)) for m in range(d)]
     table = a.table
     rows = [[f.zero] * d for _ in range(d)]
     for i in range(d):
@@ -162,7 +162,7 @@ def fraction_span_product(a, basis1, basis2) -> list:
 
 def fraction_is_ideal(a, basis) -> bool:
     """Reference: basis and every e_i v and v e_i span no more than basis."""
-    units = [a.basis_element(i).coords for i in range(a.dim)]
+    units = [a.basis_element(i) for i in range(a.dim)]
     prods = [a.multiply_coords(e, v) for v in basis for e in units]
     prods += [a.multiply_coords(v, e) for v in basis for e in units]
     return len(reference_echelon_basis(a.field, basis + prods)) == len(basis)

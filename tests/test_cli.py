@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from twistlab import cli
 from twistlab.cli import HH_TSV_HEADER, main
 from twistlab.fields import GF, QQ
 from twistlab.twisting import (
@@ -14,7 +15,7 @@ from twistlab.twisting import (
     descriptor_scalars,
     solve_2dim_twist,
 )
-from twistlab.quivers import standard_quiver
+from twistlab.quivers import standard_quiver, truncated_path_algebra
 from twistlab.algebra import standard_algebra
 
 from test_classify import parse_orbit_tsv
@@ -325,6 +326,29 @@ def test_hh_budget_error_surfaces(capsys, monkeypatch):
                        "--method", "bar")
     assert code == 2
     assert "budget" in err.lower()
+
+
+def test_hh_bar_budget_is_checked_before_the_path_algebra(capsys, monkeypatch):
+    # kronecker's truncated path algebra has dim d = 4, so N = 2 needs
+    # d (d-1)^(N+1) = 108; one below, the d^3 table is never built
+    built = []
+
+    def spy(q, field):
+        built.append(q)
+        return truncated_path_algebra(q, field)
+
+    monkeypatch.setattr(cli, "truncated_path_algebra", spy)
+    argv = ("hh", "--quiver", "kronecker", "--N", "2", "--method", "bar")
+    monkeypatch.setenv("TWISTLAB_BUDGET", "108")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["dims"] == [1, 3, 0]
+    assert len(built) == 1
+    monkeypatch.setenv("TWISTLAB_BUDGET", "107")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: the bar budget of 107 caps d (d-1)^(N+1), which is "
+                   "108 for dim 4 at degree 2; lower N or raise TWISTLAB_BUDGET\n")
+    assert len(built) == 1
 
 
 def test_hh_output_file(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from twistlab.fields import GF, QQ
 from twistlab import hochschild, quivers, twisting
 from twistlab.algebra import (
-    Element,
     change_of_basis,
     jacobson_radical,
     scale_to_integers,
@@ -40,7 +39,7 @@ from twistlab.hochschild import (
     thm_formula,
     verify_counterexample,
 )
-from twistlab.linalg import (Matrix, echelon_basis, entry_values, integer_inverse,
+from twistlab.linalg import (Matrix, entry_values, integer_inverse,
                              sparse_compose_zero, sparse_rank)
 from twistlab.twisting import (
     TwistFamilyDescriptor,
@@ -186,8 +185,8 @@ def alpha_2_idempotents(prod) -> list:
     """e = (-1/2, -1, 1/2, 1) and 1 - e, as coordinates, in the alpha = 2
     product ``prod``."""
     f = prod.field
-    e = prod.element([Fraction(-1, 2), -1, Fraction(1, 2), 1]).coords
-    return [e, [f.scalar(u - x) for u, x in zip(prod.unit_element().coords, e)]]
+    e = [f.scalar(x) for x in (Fraction(-1, 2), -1, Fraction(1, 2), 1)]
+    return [e, [f.scalar(u - x) for u, x in zip(prod.unit, e)]]
 
 
 def test_normalized_bar_matches_full_bar_complex():
@@ -402,7 +401,7 @@ def test_e_complex_on_transported_truncated_path_algebras():
         if field == QQ:
             rational += any(v.denominator > 1
                             for plane in moved.table for row in plane for v in row)
-        idems = inverse_images(p, [alg.basis_element(v).coords
+        idems = inverse_images(p, [alg.basis_element(v)
                                    for v in range(vertices)])
         rng.shuffle(idems)
         rsz = hh_rsz(q, field, 5).dims
@@ -433,16 +432,16 @@ def test_e_complex_hypothesis_errors():
     alg = standard_algebra("truncated_roundtrip", QQ)
     e, f = alg.basis_element(0), alg.basis_element(1)
     with pytest.raises(ValueError):
-        hh_e_complex(alg, [e.algebra.unit_element(), e], 2)
+        hh_e_complex(alg, [alg.unit, e], 2)
     with pytest.raises(ValueError):
         hh_e_complex(alg, [e], 2)
     x = alg.basis_element(2)
     with pytest.raises(ValueError):
         hh_e_complex(alg, [e, f, x], 2)
     # a fifth coordinate used to be dropped without a word
-    for coords in (e.coords + [5], e.coords[:3]):
+    for coords in (e + [5], e[:3]):
         with pytest.raises(ValueError, match="^each idempotent needs 4 coordinates$"):
-            hh_e_complex(alg, [coords, f.coords], 2)
+            hh_e_complex(alg, [coords, f], 2)
     cubic = path_algebra_acyclic(L3, QQ)
     idems = [cubic.basis_element(i) for i in range(3)]
     with pytest.raises(ValueError):
@@ -475,12 +474,15 @@ def reference_hh_e_complex(a, idempotents, N, basis=None):
     its Peirce basis by change_of_basis, and its own chain loop. A list
     given as ``basis`` receives the basis of degrees 0..N+1, each element
     (chain, m): Peirce indices of radical vectors, and a Peirce index."""
+    # test_linalg imports this module, so its reference is imported here
+    from test_linalg import reference_echelon_basis
+
     if N < 0:
         raise ValueError("N must be >= 0")
     f = a.field
     p = f.characteristic
     d = a.dim
-    eps = [e.coords if isinstance(e, Element) else list(e) for e in idempotents]
+    eps = [list(e) for e in idempotents]
     ne = len(eps)
     zero = [f.zero] * d
     for i, e in enumerate(eps):
@@ -497,12 +499,12 @@ def reference_hh_e_complex(a, idempotents, N, basis=None):
         total = [f.scalar(x + y) for x, y in zip(total, e)]
     if total != a.unit:
         raise ValueError("idempotents do not sum to the unit")
-    if len(echelon_basis(f, eps)) != ne:
+    if len(reference_echelon_basis(f, eps)) != ne:
         raise ValueError("idempotents are linearly dependent")
     jbas = jacobson_radical(a)
     if ne + len(jbas) != d:
         raise ValueError("span of idempotents plus radical is not everything")
-    if len(echelon_basis(f, eps + jbas)) != d:
+    if len(reference_echelon_basis(f, eps + jbas)) != d:
         raise ValueError("idempotent span meets the radical")
     for u in jbas:
         for v in jbas:
@@ -513,7 +515,7 @@ def reference_hh_e_complex(a, idempotents, N, basis=None):
     blocks = [(u, u) for u in range(ne)]
     for u in range(ne):
         for v in range(ne):
-            part = echelon_basis(f, [
+            part = reference_echelon_basis(f, [
                 a.multiply_coords(eps[u], a.multiply_coords(w, eps[v]))
                 for w in jbas
             ])
@@ -577,7 +579,7 @@ def e_complex_differential_inputs(rng):
         arrows = [(rng.randrange(vertices), rng.randrange(vertices))
                   for _ in range(rng.randint(1, vertices + 1))]
         alg = truncated_path_algebra(Quiver(vertices, arrows), field)
-        idems = [alg.basis_element(v).coords for v in range(vertices)]
+        idems = [alg.basis_element(v) for v in range(vertices)]
         if trial % 2:
             p = random_invertible(rng, field, alg.dim)
             alg = change_of_basis(alg, p)
@@ -590,8 +592,8 @@ def e_complex_differential_inputs(rng):
     for field in (QQ, GF(3), GF(5)):
         alg = standard_algebra("truncated_roundtrip", field)
         e, f, x = (alg.basis_element(i) for i in range(3))
-        one = alg.unit_element()
-        e_plus_x = [field.scalar(a + b) for a, b in zip(e.coords, x.coords)]
+        one = alg.unit
+        e_plus_x = [field.scalar(a + b) for a, b in zip(e, x)]
         for idems in ([], [e], [one], [one, e], [e, e], [e, f, f],
                       [e, f, x], [e_plus_x, f]):
             yield alg, idems

@@ -22,7 +22,6 @@ from twistlab.fields import (
 from twistlab.hochschild import bar_coboundary_columns
 from twistlab.linalg import (
     Matrix,
-    echelon_basis,
     integer_echelon,
     integer_inverse,
     integer_kernel,
@@ -350,11 +349,13 @@ def test_matrix_holds_one_integer_form():
 
 
 def test_echelon_basis_and_coords():
-    basis = echelon_basis(QQ, [[0, 2, 4], [1, 1, 1], [1, 3, 5]])
-    assert basis == [
+    vectors = [[0, 2, 4], [1, 1, 1], [1, 3, 5]]
+    want = [
         [Fraction(1), Fraction(0), Fraction(-1)],
         [Fraction(0), Fraction(1), Fraction(2)],
     ]
+    assert rref_scalars(QQ, integer_echelon(vectors, 0)) == want
+    assert reference_echelon_basis(QQ, vectors) == want
 
 
 def test_sparse_rank_matches_dense():
@@ -426,8 +427,8 @@ def test_sparse_echelon_matches_full_reduction():
             reference_pivots(family, p)
             dense = [[field.scalar(v.get(width - 1 - j, 0)) for j in range(width)]
                      for v in family]
-            assert echelon_basis(field, dense) == reference_echelon_basis(field, dense), (
-                field.name, family)
+            got = rref_scalars(field, integer_echelon(scale_to_integers(dense, p)[0], p))
+            assert got == reference_echelon_basis(field, dense), (field.name, family)
 
 
 def test_sparse_echelon_matches_full_reduction_on_bar_coboundaries(monkeypatch):
@@ -486,7 +487,8 @@ def test_exact_kernel_matches_gauss_jordan_reference():
         for m in _corpus(field, rng):
             r, c = m.rows, m.cols
             red, pivots = gauss_jordan_rref(m)
-            assert echelon_basis(field, m.data) == red[: len(pivots)], (field, m.data)
+            assert rref_scalars(field, integer_echelon(m.ints, field.characteristic)) == (
+                red[: len(pivots)]), (field, m.data)
             assert m.rank() == len(pivots)
             assert kernel(m) == reference_kernel_basis(m)
             deficient += len(pivots) < min(r, c)
@@ -561,7 +563,6 @@ def test_integer_core_matches_gauss_jordan_reference():
                 lead = next(x for x in row if x)
                 assert lead == 1 if p else gcd(*row) == 1
                 assert not p or all(0 <= x < p for x in row)
-            assert echelon_basis(field, m.data) == red[: len(pivots)]
             assert m.rank() == len(pivots)
             want = reference_kernel_basis(m)
             assert rref_scalars(field, integer_kernel(ints, m.cols, p)) == want

@@ -1,12 +1,13 @@
 """The radical chain on integer rows against the earlier Fraction one.
 
-The reference is the earlier ``radical_powers``: the trace-form kernel as a
+The reference is the earlier Fraction radical chain: the trace-form kernel as a
 dense Fraction kernel, the ideal check as one rank of the scaled basis and
 its products with every e_i on both sides, and each power J^(k+1) as the
 echelon basis of the products of J^k with J, until a power vanishes or the
 dimension is used up. Its eliminations here are the Gauss-Jordan
 references of test_linalg, so it shares no elimination with the library.
-``radical_powers`` must give identical echelon bases, and must refuse with
+The ``_radical_chain`` rows, each made field scalars by ``rref_scalars``,
+must be identical echelon bases, and the chain must refuse with
 ``CriterionInapplicable`` on exactly the inputs the reference refuses.
 """
 
@@ -17,14 +18,14 @@ import pytest
 from twistlab.algebra import (
     Algebra,
     CriterionInapplicable,
+    _radical_chain,
     change_of_basis,
     jacobson_radical,
     radical_power_dims,
-    radical_powers,
     trace_form_gram,
 )
 from twistlab.fields import GF, QQ
-from twistlab.linalg import Matrix, scale_to_integers
+from twistlab.linalg import Matrix, rref_scalars, scale_to_integers
 
 from test_algebra import random_basis_change, sample_algebras
 from test_linalg import gauss_jordan_rref, reference_echelon_basis, reference_kernel_basis
@@ -83,6 +84,12 @@ def reference_radical_powers(a) -> list:
         f"criterion-inapplicable: char {char} <= dim {a.dim} and the trace-form "
         "radical is not a nilpotent ideal"
     )
+
+
+def radical_powers(a) -> list:
+    """[J, J^2, ...] as echelon bases of field scalars, from the library's
+    integer chain."""
+    return [rref_scalars(a.field, rows) for rows in _radical_chain(a)]
 
 
 def outcome(fn, a):

@@ -18,6 +18,7 @@ no Fraction.
 """
 
 import ast
+import importlib
 import random
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import twistlab
 from twistlab.fields import GF, QQ, Field
-from twistlab.algebra import Algebra, Element, change_of_basis, standard_algebra
+from twistlab.algebra import Algebra, change_of_basis, standard_algebra
 from twistlab.duplicates import duplicate_to_twisting_map, roundtrip_datum
 from twistlab.linalg import Matrix
 from twistlab.quivers import standard_quiver, truncated_path_algebra
@@ -37,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "twistlab"
 
 # where algebra.py may turn the integer form into field scalars
-BOUNDARY = {"to_doc", "unit_element"}
+BOUNDARY = {"to_doc"}
 
 
 def scalar_reads(tree) -> list:
@@ -70,8 +71,8 @@ def test_only_the_boundary_reads_table_or_unit():
         stray = [(line, fn) for line, fn in reads if fn not in BOUNDARY]
         assert stray == [], f"algebra.py reads field scalars at {stray}"
         boundary_reads = len(reads)
-    # to_doc reads both, unit_element the unit
-    assert boundary_reads == 3
+    # to_doc reads both
+    assert boundary_reads == 2
 
 
 def fractions_in(value) -> int:
@@ -137,7 +138,7 @@ def test_matrix_is_a_record_of_its_integer_form():
 
 
 def test_field_and_element_hold_no_arithmetic():
-    # a field parses and prints scalars and an element is a record of
+    # a field parses and prints scalars and an element is its list of
     # coordinates: sums and products are Python's own on ints and
     # Fractions, made canonical by Field.scalar, and products in an
     # algebra go through Algebra.multiply_coords
@@ -146,12 +147,28 @@ def test_field_and_element_hold_no_arithmetic():
         "characteristic", "zero", "one",
         "__init__", "name", "__eq__", "__repr__", "scalar", "scalar_to_str",
     }
-    assert set(vars(Element)) == {
-        "__module__", "__doc__", "__slots__", "__hash__",
-        "algebra", "coords", "__init__", "__eq__", "__repr__",
-    }
+    for field in (QQ, GF(5)):
+        e = standard_algebra("k_n", field, n=3).basis_element(1)
+        assert type(e) is list and e == [field.zero, field.one, field.zero]
     assert not hasattr(twistlab, "multiply")
     assert "multiply" not in twistlab.__all__
+
+
+def test_element_wrappers_are_gone():
+    # nothing in src/, the CLI, the demos or the benchmark read them: an
+    # element is its coordinate list, echelon bases come from
+    # rref_scalars of integer_echelon rows, and radical powers from the
+    # radical chain's rows
+    modules = [twistlab] + [importlib.import_module(f"twistlab.{path.stem}")
+                            for path in sorted(SRC.glob("*.py"))
+                            if path.stem != "__init__"]
+    assert len(modules) >= 11
+    for module in modules:
+        for name in ("Element", "echelon_basis", "radical_powers"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert "Element" not in twistlab.__all__
+    for name in ("element", "unit_element"):
+        assert not hasattr(Algebra, name), name
 
 
 def test_to_doc_reads_the_scalars_once():
