@@ -6,7 +6,8 @@ in e_i * e_j and D times the unit, for one scale D (``scale``), the lcm of
 the denominators over Q; over F_p they are residues and D = 1.  The form
 is unique, so equal constants are equal forms.  Invariant computations
 (center, Jacobson radical, separability) are the data the classification
-of the 4-dimensional twisted products rests on.
+of the 4-dimensional twisted products rests on; ``split_idempotents``
+reads orthogonal idempotents off the table.
 
 Everything reads the integer form: the axiom check, base change, algebra
 maps, the trace form, the center, the radical's powers and the Hochschild
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
+from math import isqrt
 from operator import mul
 
 from .fields import Field, field_from_name
@@ -476,6 +479,88 @@ def change_of_basis(a: Algebra, p: Matrix, labels=None) -> Algebra:
     table = [[prods[j][i * d:(i + 1) * d] for j in range(d)] for i in range(d)]
     return Algebra._from_integer_form(a.field, labels, table, unit,
                                       qscale * a.scale * pscale)
+
+
+def split_idempotents(a: Algebra) -> list:
+    """Complete orthogonal idempotents read off the integer table, as
+    coordinate lists of field scalars; [unit] when none is found.
+
+    Orthogonal basis idempotents that sum to the unit and hold every basis
+    vector in a block e_u A e_v (k_n, matrix2, path algebras) are returned
+    from O(d^3) table reads and no product.  Otherwise each basis vector b
+    with b^2 = alpha + beta b, two distinct roots l1, l2 in the field
+    (``_two_roots``) and b b' = b' b for every b' taken so far, of which
+    the set is made, splits each e of the set into e f and e (1 - f),
+    f = (b - l2) / (l1 - l2).  The split is kept when it adds an
+    idempotent and, checked exactly, x y is x for x = y and 0 otherwise.
+    """
+    d, c, u, s = a.dim, a.int_table, a.int_unit, a.scale
+    p, scalar = a.field.characteristic, a.field.scalar
+    one = [[s * (k == i) for k in range(d)] for i in range(d)]
+    picked = [i for i in range(d) if c[i][i] == one[i]]
+    if len(picked) > 1 and u == [s * (i in picked) for i in range(d)] and all(
+            c[i][j] == [0] * d for i in picked for j in picked if i != j) and all(
+            any(c[i][x] == one[x] for i in picked)
+            and any(c[x][i] == one[x] for i in picked) for x in range(d)):
+        return [a.basis_element(i) for i in picked]
+    found, taken = [_field_scalars(a.field, u, s)], []
+    for b, sq in enumerate(c[i][i] for i in range(d)):
+        k0 = next((k for k in range(d) if k != b and u[k]), None)
+        if k0 is None or any(c[b][t] != c[t][b] for t in taken) or _differ(
+                [x * u[k0] for k, x in enumerate(sq) if k != b],
+                [x * sq[k0] for k, x in enumerate(u) if k != b], p):
+            continue
+        # alpha and beta read off the coordinates k0 and b of b^2
+        roots = _two_roots(scalar(Fraction(sq[k0], u[k0])), scalar(
+            Fraction(sq[b] * u[k0] - sq[k0] * u[b], s * u[k0])), p)
+        if roots is None:
+            continue
+        l1, l2 = roots
+        inv = pow(l1 - l2, -1, p) if p else 1 / (l1 - l2)
+        refined = []
+        for e in found:
+            eb = a.multiply_coords(e, a.basis_element(b))
+            ef = [scalar((x - l2 * y) * inv) for x, y in zip(eb, e)]
+            refined += [x for x in (ef, [scalar(y - z) for y, z in zip(e, ef)]) if any(x)]
+        rows, t = scale_to_integers(refined, p)
+        if len(refined) > len(found) and not any(
+                _differ(_product(c, x, y), [t * s * v for v in x] if x is y else [0] * d, p)
+                for x in rows for y in rows):
+            found, taken = refined, taken + [b]
+    return found
+
+
+def _two_roots(alpha, beta, p: int):
+    """The two distinct roots of x^2 - beta x - alpha in Q (p = 0) or F_p,
+    or None: (beta, 0) when alpha = 0, else (beta +- r) / 2 for r a
+    nonzero square root of beta^2 + 4 alpha (by ``isqrt`` over Q and
+    ``_sqrt_mod`` over F_p, p odd; over F_2 only alpha = 0 has two)."""
+    if not alpha or p == 2:
+        return (beta, 0) if beta and not alpha else None
+    disc = beta * beta + 4 * alpha
+    if p:
+        r = _sqrt_mod(disc % p, p)
+        half = (p + 1) // 2
+        return ((beta + r) * half % p, (beta - r) * half % p) if r else None
+    r = Fraction(isqrt(max(disc.numerator, 0)), isqrt(disc.denominator))
+    return ((beta + r) / 2, (beta - r) / 2) if r and r * r == disc else None
+
+
+def _sqrt_mod(n: int, p: int):
+    """A square root of the residue n modulo the odd prime p, or None when
+    there is none (Tonelli-Shanks, with the least non-residue z)."""
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None if n else 0
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    cz, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(cz, 1 << (m - i - 1), p)
+        m, cz, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def _combine(coeffs, rows, width: int) -> list:

@@ -14,7 +14,8 @@ import os
 import sys
 
 from .fields import QQ, GF, field_from_name
-from .algebra import Algebra, CriterionInapplicable, is_isomorphism, standard_algebra
+from .algebra import (Algebra, CriterionInapplicable, is_isomorphism,
+                      require_fields, standard_algebra)
 from .quivers import Quiver, standard_quiver, truncated_path_algebra
 from .twisting import (
     CENSUS_ERRATA,
@@ -105,14 +106,23 @@ def _load_quiver(spec: str) -> Quiver:
     return standard_quiver(spec)
 
 
-def _load_algebra(spec: str, field) -> Algebra:
+def _load_algebra(spec: str, field, bar_N=None) -> Algebra:
+    """The algebra of a JSON file or a standard name; given bar_N, the bar
+    budget is checked on the declared dim first (the file's ``dim``, n of
+    k_n:<n>), before a table is built or its axioms are checked."""
     if os.path.exists(spec):
         with open(spec) as fh:
-            return Algebra.from_json(fh.read())
+            doc = json.load(fh)
+        if bar_N is not None:
+            require_fields(doc, {"field": str, "dim": int}, "algebra")
+            check_bar_budget(field_from_name(doc["field"]), doc["dim"], bar_N)
+        return Algebra.from_doc(doc)
     name, _, par = spec.partition(":")
     if name in ("k_n", "a_q"):
         if not par.removeprefix("-").isdecimal():
             raise ValueError(f"{name} takes an integer parameter, got {par!r}")
+        if name == "k_n" and bar_N is not None:
+            check_bar_budget(field, int(par), bar_N)
         return standard_algebra(name, field, **{name[-1]: int(par)})  # n or q
     if par:
         raise ValueError(f"{name} takes no parameter")
@@ -157,12 +167,12 @@ def run_hh(args) -> int:
             check_bar_budget(f, q.vertex_count + len(q.arrows), args.N)
         alg = None if method == "rsz" else truncated_path_algebra(q, f)
     else:
-        alg = _load_algebra(args.algebra, f)
+        method = "bar" if args.method == "auto" else args.method
+        alg = _load_algebra(args.algebra, f, args.N if method == "bar" else None)
         if args.field is not None and alg.field != f:
             raise ValueError(f"--field {f.name} contradicts the algebra "
                              f"file's field {alg.field.name}")
         f = alg.field  # a JSON file is over its own field
-        method = "bar" if args.method == "auto" else args.method
         if method == "rsz":
             raise ValueError("the rsz method needs a quiver input")
     if method == "rsz":

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import cli
+from twistlab import algebra, cli
 from twistlab.cli import HH_TSV_HEADER, main
 from twistlab.fields import GF, QQ
 from twistlab.twisting import (
@@ -349,6 +349,38 @@ def test_hh_bar_budget_is_checked_before_the_path_algebra(capsys, monkeypatch):
     assert err == ("error: the bar budget of 107 caps d (d-1)^(N+1), which is "
                    "108 for dim 4 at degree 2; lower N or raise TWISTLAB_BUDGET\n")
     assert len(built) == 1
+
+
+def test_hh_algebra_budget_is_checked_before_the_algebra(capsys, monkeypatch,
+                                                        tmp_path):
+    # k_n:4 and a dim-4 file at N = 2 need d (d-1)^(N+1) = 108; one below,
+    # k_n's table is never built and the file's axioms are never checked
+    built, checked = [], []
+    real_build, real_check = cli.standard_algebra, algebra.verify_axioms
+    monkeypatch.setattr(cli, "standard_algebra",
+                        lambda *a, **k: built.append(a) or real_build(*a, **k))
+    monkeypatch.setattr(algebra, "verify_axioms",
+                        lambda a: checked.append(a.dim) or real_check(a))
+    path = tmp_path / "matrix2.json"
+    path.write_text(standard_algebra("matrix2", GF(5)).to_json())
+    refusal = ("error: the bar budget of 107 caps d (d-1)^(N+1), which is "
+               "108 for dim 4 at degree 2; lower N or raise TWISTLAB_BUDGET\n")
+    for spec, dims in (("k_n:4", [4, 0, 0]), (str(path), [1, 0, 0])):
+        for method in ("bar", "auto"):
+            argv = ("hh", "--algebra", spec, "--N", "2", "--method", method)
+            monkeypatch.setenv("TWISTLAB_BUDGET", "108")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and json.loads(out)["dims"] == dims
+            assert built and checked
+            before = (len(built), len(checked))
+            monkeypatch.setenv("TWISTLAB_BUDGET", "107")
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", refusal)
+            assert (len(built), len(checked)) == before
+    # the other methods load first, as before
+    code, out, _ = run(capsys, "hh", "--algebra", "k_n:4", "--N", "2",
+                       "--method", "e-complex")
+    assert code == 0 and json.loads(out)["dims"] == [4, 0, 0]
 
 
 def test_hh_output_file(tmp_path, capsys):

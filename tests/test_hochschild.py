@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from twistlab.fields import GF, QQ
-from twistlab import hochschild, quivers, twisting
+from twistlab import algebra, hochschild, quivers, twisting
 from twistlab.algebra import (
     change_of_basis,
     jacobson_radical,
     scale_to_integers,
+    split_idempotents,
     standard_algebra,
 )
 from twistlab.quivers import (
@@ -43,6 +44,7 @@ from twistlab.linalg import (Matrix, entry_values, integer_inverse,
                              sparse_compose_zero, sparse_rank)
 from twistlab.twisting import (
     TwistFamilyDescriptor,
+    census_rows,
     family_member,
     twisted_product,
 )
@@ -925,9 +927,178 @@ def test_counterexample_bar_matches_product_basis(monkeypatch):
         report = verify_counterexample(5, field)
         n_bar = 4 if field == QQ else 5
         prod = z2_product(field, "line_char_ne_2", 2)
-        assert report["bar_dims"] == hh_bar(prod, n_bar).dims == [1] * (n_bar + 1)
+        assert (report["bar_dims"] == hh_bar(prod, n_bar).dims
+                == untransported_bar_dims(prod, n_bar) == [1] * (n_bar + 1))
         path_table = truncated_path_algebra(standard_quiver("roundtrip"), field).int_table
         assert certified == [(path_table, prod.int_table, True)], field.name
+
+
+def untransported_bar_dims(a, N: int) -> list:
+    """``complex_dims`` of a's bar complex in a's own basis."""
+    columns = [bar_coboundary_columns(a, n) for n in range(N + 1)]
+    return complex_dims(columns, a.field.characteristic)
+
+
+def constants(a) -> int:
+    return sum(bool(x) for plane in a.int_table for cell in plane for x in cell)
+
+
+def unit_shift(rng, field, d, unit):
+    """An invertible change of basis e_i -> s e_pi(i) + c 1 (random s != 0,
+    c and permutation pi): each b with b^2 in span(1, b) goes to another
+    such element, so the split search still finds them."""
+    while True:
+        perm = rng.sample(range(d), d)
+        cols = []
+        for i in range(d):
+            s, c = rng.choice([1, 2, -1, 3]), rng.choice([0, 0, 1, -2])
+            cols.append([s * (k == perm[i]) + c * u for k, u in enumerate(unit)])
+        p = Matrix(field, d, d, [list(row) for row in zip(*cols)])
+        if p.rank() == d:
+            return p
+
+
+def bar_transport_inputs(rng, field):
+    """Census products, k_4, matrix2, a_q and truncated path algebras of
+    dim 4, each in its own basis, under a unit shift and under a random
+    change of basis."""
+    z2 = standard_algebra("group_algebra_z2", field)
+    line = TwistFamilyDescriptor("line_char_ne_2", rng.choice([2, -2, 3]))
+    algebras = [twisted_product(row["map"] or family_member(line, z2, z2))
+                for row in census_rows(field)]
+    algebras += [standard_algebra("k_n", field, n=4),
+                 standard_algebra("matrix2", field),
+                 standard_algebra("a_q", field, q=rng.choice([0, 1, 2, 3]))]
+    algebras += [truncated_path_algebra(standard_quiver(name), field)
+                 for name in ("roundtrip", "qtilde", "kronecker")]
+    for a in algebras:
+        yield a
+        yield change_of_basis(a, unit_shift(rng, field, a.dim, a.unit))
+        yield change_of_basis(a, random_invertible(rng, field, a.dim))
+
+
+def test_bar_transport_keeps_the_untransported_dims():
+    # hh_bar may run in a Peirce basis; its dims must be those of the
+    # complex in the input's own basis, and its nnz those of the complex
+    # it eliminated
+    rng = random.Random(53)
+    moved = kept = 0
+    for field in (QQ, GF(3), GF(5), GF(7)):
+        for a in bar_transport_inputs(rng, field):
+            peirce = hochschild.peirce_form(a)
+            assert constants(peirce) <= constants(a)
+            moved, kept = moved + (peirce is not a), kept + (peirce is a)
+            prof = hh_bar(a, 3)
+            assert prof.dims == untransported_bar_dims(a, 3), (field.name, a)
+            assert [r["nnz"] for r in prof.stats] == [
+                sum(map(len, bar_coboundary_columns(peirce, n))) for n in range(4)]
+    # both branches run: 143 inputs are transported, 37 kept as given
+    assert (moved, kept) == (143, 37)
+
+
+def test_bar_runs_the_class_products_in_a_peirce_basis(monkeypatch):
+    classes = [("flip", None), ("line_char_ne_2", 3), ("line_char_ne_2", -2),
+               ("isolated_iii", None)]
+    for field in (QQ, GF(7)):
+        for (family, parameter), before, after in zip(
+                classes, (16, 20, 20, 24), (4, 8, 6, 8)):
+            prod = z2_product(field, family, parameter)
+            peirce = hochschild.peirce_form(prod)
+            assert (constants(prod), constants(peirce)) == (before, after), family
+            nnz = [r["nnz"] for r in hh_bar(prod, 4).stats]
+            assert nnz == [sum(map(len, bar_coboundary_columns(peirce, n)))
+                           for n in range(5)]
+            # below d^4 rows (degree 2 at dim 4) the product's own basis runs
+            nnz = [r["nnz"] for r in hh_bar(prod, 2).stats]
+            assert nnz == [sum(map(len, bar_coboundary_columns(prod, n)))
+                           for n in range(3)]
+
+    # a transported table with no fewer constants is dropped
+    rng = random.Random(7)
+    monkeypatch.setattr(hochschild, "change_of_basis", lambda a, p: change_of_basis(
+        a, random_invertible(rng, a.field, a.dim)))
+    prod = z2_product(QQ, "flip")
+    assert hochschild.peirce_form(prod) is prod
+
+    # a basis that already splits is kept before any product is formed
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(algebra, "_product", no_product)
+    monkeypatch.setattr(hochschild, "_product", no_product)
+    for field in (QQ, GF(3), GF(7)):
+        split = [truncated_path_algebra(standard_quiver(name), field)
+                 for name in ("roundtrip", "qtilde", "kronecker", "crown(3)")]
+        split += [standard_algebra("k_n", field, n=n) for n in (2, 4, 9)]
+        split += [standard_algebra("matrix2", field),
+                  standard_algebra("truncated_roundtrip", field)]
+        for a in split:
+            assert hochschild.peirce_form(a) is a, (field.name, a)
+
+
+def is_complete_split(a, idempotents) -> bool:
+    zero = [a.field.zero] * a.dim
+    total = [a.field.scalar(sum(xs)) for xs in zip(*idempotents)]
+    return total == a.unit and all(
+        a.multiply_coords(x, y) == (x if i == j else zero)
+        for i, x in enumerate(idempotents) for j, y in enumerate(idempotents))
+
+
+def test_split_skips_a_candidate_that_fails_the_check(monkeypatch):
+    # a wrong root makes f = (b - l2) / (l1 - l2) no idempotent: that
+    # candidate is skipped, and the others still split the flip
+    real = algebra._two_roots
+    bad = []
+
+    def wrong_root(alpha, beta, p):
+        roots = real(alpha, beta, p)
+        if roots is None or bad is None or len(bad) >= budget:
+            return roots
+        bad.append(roots)
+        return roots[0], roots[1] + 1
+
+    monkeypatch.setattr(algebra, "_two_roots", wrong_root)
+    for field in (QQ, GF(5), GF(7)):
+        prod = z2_product(field, "flip")
+        bad, budget = None, 0
+        want = split_idempotents(prod)
+        assert len(want) == 4 and is_complete_split(prod, want)
+        bad, budget = [], 1
+        got = split_idempotents(prod)
+        assert len(bad) == 1
+        assert sorted(got) == sorted(want) and is_complete_split(prod, got)
+        bad, budget = [], 3
+        assert split_idempotents(prod) == [prod.unit] and len(bad) == 3
+        bad = []
+        assert hochschild.peirce_form(prod) is prod
+
+
+def test_split_idempotents_roots_and_commutation():
+    # III: 1⊗a splits the unit; a⊗1 squares to 1 but does not commute
+    # with it, and a⊗a squares outside span(1, a⊗a)
+    for field in (QQ, GF(3), GF(5)):
+        prod = z2_product(field, "isolated_iii")
+        got = split_idempotents(prod)
+        half, minus = field.scalar(Fraction(1, 2)), field.scalar(Fraction(-1, 2))
+        assert sorted(got) == sorted([[half, half, 0, 0], [half, minus, 0, 0]])
+        assert is_complete_split(prod, got)
+    # alpha = 2: a repeated root; alpha = 3 over Q: roots outside Q
+    assert algebra._two_roots(QQ.scalar(-1), QQ.scalar(2), 0) is None
+    assert algebra._two_roots(QQ.scalar(-1), QQ.scalar(3), 0) is None
+    assert algebra._two_roots(QQ.scalar(Fraction(9, 4)), QQ.scalar(0), 0) == (
+        Fraction(3, 2), Fraction(-3, 2))
+    assert algebra._two_roots(1, 0, 2) is None
+    assert algebra._two_roots(0, 1, 2) == (1, 0)
+    for p in (3, 5, 7, 13, 17, 41, 97, 65521):
+        squares = {x * x % p for x in range(p)} if p < 100 else None
+        for n in (range(p) if squares else range(0, p, 997)):
+            r = algebra._sqrt_mod(n, p)
+            if r is None:
+                assert pow(n, (p - 1) // 2, p) == p - 1
+            else:
+                assert r * r % p == n
+            if squares is not None:
+                assert (r is not None) == (n in squares)
 
 
 def test_block_quiver_under_base_change():
