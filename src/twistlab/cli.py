@@ -15,7 +15,7 @@ import sys
 
 from .fields import QQ, GF, field_from_name
 from .algebra import (Algebra, CriterionInapplicable, is_isomorphism,
-                      require_fields, standard_algebra)
+                      require_fields, split_idempotents, standard_algebra)
 from .quivers import Quiver, standard_quiver, truncated_path_algebra
 from .twisting import (
     CENSUS_ERRATA,
@@ -129,20 +129,6 @@ def _load_algebra(spec: str, field, bar_N=None) -> Algebra:
     return standard_algebra(name, field)
 
 
-def _basis_idempotent_split(a: Algebra) -> list:
-    """The basis vectors e_i with e_i e_i = e_i and unit coordinate 1, when
-    they add up to the unit; read off the integer form (scale D), where
-    those are C[i][i] = D e_i and U_i = D."""
-    c, u, s = a.int_table, a.int_unit, a.scale
-    picked = [i for i in range(a.dim)
-              if u[i] == s and c[i][i] == [s * (k == i) for k in range(a.dim)]]
-    if u != [s * (i in picked) for i in range(a.dim)]:
-        raise ValueError(
-            "no orthogonal idempotent basis split: give a quiver instead"
-        )
-    return [a.basis_element(i) for i in picked]
-
-
 def _is_three_vertex_one_arrow(q: Quiver) -> bool:
     return (
         q.vertex_count == 3
@@ -180,7 +166,7 @@ def run_hh(args) -> int:
     elif method == "bar":
         prof = hh_bar(alg, args.N)
     elif method == "e-complex":
-        prof = hh_e_complex(alg, _basis_idempotent_split(alg), args.N)
+        prof = hh_e_complex(alg, split_idempotents(alg), args.N)
     else:
         raise ValueError(f"unknown method {method!r}")
     if args.format == "tsv":
@@ -298,7 +284,7 @@ def _check_hh_routes(f) -> tuple:
         q = standard_quiver(name)
         rsz = hh_rsz(q, f, 4).dims
         alg = truncated_path_algebra(q, f)
-        if hh_e_complex(alg, _basis_idempotent_split(alg), 4).dims != rsz:
+        if hh_e_complex(alg, split_idempotents(alg), 4).dims != rsz:
             return False, f"e-complex disagrees on {name}"
         if hh_bar(alg, 4).dims != rsz:
             return False, f"bar disagrees on {name}"

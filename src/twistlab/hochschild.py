@@ -110,18 +110,13 @@ class HHProfile:
         }
 
 
-def _reduced(col: dict, p: int) -> dict:
-    """A sparse integer column without its zero entries: over Q the column
-    itself when no entry cancelled; over F_p (p > 0) the signed residues in
-    (-p/2, p/2], the one form of an F_p cochain column."""
+def _signed(x: int, p: int) -> int:
+    """x over Q (p = 0); over F_p its signed residue in (-p/2, p/2], the
+    one form of an F_p cochain entry."""
     if p:
-        half, out = p >> 1, {}
-        for r, x in col.items():
-            x %= p
-            if x:
-                out[r] = x - p if x > half else x
-        return out
-    return col if all(col.values()) else {r: x for r, x in col.items() if x}
+        x %= p
+        return x - p if x > p >> 1 else x
+    return x
 
 
 def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
@@ -129,7 +124,7 @@ def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
 
     ``deltas[n]`` maps degree n into degree n+1, one dict {row: int} per
     basis element of degree n, so dim C^n is its length; entries are
-    integers over Q (p = 0) and signed residues over F_p (``_reduced``).
+    integers over Q (p = 0) and signed residues over F_p (``_signed``).
     The composite of each consecutive pair is checked to vanish, on the
     full columns, before any rank is taken (``sparse_compose_zero``: every
     entry of the composite packed by Kronecker substitution into slots
@@ -245,23 +240,34 @@ def rsz_layer(q: Quiver, pairs: tuple, n: int, p: int) -> RszComplexLayer:
     D(gamma, e) = sum over arrows a leaving e of (gamma.a, a), plus
     (-1)^(n+1) times the sum over arrows a entering e of (a.gamma, a),
     and each Q_1 pair maps to zero. Entries are integers over Q (p = 0)
-    and signed residues in (-p/2, p/2] over F_p (``_reduced``).
+    and signed residues in (-p/2, p/2] over F_p (``_signed``), fixed
+    where each sum is made: the out-arrow terms fall on distinct rows, and
+    only a loop's in-arrow term can land on one of them, where the sum is
+    reduced, or dropped when zero, in place.
     """
     p0, p1 = pairs[0][n], pairs[1][n]
     shift = len(pairs[0][n + 1])
     rows = {pair: shift + i for i, pair in enumerate(pairs[1][n + 1])}
-    sign = 1 if (n + 1) % 2 == 0 else -1
+    sign = _signed(1 if (n + 1) % 2 == 0 else -1, p)
+    into = [[] for _ in range(q.vertex_count)]
+    for a, (_, t) in enumerate(q.arrows):
+        into[t].append(a)
+    out = q.out_lists()
     cols = []
     for gamma, v in p0:
         col = {}
-        for a, (s, t) in enumerate(q.arrows):
-            if s == v:
-                r = rows[gamma + (a,), a]
-                col[r] = col.get(r, 0) + 1
-            if t == v:
-                r = rows[(a,) + gamma, a]
-                col[r] = col.get(r, 0) + sign
-        cols.append(_reduced(col, p))
+        for a in out[v]:
+            col[rows[gamma + (a,), a]] = 1
+        for a in into[v]:
+            r = rows[(a,) + gamma, a]
+            x = col.get(r)
+            if x is None:
+                col[r] = sign
+            elif x := _signed(x + sign, p):
+                col[r] = x
+            else:
+                del col[r]
+        cols.append(col)
     return RszComplexLayer(n, p0, p1, cols + [{} for _ in p1])
 
 
@@ -330,59 +336,61 @@ def bar_coboundary_columns(a: Algebra, n: int) -> list:
 
     Column (t, k), t in comp^n, is the normalized cochain sending e_t to
     e_k; row (s, m), s in comp^(n+1), is the e_m coordinate of its
-    coboundary at e_s. Tuples over comp are numbered in base e = d - 1,
-    and (s, m) sits at s * d + m. Entries are integers over Q and signed
-    residues in (-p/2, p/2] over F_p (``_reduced``).
+    coboundary at e_s, times D u_j (D = ``a.scale``, u_j = ``a.int_unit[j]``
+    for the j of ``_bar_tables``). Tuples over comp are numbered in base
+    e = d - 1, and (s, m) sits at s * d + m. Entries are integers over Q
+    and signed residues in (-p/2, p/2] over F_p (``_signed``), fixed where
+    each sum is made: a sum that meets an entry is reduced, or dropped
+    when zero, in place, and no column is copied.
+
+    The inner terms f(.., x y, ..) of all n digits do not depend on k, so
+    they are summed once per t, in the rows (s, 0), digit by digit: the
+    sums of t' e + l are those of t' with each row s' moved to s' e + l,
+    plus the pairs (x, y) that replace the last digit l. A last step makes
+    column (t, k) from the sums of t, shifted by k, plus the terms e_x f(t)
+    and +-f(t) e_y.
     """
     d = a.dim
     p = a.field.characteristic
     comp, c, cbar = _bar_tables(a)
     e = len(comp)
-    # e_x f(t) and +-f(t) e_y land at fixed offsets from t * d and t * e * d
-    sign = -1 if (n + 1) % 2 else 1
-    first = [
-        [(i * e ** n * d + m, c[x][k][m])
-         for i, x in enumerate(comp) for m in range(d) if c[x][k][m]]
-        for k in range(d)
-    ]
-    last = [
-        [(i * d + m, sign * c[k][y][m])
-         for i, y in enumerate(comp) for m in range(d) if c[k][y][m]]
-        for k in range(d)
-    ]
-    # f(.., x y, ..) at digit q: the pair (x, y) replaces digit z of t
-    inner = []
+    # a step (scale, [(shift, terms)]) makes one dict per shift from the
+    # dict of number t: each row r moved to r * scale + shift, and each term
+    # (g, offset, value) added at row t * d * g + offset
+    steps = []
     for q in range(n):
+        # digit q = l of t, and f(.., x y, ..) where (x, y) replaces it
         sgn = 1 if q % 2 else -1
-        scale = e ** (n - 1 - q) * d
-        inner.append([
-            [((i * e + i2) * scale, sgn * cbar[x][y][z])
-             for i, x in enumerate(comp) for i2, y in enumerate(comp)
-             if cbar[x][y][z]]
-            for z in comp
-        ])
-    cols = []
-    for t in range(e ** n):
-        # per digit q of t: its value z, and t with that digit widened to two
-        splits = []
-        for q in range(n):
-            low = e ** (n - 1 - q)
-            head, rest = divmod(t, low * e)
-            z, tail = divmod(rest, low)
-            splits.append(((head * e * e * low + tail) * d, inner[q][z]))
-        for k in range(d):
-            col = {}
-            for off, v in first[k]:
-                r = t * d + off
-                col[r] = col.get(r, 0) + v
-            for base, terms in splits:
-                for off, v in terms:
-                    r = base + k + off
-                    col[r] = col.get(r, 0) + v
-            for off, v in last[k]:
-                r = t * e * d + off
-                col[r] = col.get(r, 0) + v
-            cols.append(_reduced(col, p))
+        steps.append((e, [(l * d, [(e * e, (i * e + i2) * d, v)
+                                   for i, x in enumerate(comp)
+                                   for i2, y in enumerate(comp)
+                                   if (v := _signed(sgn * cbar[x][y][z], p))])
+                          for l, z in enumerate(comp)]))
+    # column (t, k): e_x f(t) at row t * d + offset, +-f(t) e_y at t * d * e
+    sign = -1 if (n + 1) % 2 else 1
+    steps.append((1, [(k, [(1, i * e ** n * d + m, v) for i, x in enumerate(comp)
+                           for m in range(d) if (v := _signed(c[x][k][m], p))]
+                       + [(e, i * d + m, v) for i, y in enumerate(comp)
+                          for m in range(d) if (v := _signed(sign * c[k][y][m], p))])
+                      for k in range(d)]))
+    cols = [{}]
+    for scale, shifts in steps:
+        made = []
+        for t, col in enumerate(cols):
+            td = t * d
+            for shift, terms in shifts:
+                new = {r * scale + shift: v for r, v in col.items()}
+                for g, off, v in terms:
+                    r = td * g + off
+                    x = new.get(r)
+                    if x is None:
+                        new[r] = v
+                    elif x := _signed(x + v, p):
+                        new[r] = x
+                    else:
+                        del new[r]
+                made.append(new)
+        cols = made
     return cols
 
 

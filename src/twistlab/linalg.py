@@ -20,7 +20,7 @@ share one packing toolkit: a vector becomes one integer by Kronecker
 substitution (``_pack``), ``_slot_width`` takes the slot width from a
 bound on the slots, and ``_slot_test`` tests all of them at once, so the
 inner loops are big-integer sums.  The check reads its entries as given
-(F_p cochain columns hold signed residues, ``hochschild._reduced``).
+(F_p cochain columns hold signed residues, ``hochschild._signed``).
 
 ``p`` is the characteristic throughout: 0 for Q, a prime for F_p.
 """
@@ -317,7 +317,7 @@ def sparse_compose_zero(outer: list, inner: list, p: int = 0,
     ``inner[j]`` is the j-th column of the first map as {row: int}; the
     rows of ``inner`` index the columns of ``outer``.  Each entry is read
     as given, so over F_p any representatives give the same answer; small
-    ones (``hochschild._reduced``'s signed residues) keep the slots narrow.
+    ones (``hochschild._signed``'s signed residues) keep the slots narrow.
     ``values`` gives the set of entry values of a family
     (``entry_values``); ``complex_dims`` passes one that makes each
     degree's set at most once.

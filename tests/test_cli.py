@@ -235,6 +235,12 @@ def test_hh_method_e_complex(capsys):
                        "--N", "4", "--method", "e-complex")
     assert code == 0
     assert json.loads(out)["dims"] == [1, 1, 1, 1, 1]
+    # a_q:2 splits off its basis by split_idempotents' root search
+    for field in ("Q", "F5"):
+        code, out, _ = run(capsys, "hh", "--algebra", "a_q:2", "--N", "4",
+                           "--method", "e-complex", "--field", field)
+        assert code == 0
+        assert json.loads(out)["dims"] == [1, 1, 1, 1, 1]
     code, out, err = run(capsys, "hh", "--quiver", "loop", "--N", "33",
                          "--method", "e-complex")
     assert (code, out) == (2, "")

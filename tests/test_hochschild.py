@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -288,6 +289,112 @@ def test_bar_tables_match_fraction_reference(monkeypatch):
                     field.name, family, parameter)
 
 
+# The normalized bar coboundary against a reference built from its formula.
+#
+# A normalized cochain f vanishes when any argument lies in k*1, and
+#
+#   (delta f)(a_1, ..., a_(n+1)) = a_1 f(a_2, ..., a_(n+1))
+#       + sum over i = 1..n of (-1)^i f(a_1, ..., a_i a_(i+1), ..., a_(n+1))
+#       + (-1)^(n+1) f(a_1, ..., a_n) a_(n+1).
+#
+# The reference evaluates this in Fractions, from the algebra's own scalars
+# (``table`` and ``unit``), at every tuple of basis vectors of the
+# complement of k*1: the basis vectors other than e_j, j the first index
+# where the unit is nonzero. A product is taken to that complement by the
+# projection along k*1, v -> v - (v_j / u_j) 1. The cochain f sending e_t
+# to e_k is column (t, k). Each row is put in the builder's numbering,
+# scaled by D u_j (D the integer form's scale, u_j the unit's integer
+# coordinate) and, over F_p, taken to its signed residue in (-p/2, p/2].
+# The columns must equal ``bar_coboundary_columns`` dict for dict. Neither
+# ``_bar_tables`` nor the builder is used to make them.
+
+
+def reference_bar_columns(a, top: int) -> tuple:
+    """The columns of the normalized bar coboundary in degrees 0..top, and
+    the number of entries whose terms cancelled."""
+    p, d = a.field.characteristic, a.dim
+    table = [[[Fraction(x) for x in cell] for cell in plane] for plane in a.table]
+    unit = [Fraction(x) for x in a.unit]
+    j = next(i for i, x in enumerate(unit) if x)
+    comp = [i for i in range(d) if i != j]
+    digit = {x: i for i, x in enumerate(comp)}
+    factor = a.scale * a.int_unit[j]
+
+    def scaled(x: Fraction) -> int:
+        x *= factor
+        assert x.denominator == 1, (a, x)
+        return int(x)
+
+    # e_x e_y, and its projection along k*1 on the complement
+    mult = [[[scaled(v) for v in table[x][y]] for y in range(d)] for x in range(d)]
+    mult_bar = [[{z: scaled(table[x][y][z] - table[x][y][j] * unit[z] / unit[j])
+                  for z in comp} for y in range(d)] for x in range(d)]
+
+    def number(s: tuple) -> int:
+        idx = 0
+        for x in s:
+            idx = idx * len(comp) + digit[x]
+        return idx
+
+    def degree(n: int) -> list:
+        cols = [{} for _ in range(len(comp) ** n * d)]
+
+        def put(col, r, v):
+            if v:
+                cols[col][r] = cols[col].get(r, 0) + v
+
+        for s in product(comp, repeat=n + 1):
+            row = number(s) * d
+            # e_(s_1) f(e_(s_2), ...) and +-f(..., e_(s_n)) e_(s_(n+1))
+            head, tail = number(s[1:]) * d, number(s[:n]) * d
+            for k in range(d):
+                for m in range(d):
+                    put(head + k, row + m, mult[s[0]][k][m])
+                    put(tail + k, row + m, (-1) ** (n + 1) * mult[k][s[n]][m])
+            for i in range(n):
+                for z, v in mult_bar[s[i]][s[i + 1]].items():
+                    t = number(s[:i] + (z,) + s[i + 2:]) * d
+                    for k in range(d):
+                        put(t + k, row + k, (-1) ** (i + 1) * v)
+        kept = [reduced(col, p) for col in cols]
+        return kept, sum(map(len, cols)) - sum(map(len, kept))
+
+    degrees = [degree(n) for n in range(top + 1)]
+    return [cols for cols, _ in degrees], sum(zeros for _, zeros in degrees)
+
+
+def reference_inputs(rng, field):
+    """Each census product in its own basis, in its Peirce form and under a
+    random change of basis, then the truncated path algebras of standard
+    quivers."""
+    z2 = standard_algebra("group_algebra_z2", field)
+    line = TwistFamilyDescriptor("line_char_ne_2", rng.choice([2, -2, 3, 5]))
+    for row in census_rows(field):
+        prod = twisted_product(row["map"] or family_member(line, z2, z2))
+        yield prod
+        yield hochschild.peirce_form(prod)
+        yield change_of_basis(prod, random_invertible(rng, field, prod.dim))
+    for name in ("roundtrip", "qtilde", "kronecker", "loop", "crown(3)"):
+        yield truncated_path_algebra(standard_quiver(name), field)
+
+
+def test_bar_columns_match_the_formula():
+    rng = random.Random(131)
+    cases = off_unit = cancelled = 0
+    for field in (QQ, GF(2), GF(3), GF(7)):
+        for a in reference_inputs(rng, field):
+            want, zeros = reference_bar_columns(a, 4)
+            for n in range(5):
+                assert bar_coboundary_columns(a, n) == want[n], (field.name, a, n)
+            cases += 1
+            j = next(i for i, x in enumerate(a.int_unit) if x)
+            off_unit += (j, a.scale * a.int_unit[j]) != (0, 1)
+            cancelled += zeros > 0
+    # every input has an entry whose terms cancel, and 48 have a unit off
+    # e_0 or a scale D u_j other than 1
+    assert (cases, off_unit, cancelled) == (107, 48, 107)
+
+
 def test_bar_matrix2_and_k4():
     assert hh_bar(standard_algebra("matrix2", QQ), 3).dims == [1, 0, 0, 0]
     assert hh_bar(standard_algebra("k_n", QQ, n=4), 3).dims == [4, 0, 0, 0]
@@ -470,6 +577,14 @@ def test_e_complex_path_layer_bound(monkeypatch):
         hh_e_complex(alg, idems, 6)
 
 
+def reduced(col: dict, p: int) -> dict:
+    """A sparse integer column in the builders' form: its nonzero entries,
+    over F_p as signed residues in (-p/2, p/2]."""
+    if p:
+        col = {r: (x + (p - 1) // 2) % p - (p - 1) // 2 for r, x in col.items()}
+    return {r: x for r, x in col.items() if x}
+
+
 def reference_hh_e_complex(a, idempotents, N, basis=None):
     """hh_e_complex as written before its split was certified by one
     isomorphism: hand-written hypothesis checks, the algebra moved into
@@ -559,7 +674,7 @@ def reference_hh_e_complex(a, idempotents, N, basis=None):
                     col[i] = col.get(i, 0) + sign * x
             except KeyError:
                 raise AssertionError("image escapes its block") from None
-            cols.append(hochschild._reduced(col, p))
+            cols.append(reduced(col, p))
         return cols
 
     if basis is not None:
@@ -655,7 +770,7 @@ def test_e_complex_matches_reference(monkeypatch):
             sign = (-1) ** (n + 1)
             for j, ref_col in zip(place[n], ref_cols):
                 moved = {place[n + 1][r]: sign * x for r, x in ref_col.items()}
-                assert cols[j] == hochschild._reduced(moved, p), (alg, idems, n)
+                assert cols[j] == reduced(moved, p), (alg, idems, n)
     assert (answered, refused) == (62, 25)
 
 
