@@ -491,8 +491,10 @@ def split_idempotents(a: Algebra) -> list:
     with b^2 = alpha + beta b, two distinct roots l1, l2 in the field
     (``_two_roots``) and b b' = b' b for every b' taken so far, of which
     the set is made, splits each e of the set into e f and e (1 - f),
-    f = (b - l2) / (l1 - l2).  The split is kept when it adds an
-    idempotent and, checked exactly, x y is x for x = y and 0 otherwise.
+    f = (b - l2) / (l1 - l2).  One product checks f f = f exactly.  Each
+    e is a polynomial in the b' taken, so f commutes with it, and then
+    the e f and e (1 - f) are idempotent, pairwise orthogonal and sum to
+    the unit.  The split is kept when it adds an idempotent.
     """
     d, c, u, s = a.dim, a.int_table, a.int_unit, a.scale
     p, scalar = a.field.characteristic, a.field.scalar
@@ -503,7 +505,8 @@ def split_idempotents(a: Algebra) -> list:
             any(c[i][x] == one[x] for i in picked)
             and any(c[x][i] == one[x] for i in picked) for x in range(d)):
         return [a.basis_element(i) for i in picked]
-    found, taken = [_field_scalars(a.field, u, s)], []
+    unit = _field_scalars(a.field, u, s)
+    found, taken = [unit], []
     for b, sq in enumerate(c[i][i] for i in range(d)):
         k0 = next((k for k in range(d) if k != b and u[k]), None)
         if k0 is None or any(c[b][t] != c[t][b] for t in taken) or _differ(
@@ -517,15 +520,16 @@ def split_idempotents(a: Algebra) -> list:
             continue
         l1, l2 = roots
         inv = pow(l1 - l2, -1, p) if p else 1 / (l1 - l2)
+        f = [scalar(((k == b) - l2 * y) * inv) for k, y in enumerate(unit)]
+        (fs,), t = scale_to_integers([f], p)
+        if _differ(_product(c, fs, fs), [t * s * v for v in fs], p):
+            continue
         refined = []
         for e in found:
             eb = a.multiply_coords(e, a.basis_element(b))
             ef = [scalar((x - l2 * y) * inv) for x, y in zip(eb, e)]
             refined += [x for x in (ef, [scalar(y - z) for y, z in zip(e, ef)]) if any(x)]
-        rows, t = scale_to_integers(refined, p)
-        if len(refined) > len(found) and not any(
-                _differ(_product(c, x, y), [t * s * v for v in x] if x is y else [0] * d, p)
-                for x in rows for y in rows):
+        if len(refined) > len(found):
             found, taken = refined, taken + [b]
     return found
 

@@ -44,8 +44,8 @@ from .algebra import (
     radical_power_dims,
     split_idempotents,
 )
-from .linalg import (Matrix, entry_values, integer_echelon,
-                     scale_to_integers, sparse_compose_zero, sparse_echelon)
+from .linalg import (Matrix, integer_echelon, scale_to_integers,
+                     sparse_compose_zero, sparse_echelon)
 from .quivers import (
     Quiver,
     is_connected,
@@ -126,15 +126,11 @@ def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
     basis element of degree n, so dim C^n is its length; entries are
     integers over Q (p = 0) and signed residues over F_p (``_signed``).
     The composite of each consecutive pair is checked to vanish, on the
-    full columns, before any rank is taken (``sparse_compose_zero``: every
-    entry of the composite packed by Kronecker substitution into slots
-    wider than its bound B, so that a zero integer over Q, and over F_p one
-    divisibility test and one mask, decide exactly by the uniqueness of
-    signed-digit forms; the bound and both arguments are in its docstring
-    and ``linalg._slot_test``);
-    then rank-nullity gives dim H^n = dim C^n - rank d^n - rank d^(n-1).
-    The check reads each degree's set of entry values at most once, and
-    only for the pairs that its vacuity test does not settle.
+    full columns, before any rank is taken (``sparse_compose_zero``: one
+    sparse product, each entry of the composite a sum of the products of
+    the entries that meet, tested for zero over Q and for divisibility by
+    p over F_p); then rank-nullity gives
+    dim H^n = dim C^n - rank d^n - rank d^(n-1).
 
     Clearing: rank d^(n+1) is the rank of its columns j that are not
     pivots of d^n, so only those are eliminated. Each row ``sparse_echelon``
@@ -153,19 +149,10 @@ def complex_dims(deltas: list, p: int, stats: list | None = None) -> list:
     rank (``rank_s``). The routes add the seconds each degree's columns
     took to build (``build_s``, see ``_timed_dims``).
     """
-    value_sets = {}
-
-    # each degree's entry values, made when the check first reads them
-    def values(cols: list) -> set:
-        key = id(cols)
-        if key not in value_sets:
-            value_sets[key] = entry_values(cols)
-        return value_sets[key]
-
     d2_s = []
     for n in range(len(deltas) - 1):
         start = perf_counter()
-        if not sparse_compose_zero(deltas[n + 1], deltas[n], p, values):
+        if not sparse_compose_zero(deltas[n + 1], deltas[n], p):
             raise AssertionError(f"coboundary square nonzero at degree {n}")
         d2_s.append(perf_counter() - start)
     d2_s.append(0.0)

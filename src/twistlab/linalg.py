@@ -15,12 +15,14 @@ results (``data``, ``col``, ``rref_scalars``).  The
 reduced echelon form of a span is unique, so kernel bases are
 byte-stable across runs.
 
-The exact d^2 = 0 check ``sparse_compose_zero`` and ``algebra.verify_axioms``
-share one packing toolkit: a vector becomes one integer by Kronecker
+The exact d^2 = 0 check ``sparse_compose_zero`` is one sparse product:
+it forms a product only where an inner entry meets an outer one, and
+reads its entries as given (F_p cochain columns hold signed residues,
+``hochschild._signed``).  ``algebra.verify_axioms`` tests a dense table
+with the packing toolkit: a vector becomes one integer by Kronecker
 substitution (``_pack``), ``_slot_width`` takes the slot width from a
-bound on the slots, and ``_slot_test`` tests all of them at once, so the
-inner loops are big-integer sums.  The check reads its entries as given
-(F_p cochain columns hold signed residues, ``hochschild._signed``).
+bound on the slots, and ``_slot_test`` tests all of them at once, so its
+inner loops are big-integer sums.
 
 ``p`` is the characteristic throughout: 0 for Q, a prime for F_p.
 """
@@ -305,68 +307,30 @@ def sparse_rank(vectors: list, p: int = 0) -> int:
     return len(sparse_echelon(vectors, p))
 
 
-def entry_values(cols: list) -> set:
-    """The set of entry values of a sparse column family."""
-    return set(chain.from_iterable(map(dict.values, cols)))
-
-
-def sparse_compose_zero(outer: list, inner: list, p: int = 0,
-                        values=entry_values) -> bool:
+def sparse_compose_zero(outer: list, inner: list, p: int = 0) -> bool:
     """Whether outer∘inner = 0 for sparse column families, exactly.
 
     ``inner[j]`` is the j-th column of the first map as {row: int}; the
-    rows of ``inner`` index the columns of ``outer``.  Each entry is read
-    as given, so over F_p any representatives give the same answer; small
-    ones (``hochschild._signed``'s signed residues) keep the slots narrow.
-    ``values`` gives the set of entry values of a family
-    (``entry_values``); ``complex_dims`` passes one that makes each
-    degree's set at most once.
-
-    Kronecker substitution: row r of ``inner`` becomes one integer
-    I[r] = sum_j inner[j][r] 2^(w j), so that R[rr] = sum_r outer[r][rr] I[r]
-    holds entry (rr, j) of the composite in slot j.  That entry is a sum
-    of at most len(inner[j]) products, so it is at most
-    B = (longest inner column) max|inner| max|outer| in absolute value,
-    the maxima taken over the two value sets; w is ``_slot_width(B, p)``,
-    and ``_slot_test`` tests all slots of R[rr] at once (see there for
-    why it is exact).  No slot is read in Python.
-
-    The R[rr] hold w bits for each inner column and each outer row.  So
-    that they never take more bytes than the columns being checked (their
-    dicts, and an integer key per entry), the inner columns are taken in
-    blocks of at most that many; on the bar complex of the alpha = 2
-    product a second block first appears at the pair (d^5, d^6).  Each
-    I[r] is freed once it is consumed.  The check returns before reading
-    any value when no inner entry meets a nonzero outer column (the block
-    shape of the parallel-paths complex).
+    rows of ``inner`` index the columns of ``outer``.  Column j of the
+    composite is one dict of partial sums over the rows of the outer
+    columns that inner[j] meets, so the work is one product per pair of
+    entries that meet.  Each sum must be 0 over Q and a multiple of p over
+    F_p, where entries are read as given, so any representatives give the
+    same answer.  The check returns before any product when no inner
+    entry meets a nonzero outer column (the block shape of the
+    parallel-paths complex).
     """
     if not any(map(outer.__getitem__, chain.from_iterable(inner))):
         return True
-    bound = (max(map(len, inner)) * max(map(abs, values(inner)))
-             * max(map(abs, values(outer))))
-    if not bound:
-        return True
-    w = _slot_width(bound, p)
-    rows = 1 + max(chain.from_iterable(outer))
-    # bytes held by the dicts and, at most, by one integer key per entry
-    entries = sum(map(len, inner)) + sum(map(len, outer))
-    held = (sum(map(dict.__sizeof__, inner)) + sum(map(dict.__sizeof__, outer))
-            + entries * rows.__sizeof__())
-    step = max(1, min(len(inner), 8 * held // (rows * w)))
-    zero = _slot_test(bound, p, w, step)
-    for start in range(0, len(inner), step):
-        packed = {}
-        for j, col in enumerate(inner[start:start + step]):
-            shift = w * j
-            for r, x in col.items():
-                packed[r] = packed.get(r, 0) + (x << shift)
-        acc = {}
-        while packed:
-            r, x = packed.popitem()
+    acc = {}
+    get = acc.get
+    for col in inner:
+        for r, x in col.items():
             for rr, v in outer[r].items():
-                acc[rr] = acc.get(rr, 0) + v * x
-        if not all(map(zero, acc.values())):
+                acc[rr] = get(rr, 0) + x * v
+        if any(map(p.__rmod__, acc.values()) if p else acc.values()):
             return False
+        acc.clear()
     return True
 
 

@@ -41,8 +41,8 @@ from twistlab.hochschild import (
     thm_formula,
     verify_counterexample,
 )
-from twistlab.linalg import (Matrix, entry_values, integer_inverse,
-                             sparse_compose_zero, sparse_rank)
+from twistlab.linalg import (Matrix, integer_inverse, sparse_compose_zero,
+                             sparse_rank)
 from twistlab.twisting import (
     TwistFamilyDescriptor,
     census_rows,
@@ -860,12 +860,12 @@ def test_complex_dims_checks_square_zero():
 
 def test_routes_check_every_consecutive_pair_once(monkeypatch):
     # the d^2 check runs once per pair (n, n + 1) on each route, the rsz
-    # pairs included, though there it returns before packing anything
+    # pairs included, though there it returns before forming any product
     calls = []
 
-    def spy(outer, inner, p=0, values=entry_values):
+    def spy(outer, inner, p=0):
         calls.append((len(inner), len(outer)))
-        return sparse_compose_zero(outer, inner, p, values)
+        return sparse_compose_zero(outer, inner, p)
 
     monkeypatch.setattr(hochschild, "sparse_compose_zero", spy)
     prod = z2_product(GF(5), "line_char_ne_2", 2)
@@ -1186,6 +1186,35 @@ def test_split_skips_a_candidate_that_fails_the_check(monkeypatch):
         assert split_idempotents(prod) == [prod.unit] and len(bad) == 3
         bad = []
         assert hochschild.peirce_form(prod) is prod
+
+
+def test_split_checks_each_candidate_with_one_product(monkeypatch):
+    # the group algebra of (Z/2)^5, basis e_g with e_g e_h = e_(g xor h):
+    # each e_g, g != 0, squares to 1, so each is a candidate; the set holds
+    # 2^k idempotents once the k powers of two below g are taken, and a
+    # candidate costs one product for the check f f = f and one per
+    # idempotent of the set for the split (no product among the refined
+    # rows); the result is the 32 characters (1/32) sum_g (-1)^|s & g| e_g
+    d = 32
+    table = [[[int(k == g ^ h) for k in range(d)] for h in range(d)]
+             for g in range(d)]
+    count = [0]
+    real = algebra._product
+
+    def spy(c, x, y):
+        count[0] += 1
+        return real(c, x, y)
+
+    monkeypatch.setattr(algebra, "_product", spy)
+    for field in (QQ, GF(5)):
+        a = algebra.Algebra(field, [f"g{g}" for g in range(d)], table,
+                            [int(k == 0) for k in range(d)])
+        count[0] = 0
+        got = split_idempotents(a)
+        assert count[0] == sum(1 + 2 ** (g - 1).bit_length() for g in range(1, d))
+        chars = [[field.scalar(Fraction((-1) ** bin(s & g).count("1"), d))
+                  for g in range(d)] for s in range(d)]
+        assert sorted(got) == sorted(chars), field.name
 
 
 def test_split_idempotents_roots_and_commutation():

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -598,17 +599,15 @@ def test_sparse_compose_zero():
 
 
 def reference_compose_zero(outer: list, inner: list, p: int = 0) -> bool:
-    """Reference: every composite column as a dict of partial sums, each
-    entry tested for zero (mod p over F_p)."""
-    for col in inner:
-        acc = {}
-        for r, v in col.items():
-            for rr, vv in outer[r].items():
-                acc[rr] = acc.get(rr, 0) + v * vv
-        for x in acc.values():
-            if (x % p if p else x):
-                return False
-    return True
+    """Reference: both families as dense integer matrices, every entry of
+    the product a row of outer times a column of inner, reduced mod p over
+    F_p."""
+    mid = len(outer)
+    top = 1 + max((rr for col in outer for rr in col), default=-1)
+    rows = [[col.get(rr, 0) for col in outer] for rr in range(top)]
+    cols = [[col.get(r, 0) for r in range(mid)] for col in inner]
+    return not any(sum(map(mul, row, col)) % p if p else sum(map(mul, row, col))
+                   for row in rows for col in cols)
 
 
 def _compose_products(field, rng):
@@ -680,35 +679,24 @@ def test_sparse_compose_zero_matches_reference_on_bar_columns():
     assert checked == 432 and caught > 360
 
 
-def test_sparse_compose_zero_matches_reference_in_blocks(monkeypatch):
-    # where the packed rows would outgrow the columns (a transport over Q
-    # at degree 5, a product over GF(7) at degree 6) the check runs in
-    # blocks of inner columns; a planted change in the first or the last
-    # block is found as by the reference
-    steps = []
-
-    def spy(bound, p, w, count):
-        steps.append(count)
-        return slot_test(bound, p, w, count)
-
-    slot_test = linalg._slot_test
-    monkeypatch.setattr(linalg, "_slot_test", spy)
+def test_sparse_compose_zero_finds_a_change_in_the_first_or_last_column():
+    # a degree-5 bar pair; a planted +1 at a row r of the first or the last
+    # inner column adds outer[r] to that column of the composite, and a
+    # nonempty bar column holds only nonzero entries (nonzero residues
+    # over F_p)
     rng = random.Random(97)
-    for field, pick, n in ((QQ, 1, 4), (GF(7), 0, 5)):
+    for field in (QQ, GF(7)):
         p = field.characteristic
-        alg = _compose_products(field, rng)[pick]
-        inner, outer = (bar_coboundary_columns(alg, k) for k in (n, n + 1))
-        steps.clear()
+        alg = _compose_products(field, rng)[0]
+        inner, outer = (bar_coboundary_columns(alg, k) for k in (5, 6))
         assert sparse_compose_zero(outer, inner, p)
-        assert steps[0] < len(inner), field
         for j in (0, len(inner) - 1):
             planted = list(inner)
             col = dict(planted[j])
-            r = next(iter(col))
-            col[r] = (col[r] + 1) % p if p else col[r] + 1
+            r = next(r for r in col if outer[r])
+            col[r] += 1
             planted[j] = col
-            assert not reference_compose_zero(outer, planted, p)
-            assert not sparse_compose_zero(outer, planted, p)
+            assert not sparse_compose_zero(outer, planted, p), (field.name, j)
 
 
 def test_sparse_compose_zero_edges():
@@ -720,15 +708,15 @@ def test_sparse_compose_zero_edges():
         assert sparse_compose_zero([{}, {}], [{0: 1}, {}], p)
         # every inner entry on an empty outer column
         assert sparse_compose_zero([{}, {}, {3: 1}], [{0: 1, 1: 2}, {1: 5}], p)
-    # a slot at +-B = 16 (inner column sum 4, outer entry 4) next to a
-    # slot -+1: a width one bit narrower reads 16 - 2^4 = 0
+    # a composite entry +-16 (inner column sum 4, outer entry 4) next to
+    # an entry -+1, which a packed check one bit too narrow reads as 0
     outer = [{0: 4}, {0: 4}, {0: -1}]
     for sign in (1, -1):
         inner = [{0: 2 * sign, 1: 2 * sign}, {2: sign}]
         assert not sparse_compose_zero(outer, inner)
         assert not reference_compose_zero(outer, inner)
-    # an outer row near 10^6 makes every inner column a block of its own:
-    # a nonzero composite in the last block only is still found
+    # an outer row near 10^6, and a nonzero composite in the last inner
+    # column only, are still found
     outer = [{10**6: 1}, {10**6: -1}, {0: 1}]
     inner = [{0: 1, 1: 1}] * 5
     for p in (0, 3):
@@ -744,10 +732,10 @@ def test_sparse_compose_zero_edges():
                       rng.sample(range(2), rng.randint(0, 2))} for _ in range(3)]
             assert (sparse_compose_zero(outer, inner, p)
                     == reference_compose_zero(outer, inner, p))
-    # GF(3) with one-entry columns: B = 1, so p M = 3 and not B sets the
-    # width; every slot of the composite is 0 or +-1, and each of these
-    # pairs of two and three columns has a nonzero one, which is caught
-    # (a width of 1 bit reads the slots -1, -1 as -3, a multiple of 3)
+    # GF(3) with one-entry columns: every entry of the composite is 0 or
+    # +-1, and each of these pairs of two and three columns has a nonzero
+    # one, which is caught (adjacent entries -1, -1 packed one bit apart
+    # read as -3, a multiple of 3)
     singles = [{r: x} for r in range(2) for x in (1, 2)]
     for outer in itertools.product(singles, repeat=2):
         for inner in itertools.product(singles, repeat=3):
@@ -755,16 +743,31 @@ def test_sparse_compose_zero_edges():
             assert not sparse_compose_zero(list(outer), list(inner), 3)
 
 
-def test_sparse_compose_zero_returns_before_packing(monkeypatch):
-    # no inner entry meets a nonzero outer column: nothing is packed
-    def refuse(*args):
-        raise AssertionError("packed")
+class Refused(int):
+    """An entry that may not be multiplied."""
 
-    monkeypatch.setattr(linalg, "_slot_width", refuse)
-    assert sparse_compose_zero([{}, {}, {3: 1}], [{0: 1, 1: 2}, {1: 5}], 0)
-    assert sparse_compose_zero([{}, {2: 1}], [{0: 4}], 5)
-    with pytest.raises(AssertionError, match="packed"):
-        sparse_compose_zero([{}, {2: 1}], [{1: 4}], 5)
+    def __mul__(self, other):
+        raise AssertionError("multiplied")
+
+    __rmul__ = __mul__
+
+
+class Unread(dict):
+    """A column whose entries may not be read."""
+
+    def items(self):
+        raise AssertionError("read")
+
+
+def test_sparse_compose_zero_returns_before_any_product():
+    # no inner entry meets a nonzero outer column: the check returns before
+    # it reads an inner entry, so before any product
+    x = Refused
+    assert sparse_compose_zero([{}, {}, {3: x(1)}],
+                               [Unread({0: x(1), 1: x(2)}), Unread({1: x(5)})], 0)
+    assert sparse_compose_zero([{}, {2: x(1)}], [Unread({0: x(4)})], 5)
+    with pytest.raises(AssertionError, match="multiplied"):
+        sparse_compose_zero([{}, {2: x(1)}], [{1: x(4)}], 5)
 
 
 def test_recursive_helpers_leave_no_cyclic_garbage():
