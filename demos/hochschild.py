@@ -1,4 +1,8 @@
-"""Hochschild cohomology dimensions by three routes, plus closed forms."""
+"""Hochschild cohomology dimensions by three routes, plus closed forms.
+
+The three routes run on two independent column builders: the e-complex
+route runs the parallel-paths builder on its certified block quiver.
+"""
 
 from twistlab import (
     GF,
@@ -12,6 +16,18 @@ from twistlab import (
     thm_formula,
     truncated_path_algebra,
 )
+from twistlab.hochschild import check_bar_budget
+
+
+def bar_degree(alg, top: int = 4) -> int:
+    """The largest N <= top that hh_bar's budget accepts for alg."""
+    for n in range(top, 0, -1):
+        try:
+            check_bar_budget(alg.field, alg.dim, n)
+            return n
+        except ValueError:
+            pass
+    return 0
 
 
 def main() -> None:
@@ -31,9 +47,7 @@ def main() -> None:
         alg = truncated_path_algebra(q, QQ)
         idems = [alg.basis_element(v) for v in range(q.vertex_count)]
         ec = hh_e_complex(alg, idems, 4)
-        n_bar = 4
-        while alg.dim ** (n_bar + 2) > 4096:
-            n_bar -= 1
+        n_bar = bar_degree(alg)
         bar = hh_bar(alg, n_bar)
         agree = rsz.dims == ec.dims and rsz.dims[: n_bar + 1] == bar.dims
         print(f"  {name:>12}: {rsz.dims}  (bar through degree {n_bar}, "

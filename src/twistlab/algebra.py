@@ -420,11 +420,6 @@ def _radical_chain(a: Algebra) -> list:
     )
 
 
-def is_commutative(a: Algebra) -> bool:
-    return all(a.int_table[i][j] == a.int_table[j][i]
-               for i in range(a.dim) for j in range(a.dim))
-
-
 def is_separable(a: Algebra) -> bool:
     """Nondegeneracy of the trace form T(x,y) = trace(L_{xy}).
 

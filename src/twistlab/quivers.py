@@ -1,4 +1,4 @@
-"""Quivers, their paths (``walks``), and (truncated) path algebras.
+"""Quivers, their paths (``walks``), and their algebras kQ/J^m.
 
 A path is the tuple (source, target, arrow indices). Composition is
 diagrammatic: a path (a_1, ..., a_n) requires target(a_i) =
@@ -138,75 +138,31 @@ def is_connected(q: Quiver) -> bool:
     return len(seen) == q.vertex_count
 
 
-def _path_depths(q: Quiver):
-    """Per vertex, the length of the longest path ending there, from one
-    Kahn topological pass; None when some vertex is never popped, that
-    is, when the quiver has an oriented cycle."""
-    indegree = [0] * q.vertex_count
-    for _, t in q.arrows:
-        indegree[t] += 1
-    out = q.out_lists()
-    depth = [0] * q.vertex_count
-    ready = [v for v, k in enumerate(indegree) if not k]
-    popped = 0
-    while ready:
-        v = ready.pop()
-        popped += 1
-        for a in out[v]:
-            w = q.arrows[a][1]
-            depth[w] = max(depth[w], depth[v] + 1)
-            indegree[w] -= 1
-            if not indegree[w]:
-                ready.append(w)
-    return depth if popped == q.vertex_count else None
-
-
-def has_oriented_cycle(q: Quiver) -> bool:
-    return _path_depths(q) is None
-
-
-def longest_path_length(q: Quiver) -> int:
-    """Longest path length in an acyclic quiver."""
-    depth = _path_depths(q)
-    if depth is None:
-        raise ValueError("quiver has an oriented cycle")
-    return max(depth)
-
-
-def truncated_path_algebra(q: Quiver, field: Field) -> Algebra:
-    """kQ modulo all paths of length >= 2; dim = |Q0| + |Q1|, as an
-    integer form of 0s and 1s. Associative and unital by construction, so
-    ``verify_axioms`` does not rescan it."""
-    nv = q.vertex_count
-    na = len(q.arrows)
-    d = nv + na
-    labels = [f"e{v}" for v in range(nv)] + [f"a{i}" for i in range(na)]
-    table = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for v in range(nv):
-        table[v][v][v] = 1
-    for i, (s, t) in enumerate(q.arrows):
-        table[s][nv + i][nv + i] = 1  # e_s * a = a
-        table[nv + i][t][nv + i] = 1  # a * e_t = a
-    return Algebra._from_integer_form(field, labels, table, [1] * nv + [0] * na,
-                                      1, check=False)
-
-
-def path_algebra_acyclic(q: Quiver, field: Field) -> Algebra:
-    """Full path algebra, basis all paths; only for acyclic quivers."""
-    if has_oriented_cycle(q):
-        raise ValueError("path algebra is infinite-dimensional: oriented cycle present")
-    # an acyclic path visits each vertex at most once
-    paths = [p for layer in walks(q, q.vertex_count - 1) for p in layer]
+def truncated_path_algebra(q: Quiver, field: Field, m: int = 2) -> Algebra:
+    """kQ/J^m on the paths of length < m from one ``walks`` pass, as an
+    integer form of 0s and 1s: two paths multiply to their concatenation
+    when it is shorter than m, and to 0 otherwise. m = 2 gives dim
+    |Q0| + |Q1|; an acyclic quiver's kQ is m = |Q0|. Associative and
+    unital by construction, so ``verify_axioms`` does not rescan it. A
+    ValueError for m < 1."""
+    if m < 1:
+        raise ValueError(f"kQ/J^m needs m >= 1, got m = {m}")
+    paths = [p for layer in walks(q, m - 1) for p in layer]
     index = {p: i for i, p in enumerate(paths)}
+    starting = [[] for _ in range(q.vertex_count)]
+    for j, (s, t, y) in enumerate(paths):
+        starting[s].append((j, t, y))
     d = len(paths)
     table = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i, (s, t, x) in enumerate(paths):
-        for j, (s2, t2, y) in enumerate(paths):
-            if t == s2:
-                table[i][j][index[s, t2, x + y]] = 1
-    labels = ["*".join(f"a{a}" for a in x) if x else f"e{s}" for s, _, x in paths]
+    for row, (s, t, x) in zip(table, paths):
+        for j, t2, y in starting[t]:  # shortest first, as walks lists them
+            if len(x) + len(y) >= m:
+                break
+            row[j][index[s, t2, x + y]] = 1
+    labels = ["*".join(map("a{}".format, x)) if x else f"e{s}" for s, _, x in paths]
     return Algebra._from_integer_form(field, labels, table,
-                                      [int(not x) for _, _, x in paths], 1)
+                                      [int(not x) for _, _, x in paths], 1,
+                                      check=False)
 
 
 def standard_quiver(name: str, c: int = None) -> Quiver:

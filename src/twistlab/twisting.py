@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field
-from .algebra import Algebra, _combine, _differ, is_algebra_map, standard_algebra
+from .algebra import Algebra, _combine, _differ, standard_algebra
 from .linalg import Matrix
 
 ENUM_BITS_BOUND = 40
@@ -243,19 +243,6 @@ def twisted_product(t: TwistingMap) -> Algebra:
 
 def is_invertible(t: TwistingMap) -> bool:
     return t.matrix.rank() == t.matrix.rows
-
-
-def inclusion_maps_are_morphisms(t: TwistingMap) -> bool:
-    """Whether a -> a(x)1 and b -> 1(x)b are algebra maps into the product."""
-    prod = twisted_product(t)
-    a, b = t.source_a, t.source_b
-    # columns a_j (x) 1 over D_B and 1 (x) b_l over D_A
-    a_one, one_b = _unit_tensors(a, b)
-    inc_a, inc_b = (
-        Matrix._from_integer_form(a.field, prod.dim, len(cols),
-                                  [list(row) for row in zip(*cols)], scale)
-        for cols, scale in ((a_one, b.scale), (one_b, a.scale)))
-    return is_algebra_map(inc_a, a, prod) and is_algebra_map(inc_b, b, prod)
 
 
 def _unit_basis_index(alg: Algebra) -> int:

@@ -28,10 +28,9 @@ from twistlab.hochschild import (
 from twistlab.linalg import sparse_compose_zero
 from twistlab.quivers import (
     Quiver,
-    has_oriented_cycle,
-    longest_path_length,
     standard_quiver,
     truncated_path_algebra,
+    walks,
 )
 from twistlab.twisting import (
     CENSUS_ERRATA,
@@ -43,6 +42,8 @@ from twistlab.twisting import (
     is_invertible,
     twisted_product,
 )
+
+from test_hochschild import bar_degree
 
 ISOLATED_QR = {
     "isolated_iii": (1, 1),
@@ -258,9 +259,7 @@ def test_criterion_07_three_routes_agree():
         alg = truncated_path_algebra(q, QQ)
         idems = [alg.basis_element(v) for v in range(q.vertex_count)]
         ec = hh_e_complex(alg, idems, 4)
-        n_bar = 4
-        while alg.dim ** (n_bar + 2) > 4096:
-            n_bar -= 1
+        n_bar = bar_degree(alg)
         bar = hh_bar(alg, n_bar)
         assert rsz.dims == ec.dims, name
         assert rsz.dims[: n_bar + 1] == bar.dims, name
@@ -330,8 +329,11 @@ def test_criterion_10_vanishing_dichotomy():
         ("one_arrow", Quiver(2, [(0, 1)])),
     ]
     for name, q in acyclic:
-        assert not has_oriented_cycle(q)
-        bound = longest_path_length(q)
+        # acyclic: layer |Q0| is empty, and the longest path is the last
+        # nonempty layer
+        layers = walks(q, q.vertex_count)
+        assert not layers[-1], name
+        bound = max(n for n, layer in enumerate(layers) if layer)
         prof = hh_rsz(q, QQ, 8)
         assert all(x == 0 for x in prof.dims[bound + 1 :]), name
 

@@ -14,14 +14,13 @@ from twistlab.algebra import (
     change_of_basis,
     commutator_rows,
     integer_rank,
-    is_commutative,
     is_separable,
     radical_power_dims,
     standard_algebra,
 )
 from twistlab.quivers import Quiver, truncated_path_algebra
 
-from test_algebra import trace_of_left_mult
+from test_algebra import table_is_symmetric, trace_of_left_mult
 from test_linalg import (
     gauss_jordan_rref,
     identity_matrix,
@@ -204,7 +203,7 @@ def fraction_fingerprint(a) -> Fingerprint:
         dims.append(0)
     return Fingerprint(
         a.dim,
-        is_commutative(a),
+        table_is_symmetric(a),
         len(center(a)),
         tuple(dims),
         len(gauss_jordan_rref(gram)[1]) == a.dim,
@@ -275,7 +274,7 @@ def two_pass_fingerprint(a) -> Fingerprint:
     separable = is_separable(a)
     return Fingerprint(
         d,
-        is_commutative(a),
+        table_is_symmetric(a),
         d - integer_rank(commutator_rows(a.int_table), a.field.characteristic),
         () if separable else tuple(radical_power_dims(a)),
         separable,

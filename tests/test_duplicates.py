@@ -7,7 +7,6 @@ import pytest
 from twistlab.fields import GF, QQ
 from twistlab.algebra import (
     center,
-    is_commutative,
     is_separable,
     jacobson_radical,
     radical_power_dims,
@@ -26,6 +25,7 @@ from twistlab.duplicates import (
 )
 from twistlab.twisting import flip, is_invertible, twisted_product
 
+from test_algebra import table_is_symmetric
 from test_linalg import identity_matrix
 
 
@@ -55,7 +55,7 @@ def test_identity_pair_passes_everything():
 def test_identity_pair_duplicate_is_split_commutative():
     dup = build_duplicate(identity_datum(QQ))
     assert dup.dim == 4
-    assert is_commutative(dup)
+    assert table_is_symmetric(dup)
     assert is_separable(dup)
     assert jacobson_radical(dup) == []
     assert len(center(dup)) == 4
@@ -151,7 +151,7 @@ def test_roundtrip_constraint_gate():
 
 def test_roundtrip_zero_product_case_is_nilpotent_type():
     alg = build_duplicate(roundtrip_datum(QQ, 0, -1))
-    assert not is_commutative(alg)
+    assert not table_is_symmetric(alg)
     assert len(center(alg)) == 1
     assert radical_power_dims(alg) == [2, 0]
     assert not is_separable(alg)
@@ -159,7 +159,7 @@ def test_roundtrip_zero_product_case_is_nilpotent_type():
 
 def test_roundtrip_nonzero_product_case_is_separable_type():
     alg = build_duplicate(roundtrip_datum(QQ, 1, -2))
-    assert not is_commutative(alg)
+    assert not table_is_symmetric(alg)
     assert len(center(alg)) == 1
     assert jacobson_radical(alg) == []
     assert is_separable(alg)

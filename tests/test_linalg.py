@@ -775,7 +775,7 @@ def test_recursive_helpers_leave_no_cyclic_garbage():
     # until the next collection; with gc disabled none may be left behind
     from twistlab.algebra import standard_algebra
     from twistlab.census_search import census_equations, common_zeros
-    from twistlab.quivers import Quiver, has_oriented_cycle, standard_quiver
+    from twistlab.quivers import Quiver, standard_quiver, truncated_path_algebra
 
     z2 = standard_algebra("group_algebra_z2", GF(5))
     _, nvars, equations = census_equations(z2, z2)
@@ -785,8 +785,8 @@ def test_recursive_helpers_leave_no_cyclic_garbage():
         lambda: scale_to_integers([[Fraction(1, 2), Fraction(3)], [Fraction(-2, 3)]], 0),
         lambda: scale_to_integers([[1, 7], [12]], 5),
         lambda: common_zeros(equations, nvars, 5),
-        lambda: has_oriented_cycle(cyclic),
-        lambda: has_oriented_cycle(acyclic),
+        lambda: truncated_path_algebra(cyclic, GF(5), 3),
+        lambda: truncated_path_algebra(acyclic, GF(5), 3),
     ]
     for i, call in enumerate(calls):
         gc.collect()

@@ -18,11 +18,8 @@ from twistlab.linalg import Matrix
 from twistlab.quivers import (
     PATH_LAYER_BOUND,
     Quiver,
-    has_oriented_cycle,
     is_connected,
     is_crown,
-    longest_path_length,
-    path_algebra_acyclic,
     standard_quiver,
     truncated_path_algebra,
     walks,
@@ -147,46 +144,26 @@ def test_is_crown():
     assert is_crown(Quiver(2, [(0, 0), (1, 1)])) is None
 
 
+def walks_find_a_cycle(q: Quiver) -> bool:
+    """A quiver on n vertices has an oriented cycle exactly when it has a
+    path of length n."""
+    return bool(walks(q, q.vertex_count)[-1])
+
+
 def test_connectivity_and_cycles():
     qt = standard_quiver("qtilde")
-    assert not is_connected(qt) and not has_oriented_cycle(qt)
+    assert not is_connected(qt) and not walks_find_a_cycle(qt)
     rt = standard_quiver("roundtrip")
-    assert is_connected(rt) and has_oriented_cycle(rt)
+    assert is_connected(rt) and walks_find_a_cycle(rt)
     kr = standard_quiver("kronecker")
-    assert is_connected(kr) and not has_oriented_cycle(kr)
-    assert has_oriented_cycle(standard_quiver("loop"))
-
-
-def test_longest_path_length():
-    assert longest_path_length(standard_quiver("qtilde")) == 1
-    assert longest_path_length(standard_quiver("four_points")) == 0
-    line3 = Quiver(3, [(0, 1), (1, 2)])
-    assert longest_path_length(line3) == 2
-    with pytest.raises(ValueError):
-        longest_path_length(standard_quiver("roundtrip"))
-
-
-def test_cycle_and_longest_path_on_1500_vertices():
-    # one topological pass, nothing per vertex on the call stack: each of
-    # these is deeper than the default recursion limit
-    assert has_oriented_cycle(standard_quiver("crown(1500)"))
-    line = Quiver(1500, [(i, i + 1) for i in range(1499)])
-    assert not has_oriented_cycle(line)
-    assert longest_path_length(line) == 1499
-    backwards = Quiver(1500, [(i + 1, i) for i in range(1499)])
-    assert longest_path_length(backwards) == 1499
-    # a cycle reached only at the end of a long line
-    tail = Quiver(1500, line.arrows + [(1499, 1498)])
-    assert has_oriented_cycle(tail)
-    with pytest.raises(ValueError, match="oriented cycle"):
-        longest_path_length(tail)
+    assert is_connected(kr) and not walks_find_a_cycle(kr)
+    assert walks_find_a_cycle(standard_quiver("loop"))
 
 
 def test_topological_pass_matches_walks():
     # a quiver on n vertices has an oriented cycle exactly when it has a
-    # path of length n, and when it has none its longest path is the last
-    # nonempty layer of walks; acyclic quivers are drawn as arrows up a
-    # shuffled order, with parallel arrows, and then a back arrow is added
+    # path of length n; acyclic quivers are drawn as arrows up a shuffled
+    # order, with parallel arrows, and then a back arrow is added
     rng = random.Random(59)
     cyclic = 0
     for _ in range(300):
@@ -197,14 +174,11 @@ def test_topological_pass_matches_walks():
             i, j = sorted(rng.sample(range(n), 2))
             arrows.append((order[i], order[j]))
         q = Quiver(n, arrows)
-        layers = walks(q, n)
-        assert not has_oriented_cycle(q) and not layers[n], q
-        assert longest_path_length(q) == max(k for k, layer in enumerate(layers)
-                                             if layer), q
+        assert not walks(q, n)[n], q
         if arrows and rng.random() < 0.5:
             s, t = rng.choice(arrows)
             back = Quiver(n, arrows + [(t, s)])
-            assert has_oriented_cycle(back) and walks(back, n)[n], back
+            assert walks(back, n)[n], back
             cyclic += 1
     assert cyclic > 50
 
@@ -263,7 +237,8 @@ def test_truncated_roundtrip_center_one_dimensional():
 
 
 def test_path_algebra_qtilde():
-    built = path_algebra_acyclic(standard_quiver("qtilde"), QQ)
+    q = standard_quiver("qtilde")
+    built = truncated_path_algebra(q, QQ, q.vertex_count)
     assert built.dim == 4
     ref = standard_algebra("qtilde_path_algebra", QQ)
     assert built.table == ref.table
@@ -271,24 +246,67 @@ def test_path_algebra_qtilde():
 
 
 def test_path_algebra_two_vertex_one_arrow():
-    alg = path_algebra_acyclic(Quiver(2, [(0, 1)]), QQ)
+    q = Quiver(2, [(0, 1)])
+    alg = truncated_path_algebra(q, QQ, q.vertex_count)
     assert alg.dim == 3
     assert verify_axioms(alg)["associative"]
-
-
-def test_path_algebra_rejects_cycles():
-    with pytest.raises(ValueError):
-        path_algebra_acyclic(standard_quiver("roundtrip"), QQ)
 
 
 def test_truncation_equals_path_algebra_without_length_two_paths():
     for q in (standard_quiver("qtilde"), standard_quiver("kronecker"),
               standard_quiver("four_points")):
         assert not walks(q, 2)[2]
-        assert truncated_path_algebra(q, QQ).dim == path_algebra_acyclic(q, QQ).dim
+        assert (truncated_path_algebra(q, QQ).dim
+                == truncated_path_algebra(q, QQ, q.vertex_count).dim)
     line3 = Quiver(3, [(0, 1), (1, 2)])
     assert walks(line3, 2)[2]
-    assert truncated_path_algebra(line3, QQ).dim != path_algebra_acyclic(line3, QQ).dim
+    assert truncated_path_algebra(line3, QQ).dim != truncated_path_algebra(line3, QQ, 3).dim
+
+
+def concatenation_product(paths: list, m: int, i: int, j: int) -> list:
+    """Reference: the coordinates of paths[i] * paths[j] in kQ/J^m, the
+    concatenation when the paths meet and it is shorter than m, else 0."""
+    (s, t, x), (s2, t2, y) = paths[i], paths[j]
+    out = [0] * len(paths)
+    if t == s2 and len(x) + len(y) < m:
+        out[paths.index((s, t2, x + y))] = 1
+    return out
+
+
+def test_truncated_path_algebra_multiplies_paths_by_concatenation():
+    # kQ/J^m for m = 1, 2, 3, and kQ itself (m = |Q0|) on acyclic quivers:
+    # every product of two basis paths against the concatenation reference,
+    # and the verify_axioms scan that check=False skips
+    rng = random.Random(131)
+    quivers = [standard_quiver(name) for name in
+               ("roundtrip", "qtilde", "four_points", "loop", "kronecker", "crown(3)")]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        quivers.append(Quiver(n, [(rng.randrange(n), rng.randrange(n))
+                                  for _ in range(rng.randint(0, 5))]))
+    full = 0
+    for q in quivers:
+        powers = [1, 2, 3]
+        if not walks_find_a_cycle(q):
+            powers.append(q.vertex_count)
+            full += 1
+        for field in (QQ, GF(3)):
+            for m in powers:
+                alg = truncated_path_algebra(q, field, m)
+                paths = [p for layer in walks(q, m - 1) for p in layer]
+                assert alg.dim == len(paths), (q, m)
+                assert alg.unit == [int(not x) for _, _, x in paths], (q, m)
+                for i in range(alg.dim):
+                    for j in range(alg.dim):
+                        got = alg.multiply_coords(alg.basis_element(i),
+                                                  alg.basis_element(j))
+                        assert got == concatenation_product(paths, m, i, j), (q, m, i, j)
+                report = verify_axioms(alg)
+                assert report["associative"] and report["unital"], (q, field.name, m)
+    assert full > 10
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m >= 1"):
+            truncated_path_algebra(standard_quiver("loop"), QQ, m)
 
 
 def test_quiver_serialization_roundtrip():

@@ -11,7 +11,7 @@ from twistlab.fields import GF, QQ
 from twistlab.algebra import (
     Algebra,
     center,
-    is_commutative,
+    is_algebra_map,
     is_separable,
     jacobson_radical,
     radical_power_dims,
@@ -36,7 +36,6 @@ from twistlab.twisting import (
     family_member,
     flip,
     identify_family,
-    inclusion_maps_are_morphisms,
     is_invertible,
     scalars_of_map,
     solve_2dim_twist,
@@ -45,6 +44,7 @@ from twistlab.twisting import (
     _search_space_bits,
 )
 
+from test_algebra import table_is_symmetric
 from test_linalg import (
     identity_matrix,
     reference_inverse,
@@ -243,7 +243,7 @@ def test_twisted_product_of_flip_is_class_I_like():
     prod = twisted_product(flip(a, b))
     assert prod.dim == 4
     assert verify_axioms(prod)["associative"]
-    assert is_commutative(prod)
+    assert table_is_symmetric(prod)
     assert len(center(prod)) == 4
     assert jacobson_radical(prod) == []
     assert prod.basis_labels == ["1⊗1", "1⊗a", "a⊗1", "a⊗a"]
@@ -272,7 +272,7 @@ def test_line_alpha_2_product_is_class_IIb_like():
     a, b = z2_pair(QQ)
     t = family_member(TwistFamilyDescriptor("line_char_ne_2", 2), a, b)
     prod = twisted_product(t)
-    assert not is_commutative(prod)
+    assert not table_is_symmetric(prod)
     assert len(center(prod)) == 1
     assert radical_power_dims(prod) == [2, 0]
     assert not is_separable(prod)
@@ -282,7 +282,7 @@ def test_line_alpha_0_product_is_class_IIa_like():
     a, b = z2_pair(QQ)
     t = family_member(TwistFamilyDescriptor("line_char_ne_2", 0), a, b)
     prod = twisted_product(t)
-    assert not is_commutative(prod)
+    assert not table_is_symmetric(prod)
     assert len(center(prod)) == 1
     assert jacobson_radical(prod) == []
     assert is_separable(prod)
@@ -420,6 +420,23 @@ def test_identify_family_order_and_non_member():
             identify_family(t)
 
 
+def inclusion_matrices(t) -> tuple:
+    """Reference: the matrices of a -> a (x) 1 and b -> 1 (x) b in the
+    product's basis, I (x) 1_B and 1_A (x) I on the algebras' own scalars."""
+    a, b = t.source_a, t.source_b
+    f = a.field
+    ua, ub = [[x] for x in a.unit], [[x] for x in b.unit]
+    return (Matrix.from_rows(f, reference_kron(f, identity_matrix(f, a.dim).data, ub)),
+            Matrix.from_rows(f, reference_kron(f, ua, identity_matrix(f, b.dim).data)))
+
+
+def inclusions_are_algebra_maps(t) -> bool:
+    prod = twisted_product(t)
+    inc_a, inc_b = inclusion_matrices(t)
+    return (is_algebra_map(inc_a, t.source_a, prod)
+            and is_algebra_map(inc_b, t.source_b, prod))
+
+
 def test_inclusions_are_algebra_maps():
     a, b = z2_pair(QQ)
     for t in (
@@ -428,31 +445,17 @@ def test_inclusions_are_algebra_maps():
         family_member(TwistFamilyDescriptor("isolated_iii"), a, b),
         family_member(TwistFamilyDescriptor("isolated_vi"), a, b),
     ):
-        assert inclusion_maps_are_morphisms(t)
+        assert inclusions_are_algebra_maps(t)
 
 
-def test_inclusion_maps_are_kronecker_products(monkeypatch):
-    # the matrices of a -> a (x) 1 and b -> 1 (x) b, built from the integer
-    # units, are I (x) 1_B and 1_A (x) I on the algebras' own scalars; most
-    # of the moved units are off the basis
-    seen = []
-    is_algebra_map = twisting.is_algebra_map
-
-    def spy(m, a, b):
-        seen.append(m.data)
-        return is_algebra_map(m, a, b)
-
-    monkeypatch.setattr(twisting, "is_algebra_map", spy)
+def test_inclusion_maps_are_kronecker_products():
+    # the matrices of a -> a (x) 1 and b -> 1 (x) b are I (x) 1_B and
+    # 1_A (x) I, and they are algebra maps into the product; most of the
+    # moved units are off the basis
     maps = _seeded_twisting_maps(random.Random(53))
     assert sum(sum(map(bool, t.source_a.unit)) > 1 for t in maps) > 100
     for t in maps:
-        a, b = t.source_a, t.source_b
-        f = a.field
-        seen.clear()
-        assert inclusion_maps_are_morphisms(t)
-        ua, ub = [[x] for x in a.unit], [[x] for x in b.unit]
-        assert seen == [reference_kron(f, identity_matrix(f, a.dim).data, ub),
-                        reference_kron(f, ua, identity_matrix(f, b.dim).data)]
+        assert inclusions_are_algebra_maps(t), t
 
 
 def _verified_candidates(a, b):
